@@ -6,7 +6,8 @@ import argparse
 import sys
 
 from . import pipeline
-from .errors import ConfigError, ManifestError, StageError
+from .errors import (AudioFormatError, AudioParseError, ConfigError, ManifestError, StageError,
+                     WeightFormatError)
 
 _STAGES = [
     ("gen-data", pipeline.cmd_gen_data, "write the synthetic corpus and noise bank"),
@@ -47,6 +48,9 @@ def main(argv=None) -> int:
         return 2
     except (StageError, ManifestError) as exc:
         print(f"voicetrace: {exc}", file=sys.stderr)
+        return 2
+    except (WeightFormatError, AudioParseError, AudioFormatError) as exc:
+        print(f"voicetrace: {args.command}: {exc}", file=sys.stderr)
         return 2
     if args.command == "sweep":
         _, failures = result

@@ -266,8 +266,15 @@ def load_detector(path) -> DetectorModel:
     (version,) = struct.unpack_from("<I", data, 4)
     if version != _VERSION:
         raise WeightFormatError(f"{path}: unsupported detector version {version}")
+    if len(data) < 12:
+        raise WeightFormatError(f"{path}: truncated detector header")
     (crit_len,) = struct.unpack_from("<I", data, 8)
-    criterion = data[12 : 12 + crit_len].decode("utf-8")
+    if len(data) < 16 + crit_len:
+        raise WeightFormatError(f"{path}: truncated detector header")
+    try:
+        criterion = data[12 : 12 + crit_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WeightFormatError(f"{path}: criterion name is not UTF-8") from exc
     (k,) = struct.unpack_from("<I", data, 12 + crit_len)
     tensors = nsw1.read_tensor_stream(data[16 + crit_len :], label=str(path))
 

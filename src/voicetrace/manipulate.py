@@ -52,35 +52,65 @@ def _kaiser_taper(t: np.ndarray) -> np.ndarray:
 
 
 def _resample_by_ratio(samples: np.ndarray, ratio: float) -> np.ndarray:
-    """Windowed-sinc rate conversion; output length round(len * ratio)."""
-    n_in = samples.size
+    """Windowed-sinc rate conversion; output length round(len * ratio).
+
+    samples is one clip, or a (clips, samples) array converted row by row.
+    Each output chunk's kernel depends only on the input length and the
+    ratio, so it is built once and applied to every row with the same
+    per-row arithmetic: each row is bit-identical to converting it alone.
+    """
+    rows = np.atleast_2d(samples)
+    n_in = rows.shape[1]
     n_out = int(round(n_in * ratio))
     if n_out < 1:
         raise ValueError("resampling ratio leaves no output samples")
     cutoff = min(1.0, ratio)
     offsets = np.arange(-_TAPS, _TAPS + 2)
-    out = np.empty(n_out, dtype=np.float64)
+    out = np.empty((rows.shape[0], n_out), dtype=np.float64)
     for start in range(0, n_out, 8192):
         stop = min(start + 8192, n_out)
         pos = np.arange(start, stop, dtype=np.float64) / ratio
         idx = np.floor(pos).astype(np.int64)[:, None] + offsets[None, :]
         t = idx - pos[:, None]
         kernel = cutoff * np.sinc(cutoff * t) * _kaiser_taper(t)
+        del t
         valid = (idx >= 0) & (idx < n_in)
-        gathered = np.where(valid, samples[np.clip(idx, 0, n_in - 1)], 0.0)
-        out[start:stop] = np.sum(gathered * kernel, axis=1)
+        idx = np.clip(idx, 0, n_in - 1)
+        for row, dest in zip(rows, out):
+            gathered = np.where(valid, row[idx], 0.0)
+            dest[start:stop] = np.sum(gathered * kernel, axis=1)
+    return out if samples.ndim == 2 else out[0]
+
+
+def _per_group(waves, convert) -> list:
+    """Apply convert to each group of clips sharing (sample_rate, length);
+    results in input order."""
+    groups = {}
+    for i, w in enumerate(waves):
+        groups.setdefault((w.sample_rate, len(w)), []).append(i)
+    out = [None] * len(waves)
+    for members in groups.values():
+        for i, result in zip(members, convert([waves[i] for i in members])):
+            out[i] = result
     return out
+
+
+def _resample_group(waves, offset_hz: int) -> list:
+    """resample() for clips that share one sample rate and length."""
+    offset_hz = int(offset_hz)
+    rate = waves[0].sample_rate
+    new_rate = rate + offset_hz
+    if new_rate <= 0:
+        raise ValueError(f"target sample rate {new_rate} is not positive")
+    if offset_hz == 0:
+        return [Waveform(w.samples.copy(), rate) for w in waves]
+    rows = _resample_by_ratio(np.stack([w.samples for w in waves]), new_rate / rate)
+    return [Waveform(row, new_rate) for row in rows]
 
 
 def resample(w: Waveform, offset_hz: int) -> Waveform:
     """Rate conversion to sample_rate + offset_hz; the output carries the new rate."""
-    offset_hz = int(offset_hz)
-    new_rate = w.sample_rate + offset_hz
-    if new_rate <= 0:
-        raise ValueError(f"target sample rate {new_rate} is not positive")
-    if offset_hz == 0:
-        return Waveform(w.samples.copy(), w.sample_rate)
-    return Waveform(_resample_by_ratio(w.samples, new_rate / w.sample_rate), new_rate)
+    return _resample_group([w], offset_hz)[0]
 
 
 def _phase_vocoder(spec: np.ndarray, rate: float) -> np.ndarray:
@@ -119,20 +149,27 @@ def time_stretch(w: Waveform, rate: float) -> Waveform:
     return Waveform(samples, w.sample_rate)
 
 
-def pitch_shift(w: Waveform, n_steps: int, bins_per_octave: int = 12) -> Waveform:
-    """Shift pitch by n_steps semitones; duration and rate are preserved."""
+def _pitch_group(waves, n_steps: int, bins_per_octave: int = 12) -> list:
+    """pitch_shift() for clips that share one sample rate and length: each
+    clip is stretched on its own, then the group is resampled at once."""
     if bins_per_octave < 1:
         raise ValueError("bins_per_octave must be positive")
     if n_steps == 0:
-        return Waveform(w.samples.copy(), w.sample_rate)
+        return [Waveform(w.samples.copy(), w.sample_rate) for w in waves]
     rate = 2.0 ** (-float(n_steps) / bins_per_octave)
-    stretched = time_stretch(w, rate)
-    shifted = _resample_by_ratio(stretched.samples, rate)
-    if shifted.size >= len(w):
-        samples = shifted[: len(w)]
+    stretched = np.stack([time_stretch(w, rate).samples for w in waves])
+    shifted = _resample_by_ratio(stretched, rate)
+    n = len(waves[0])
+    if shifted.shape[1] >= n:
+        shifted = shifted[:, :n]
     else:
-        samples = np.concatenate([shifted, np.zeros(len(w) - shifted.size)])
-    return Waveform(samples, w.sample_rate)
+        shifted = np.concatenate([shifted, np.zeros((len(waves), n - shifted.shape[1]))], axis=1)
+    return [Waveform(row, w.sample_rate) for row, w in zip(shifted, waves)]
+
+
+def pitch_shift(w: Waveform, n_steps: int, bins_per_octave: int = 12) -> Waveform:
+    """Shift pitch by n_steps semitones; duration and rate are preserved."""
+    return _pitch_group([w], n_steps, bins_per_octave)[0]
 
 
 def _fit_to_length(noise: np.ndarray, n: int) -> np.ndarray:
@@ -205,16 +242,21 @@ class Manipulation:
         return False
 
 
-def apply_manipulation(w: Waveform, m: Manipulation, bank=None, formula: str = PAPER) -> Waveform:
+def apply_manipulation(waves, m: Manipulation, bank=None, formula: str = PAPER) -> list:
+    """Apply one manipulation to a list of clips; results in input order.
+
+    Resample and pitch convert each group of clips sharing a sample rate
+    and length in one resampler call, so the group shares its kernels.
+    """
     if m.kind == "resample":
-        return resample(w, int(m.magnitude))
+        return _per_group(waves, lambda group: _resample_group(group, int(m.magnitude)))
     if m.kind == "speed":
-        return time_stretch(w, m.magnitude)
+        return [time_stretch(w, m.magnitude) for w in waves]
     if m.kind == "pitch":
-        return pitch_shift(w, int(m.magnitude))
+        return _per_group(waves, lambda group: _pitch_group(group, int(m.magnitude)))
     if bank is None:
         raise ValueError("add_noise manipulation needs a noise bank")
-    return mix_noise(w, bank.get(m.noise_id), m.magnitude, formula)
+    return [mix_noise(w, bank.get(m.noise_id), m.magnitude, formula) for w in waves]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ time, so reruns with the same config and seed are byte-identical.
 from __future__ import annotations
 
 import copy
+import csv
 import hashlib
 import json
 import os
@@ -227,7 +228,7 @@ def _traces_for_files(netspec, weights, files, fcfg, jobs=1, manipulation=None, 
     def work(block):
         waves = [load_wav(f) for f in block]
         if manipulation is not None:
-            waves = [apply_manipulation(w, manipulation, bank, formula) for w in waves]
+            waves = apply_manipulation(waves, manipulation, bank, formula)
         return _trace_batch(netspec, weights, waves, fcfg)
 
     parts = _ordered_map(work, _blocks(list(files)), jobs)
@@ -502,9 +503,10 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
                 fh.write(f"{row.dataset},{row.criterion},{row.manipulation},"
                          f"{row.magnitude!r},{metric},{getattr(row, metric)!r}\n")
     with open(paths.sweep_failures, "w", newline="", encoding="utf-8") as fh:
-        fh.write("cell,manipulation,magnitude,error\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["cell", "manipulation", "magnitude", "error"])
         for index, name, magnitude, error in failures:
-            fh.write(f"{index},{name},{magnitude!r},{error.replace(chr(10), ' ')}\n")
+            writer.writerow([index, name, repr(magnitude), error.replace("\n", " ")])
 
     hashes_after = {str(p): _sha256_file(p) for p in frozen}
     if hashes_after != hashes_before:

@@ -198,7 +198,7 @@ def test_criterion_4_dsp_sanity(verdict):
 
     identity_ok = True
     for m in (Manipulation("resample", 0.0), Manipulation("speed", 1.0), Manipulation("pitch", 0.0)):
-        out = apply_manipulation(tone, m)
+        out = apply_manipulation([tone], m)[0]
         identity_ok &= np.array_equal(out.samples, tone.samples)
         identity_ok &= out.sample_rate == tone.sample_rate
 

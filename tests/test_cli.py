@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from voicetrace import pipeline
 from voicetrace.cli import main
 from voicetrace.pipeline import config_digest, load_config
 
@@ -154,6 +155,40 @@ def test_extract_without_thresholds_names_calibrate(chain, tmp_path, capsys):
     assert rc == 0
     assert (part / "features_tkan.csv").exists()
     assert not (part / "features_acn.csv").exists()
+
+
+def test_truncated_backbone_exits_2_naming_the_stage(chain, tmp_path, capsys):
+    out, config_path = chain
+    part = tmp_path / "truncated"
+    part.mkdir()
+    shutil.copytree(out / "corpus", part / "corpus")
+    raw = (out / "backbone.nsw1").read_bytes()
+    (part / "backbone.nsw1").write_bytes(raw[: len(raw) // 2])
+    rc = main(["calibrate", "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("voicetrace: calibrate: ")
+    assert "truncated" in err
+
+
+def test_sweep_failure_with_comma_stays_one_csv_field(chain, tmp_path, monkeypatch):
+    out, config_path = chain
+    part = tmp_path / "failing"
+    shutil.copytree(out, part)
+    real = pipeline.apply_manipulation
+
+    def failing(waves, m, *args, **kwargs):
+        if m.kind == "speed":
+            raise ValueError("a, b")
+        return real(waves, m, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "apply_manipulation", failing)
+    rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    assert rc == 0
+    with open(part / "sweep_failures.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["cell", "manipulation", "magnitude", "error"],
+                    ["1", "speed", "1.0", "ValueError: a, b"]]
 
 
 def test_single_criterion_run_reports_only_that_criterion(chain, tmp_path):

@@ -222,6 +222,23 @@ def test_load_rejects_corrupt_magic(tmp_path):
         load_detector(p)
 
 
+def test_load_rejects_every_truncation_and_a_non_utf8_criterion(tmp_path):
+    feats, labels = _blobs(n_per_class=5)
+    model = train_detector(feats, labels, TrainConfig(epochs=1), spec=TINY_SPEC, criterion="acn")
+    full = tmp_path / "d.nsd1"
+    save_detector(model, full)
+    raw = full.read_bytes()
+    p = tmp_path / "cut.nsd1"
+    for n in range(len(raw)):
+        p.write_bytes(raw[:n])
+        with pytest.raises(WeightFormatError):
+            load_detector(p)
+    assert raw[12:15] == b"acn"
+    p.write_bytes(raw[:12] + b"\xff\xfe\xfd" + raw[15:])
+    with pytest.raises(WeightFormatError):
+        load_detector(p)
+
+
 def test_load_rejects_missing_tensors(tmp_path):
     from voicetrace import nsw1
     import struct as _struct

@@ -3,10 +3,13 @@ import pytest
 
 from voicetrace.audio import Waveform, load_wav, rms, stft
 from voicetrace.manipulate import (
+    _KAISER_BETA,
+    _TAPS,
     NOISE_CLASSES,
     PAPER,
     STANDARD,
     Manipulation,
+    _resample_by_ratio,
     apply_manipulation,
     generate_noise_bank,
     load_noise_bank,
@@ -58,6 +61,59 @@ def test_resample_rejects_nonpositive_rate():
     w = _tone(100, seconds=0.1)
     with pytest.raises(ValueError):
         resample(w, -SR)
+
+
+def _reference_resample(samples, ratio):
+    """The one-clip loop the resampler replaced, kept as the bit-exact reference."""
+    n_in = samples.size
+    n_out = int(round(n_in * ratio))
+    cutoff = min(1.0, ratio)
+    offsets = np.arange(-_TAPS, _TAPS + 2)
+    out = np.empty(n_out, dtype=np.float64)
+    for start in range(0, n_out, 8192):
+        stop = min(start + 8192, n_out)
+        pos = np.arange(start, stop, dtype=np.float64) / ratio
+        idx = np.floor(pos).astype(np.int64)[:, None] + offsets[None, :]
+        t = idx - pos[:, None]
+        inside = np.abs(t) <= _TAPS
+        arg = np.where(inside, 1.0 - (t / _TAPS) ** 2, 0.0)
+        taper = np.where(inside, np.i0(_KAISER_BETA * np.sqrt(arg)) / np.i0(_KAISER_BETA), 0.0)
+        kernel = cutoff * np.sinc(cutoff * t) * taper
+        valid = (idx >= 0) & (idx < n_in)
+        gathered = np.where(valid, samples[np.clip(idx, 0, n_in - 1)], 0.0)
+        out[start:stop] = np.sum(gathered * kernel, axis=1)
+    return out
+
+
+# the default sweep's resample offsets at 16 kHz and its pitch steps
+SWEEP_RATIOS = [(SR + off) / SR for off in (-400, -200, 200, 400)] + [
+    2.0 ** (-steps / 12) for steps in (-4, -2, 2, 4)]
+
+
+@pytest.mark.parametrize("ratio", SWEEP_RATIOS)
+def test_resample_rows_match_one_clip_calls(ratio):
+    # 10500 input samples give more than 8192 output samples at every ratio
+    rows = np.random.default_rng(17).uniform(-0.5, 0.5, (2, 10500))
+    together = _resample_by_ratio(rows, ratio)
+    assert together.shape == (2, round(10500 * ratio)) and together.shape[1] > 8192
+    for row, out in zip(rows, together):
+        assert np.array_equal(out, _resample_by_ratio(row, ratio))
+    assert np.array_equal(together[0], _reference_resample(rows[0], ratio))
+
+
+@pytest.mark.parametrize("m", [Manipulation("resample", 200), Manipulation("pitch", 2)],
+                         ids=["resample", "pitch"])
+def test_apply_manipulation_mixed_clips_match_single_calls(m):
+    rng = np.random.default_rng(23)
+    shapes = [(SR, 4096), (SR, 5000), (8000, 4096), (SR, 4096), (SR, 5000)]
+    waves = [Waveform(rng.uniform(-0.5, 0.5, n), sr) for sr, n in shapes]
+    single = resample if m.kind == "resample" else pitch_shift
+    outs = apply_manipulation(waves, m)
+    assert len(outs) == len(waves)
+    for w, out in zip(waves, outs):
+        expected = single(w, int(m.magnitude))
+        assert out.sample_rate == expected.sample_rate
+        assert np.array_equal(out.samples, expected.samples)
 
 
 def test_time_stretch_identity_bit_exact():
@@ -211,14 +267,14 @@ def test_manipulation_identity_flags():
 def test_apply_manipulation_identities_bit_exact():
     w = _tone(440)
     for m in (Manipulation("resample", 0), Manipulation("speed", 1.0), Manipulation("pitch", 0)):
-        out = apply_manipulation(w, m)
+        out = apply_manipulation([w], m)[0]
         assert np.array_equal(out.samples, w.samples)
 
 
 def test_apply_manipulation_noise_needs_bank():
     w = _tone(440)
     with pytest.raises(ValueError):
-        apply_manipulation(w, Manipulation("add_noise", 35.0, "indoor_rain"))
+        apply_manipulation([w], Manipulation("add_noise", 35.0, "indoor_rain"))
 
 
 def test_noise_bank_generation(tmp_path):
