@@ -312,11 +312,3 @@ def fix_frame_count(fm: FeatureMap, target_frames: int) -> FeatureMap:
         after = target_frames - n - before
         values = np.pad(fm.values, ((before, after), (0, 0)))
     return FeatureMap(values, fm.window_size, fm.hop, fm.mel_bins)
-
-
-def spectral_flatness(w: Waveform, window_size: int = 512, hop: int = 256) -> float:
-    """Mean per-frame flatness (geometric over arithmetic mean of the power spectrum)."""
-    power = np.square(np.abs(stft(w, window_size, hop)))
-    geo = np.exp(np.mean(np.log(power + 1e-12), axis=1))
-    arith = np.mean(power, axis=1) + 1e-12
-    return float(np.mean(geo / arith))

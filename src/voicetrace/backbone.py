@@ -1,10 +1,18 @@
-"""Instrumented convolutional speaker-embedding network.
+"""The network engine, and the instrumented speaker CNN built on it.
 
-A small CNN trained on the toy speaker-ID task whose real job is exposing
-per-layer post-activation neuron outputs. Convolutional and fully-connected
-layers are the monitored kinds; a conv "neuron" is one output channel
-summarized by the spatial mean of its post-ReLU feature map, an FC neuron
-is one post-ReLU unit, and the final logit layer is recorded pre-softmax.
+A NetworkSpec is an ordered list of conv, ReLU, max-pool, flatten and
+fully-connected layers over a (frames, bins, channels) or flat (width,)
+input. One forward pass, one backward pass and one Glorot init serve
+every spec: the speaker CNN here, trained with a softmax cross-entropy
+head, and the detector's FC stack (detector.py), trained with a BCE
+head. Both train through nn.momentum_sgd and are checked by
+nn.central_difference_check.
+
+The speaker CNN's real job is exposing per-layer post-activation neuron
+outputs. Convolutional and fully-connected layers are the monitored
+kinds; a conv "neuron" is one output channel summarized by the spatial
+mean of its post-ReLU feature map, an FC neuron is one post-ReLU unit,
+and the final logit layer is recorded pre-softmax.
 
 Everything computes in float64; stored weights are float32.
 """
@@ -18,7 +26,7 @@ import numpy as np
 from . import nsw1
 from .audio import FeatureMap
 from .errors import WeightFormatError
-from .nn import glorot_uniform, max_relative_error, relu
+from .nn import central_difference_check, glorot_uniform, momentum_sgd, relu
 
 
 @dataclass(frozen=True)
@@ -74,12 +82,9 @@ class NetworkSpec:
     def __init__(self, layers, input_shape):
         self.layers = tuple(layers)
         self.input_shape = tuple(int(d) for d in input_shape)
-        if len(self.input_shape) != 3:
-            raise ValueError("input_shape must be (frames, bins, channels)")
+        if len(self.input_shape) not in (1, 3):
+            raise ValueError("input_shape must be (frames, bins, channels) or flat (width,)")
         self._chain_shapes()
-        kinds = [type(l) for l in self.layers]
-        if Conv2d not in kinds or FullyConnected not in kinds:
-            raise ValueError("network needs at least one conv and one fully-connected layer")
 
     def _chain_shapes(self):
         shape = self.input_shape
@@ -87,23 +92,21 @@ class NetworkSpec:
         self.layer_names = []  # parametric layers only get names
         n_conv = n_fc = 0
         for idx, layer in enumerate(self.layers):
-            if isinstance(layer, Conv2d):
+            if isinstance(layer, (Conv2d, MaxPool)):
+                if len(shape) != 3:
+                    raise ValueError(f"layer {idx}: {type(layer).__name__} needs a 3-D input")
                 h, w, c = shape
                 if h < layer.kernel or w < layer.kernel:
                     raise ValueError(f"layer {idx}: kernel {layer.kernel} exceeds input {h}x{w}")
                 oh = (h - layer.kernel) // layer.stride + 1
                 ow = (w - layer.kernel) // layer.stride + 1
-                shape = (oh, ow, layer.out_channels)
-                n_conv += 1
-                self.layer_names.append(f"conv{n_conv}")
-            elif isinstance(layer, MaxPool):
-                h, w, c = shape
-                if h < layer.kernel or w < layer.kernel:
-                    raise ValueError(f"layer {idx}: pool {layer.kernel} exceeds input {h}x{w}")
-                oh = (h - layer.kernel) // layer.stride + 1
-                ow = (w - layer.kernel) // layer.stride + 1
-                shape = (oh, ow, c)
-                self.layer_names.append(None)
+                if isinstance(layer, MaxPool):
+                    shape = (oh, ow, c)
+                    self.layer_names.append(None)
+                else:
+                    shape = (oh, ow, layer.out_channels)
+                    n_conv += 1
+                    self.layer_names.append(f"conv{n_conv}")
             elif isinstance(layer, Flatten):
                 shape = (int(np.prod(shape)),)
                 self.layer_names.append(None)
@@ -146,9 +149,6 @@ class NetworkSpec:
                 shapes[f"{name}.bias"] = (layer.out_units,)
             in_shape = self.layer_shapes[idx]
         return shapes
-
-    def n_parameters(self) -> int:
-        return sum(int(np.prod(s)) for s in self.parameter_shapes().values())
 
 
 def reference_spec(num_speakers: int, input_shape=(200, 64, 1)) -> NetworkSpec:
@@ -235,7 +235,7 @@ def _conv_patches(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 
 
 def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray):
-    """Forward a batch (N, H, W, C); returns each layer's output in order."""
+    """Forward a batch (N, *input_shape); returns each layer's output in order."""
     outputs = []
     cur = x
     for idx, layer in enumerate(spec.layers):
@@ -366,10 +366,23 @@ def _backward(spec: NetworkSpec, params: dict, x: np.ndarray, outputs, dout: np.
     return grads
 
 
-def _loss_and_grads(spec: NetworkSpec, params: dict, batch: np.ndarray, labels: np.ndarray):
+def _loss_and_grads(spec: NetworkSpec, params: dict, batch: np.ndarray, targets: np.ndarray,
+                    head=_softmax_xent):
+    """head(logits, targets) -> (mean loss, d loss / d logits); softmax cross-entropy by default."""
     outputs = _run_layers(spec, params, batch)
-    loss, dlogits = _softmax_xent(outputs[-1], labels)
+    loss, dlogits = head(outputs[-1], targets)
     return loss, _backward(spec, params, batch, outputs, dlogits)
+
+
+def _check_gradients(spec: NetworkSpec, params: dict, batch: np.ndarray, targets: np.ndarray,
+                     head=_softmax_xent, eps: float = 1e-3) -> float:
+    """The head's analytic gradients against central differences, all float64."""
+    return central_difference_check(
+        params,
+        lambda p: head(_run_layers(spec, p, batch)[-1], targets)[0],
+        lambda p: _loss_and_grads(spec, p, batch, targets, head)[1],
+        eps,
+    )
 
 
 @dataclass(frozen=True)
@@ -382,7 +395,7 @@ class BackboneTrainConfig:
 
 
 def train_backbone(spec: NetworkSpec, features: np.ndarray, labels, config: BackboneTrainConfig):
-    """SGD-with-momentum softmax training on (N, H, W, C) inputs.
+    """Momentum-SGD softmax training on (N, *spec.input_shape) inputs.
 
     Batches follow a seeded shuffle each epoch; weight init and shuffling
     draw from a single generator so identical configs give bit-identical
@@ -400,23 +413,11 @@ def train_backbone(spec: NetworkSpec, features: np.ndarray, labels, config: Back
         raise ValueError("labels must lie in [0, output_width)")
 
     rng = np.random.default_rng(config.seed)
-    store = init_weights_with_rng(spec, rng)
-    params = store.as_float64()
-    velocity = {k: np.zeros_like(v) for k, v in params.items()}
-
-    n = features.shape[0]
-    epoch_losses = []
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            take = order[start : start + config.batch_size]
-            loss, grads = _loss_and_grads(spec, params, features[take], labels[take])
-            total += loss * take.size
-            for key in params:
-                velocity[key] = config.momentum * velocity[key] - config.lr * grads[key]
-                params[key] = params[key] + velocity[key]
-        epoch_losses.append(total / n)
+    params = init_weights_with_rng(spec, rng).as_float64()
+    epoch_losses = momentum_sgd(
+        params, lambda take: _loss_and_grads(spec, params, features[take], labels[take]),
+        features.shape[0], rng, lr=config.lr, momentum=config.momentum,
+        epochs=config.epochs, batch_size=config.batch_size)
     return WeightStore(params), epoch_losses
 
 
@@ -426,35 +427,10 @@ def classify(spec: NetworkSpec, weights: WeightStore, batch: np.ndarray) -> np.n
 
 
 def gradient_check(spec: NetworkSpec, weights: WeightStore, inp, label: int, eps: float = 1e-3) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and central-difference softmax gradients.
 
-    Runs entirely in float64. Only meaningful on small nets; refuses
-    above 5000 parameters.
+    Only meaningful on small nets; refuses above 5000 parameters.
     """
-    if spec.n_parameters() > 5000:
-        raise ValueError(f"gradient check limited to 5000 parameters, spec has {spec.n_parameters()}")
     batch = _coerce_input(spec, inp)[None]
     labels = np.asarray([label], dtype=np.int64)
-    params = weights.as_float64()
-    _, grads = _loss_and_grads(spec, params, batch, labels)
-
-    worst = 0.0
-    for name, tensor in params.items():
-        numeric = np.zeros_like(tensor)
-        flat = tensor.ravel()
-        num_flat = numeric.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up, _dl = _forward_loss(spec, params, batch, labels)
-            flat[i] = orig - eps
-            down, _dl = _forward_loss(spec, params, batch, labels)
-            flat[i] = orig
-            num_flat[i] = (up - down) / (2.0 * eps)
-        worst = max(worst, max_relative_error(grads[name], numeric))
-    return worst
-
-
-def _forward_loss(spec: NetworkSpec, params: dict, batch: np.ndarray, labels: np.ndarray):
-    outputs = _run_layers(spec, params, batch)
-    return _softmax_xent(outputs[-1], labels)
+    return _check_gradients(spec, weights.as_float64(), batch, labels, eps=eps)

@@ -7,7 +7,7 @@ import sys
 
 from . import pipeline
 from .errors import (AudioFormatError, AudioParseError, ConfigError, ManifestError, StageError,
-                     WeightFormatError)
+                     ThresholdsFormatError, WeightFormatError)
 
 _STAGES = [
     ("gen-data", pipeline.cmd_gen_data, "write the synthetic corpus and noise bank"),
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     except (StageError, ManifestError) as exc:
         print(f"voicetrace: {exc}", file=sys.stderr)
         return 2
-    except (WeightFormatError, AudioParseError, AudioFormatError) as exc:
+    except (WeightFormatError, ThresholdsFormatError, AudioParseError, AudioFormatError) as exc:
         print(f"voicetrace: {args.command}: {exc}", file=sys.stderr)
         return 2
     if args.command == "sweep":

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, istft, load_wav, save_wav, spectral_flatness, stft
+from .audio import Waveform, istft, save_wav, stft
 from .errors import ManifestError
 
 REAL = "real"
@@ -222,22 +222,3 @@ def load_manifest(path, check_paths: bool = True) -> list:
         seen.add(rel)
         records.append(ManifestRecord(rel, label, speaker_id, split))
     return records
-
-
-def flatness_baseline(records, root) -> tuple:
-    """Spectral-flatness scores per record (fakes trend flatter-spectrum).
-
-    Returns (labels, scores) with label 1 for fake, for feeding the
-    ranking metrics; a sanity reference, not a serious detector.
-    """
-    root = Path(root)
-    labels = []
-    scores = []
-    for rec in records:
-        w = load_wav(root / rec.path)
-        labels.append(1 if rec.label == FAKE else 0)
-        # Long analysis window so individual harmonics resolve; with the
-        # default 512-sample window the leakage skirts of dense low-pitch
-        # harmonic stacks dominate the statistic and drown the artifact.
-        scores.append(spectral_flatness(w, window_size=4096, hop=1024))
-    return np.asarray(labels), np.asarray(scores, dtype=np.float64)

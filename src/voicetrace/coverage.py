@@ -9,12 +9,14 @@ layer (TKAN). These vectors are what the detector consumes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .backbone import ActivationTrace
+from .errors import ThresholdsFormatError
 
 ACN = "acn"
 TKAN = "tkan"
@@ -121,10 +123,29 @@ def save_thresholds(thresholds: LayerThresholds, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def load_thresholds(path) -> LayerThresholds:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    deltas = tuple((str(name), float(delta)) for name, delta in doc["thresholds"])
-    return LayerThresholds(deltas, int(doc["calibration_size"]))
+    """Inverse of save_thresholds; any other document raises ThresholdsFormatError."""
+
+    def bad(detail):
+        return ThresholdsFormatError(f"{path}: {detail}; rerun the calibrate stage")
+
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise bad(f"not a JSON document ({exc})") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("thresholds"), list) or not doc["thresholds"]:
+        raise bad("expected an object with a non-empty 'thresholds' list")
+    for pair in doc["thresholds"]:
+        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str) and _is_number(pair[1])):
+            raise bad(f"threshold entry {pair!r} is not a [layer, number] pair")
+    size = doc.get("calibration_size")
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        raise bad("calibration_size must be a positive integer")
+    return LayerThresholds(tuple((name, float(delta)) for name, delta in doc["thresholds"]), size)
 
 
 def write_feature_csv(path, column_names, labels, splits, matrix) -> None:

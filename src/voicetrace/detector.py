@@ -1,8 +1,11 @@
 """Shallow binary real/fake classifier over coverage feature vectors.
 
-Five fully-connected layers (four ReLU hidden layers, one sigmoid
-output), trained with momentum SGD under inverse-time learning-rate
-decay and binary cross-entropy. Fake is the positive class.
+Five fully-connected layers (four ReLU hidden layers, one logit) built
+as a flat-input NetworkSpec and run by the backbone's network engine.
+This module adds only what is specific to the detector: the sigmoid /
+binary cross-entropy head, a training config with inverse-time
+learning-rate decay, the feature Standardizer and the NSD1 file format.
+Fake is the positive class.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import nsw1
+from .backbone import (FullyConnected, NetworkSpec, Relu, WeightStore, _check_gradients,
+                       _loss_and_grads, _run_layers, init_weights_with_rng)
 from .errors import WeightFormatError
-from .nn import glorot_uniform, max_relative_error, relu, sigmoid
+from .nn import momentum_sgd, sigmoid
 
 REAL = "real"
 FAKE = "fake"
@@ -37,6 +42,13 @@ class DetectorSpec:
 
     def layer_widths(self):
         return [self.input_width, *self.hidden, 1]
+
+    def network(self) -> NetworkSpec:
+        """FC-ReLU for each hidden width, then one FC logit; tensors fc1..fc5."""
+        layers = []
+        for width in self.hidden:
+            layers += [FullyConnected(width), Relu()]
+        return NetworkSpec([*layers, FullyConnected(1)], (self.input_width,))
 
 
 @dataclass(frozen=True)
@@ -98,28 +110,6 @@ class DetectorModel:
         return {k: v.astype(np.float64) for k, v in self.tensors.items()}
 
 
-def _init_tensors(spec: DetectorSpec, rng: np.random.Generator) -> dict:
-    tensors = {}
-    widths = spec.layer_widths()
-    for i in range(5):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        tensors[f"fc{i + 1}.weight"] = glorot_uniform(rng, (fan_in, fan_out), fan_in, fan_out).astype(np.float32)
-        tensors[f"fc{i + 1}.bias"] = np.zeros(fan_out, dtype=np.float32)
-    return tensors
-
-
-def _forward_layers(params: dict, x: np.ndarray):
-    """Returns the list of post-activation layer outputs; last entry is the logit."""
-    outs = []
-    cur = x
-    for i in range(5):
-        cur = cur @ params[f"fc{i + 1}.weight"] + params[f"fc{i + 1}.bias"]
-        if i < 4:
-            cur = relu(cur)
-        outs.append(cur)
-    return outs
-
-
 def _bce_loss(logits: np.ndarray, targets: np.ndarray):
     z = logits.ravel()
     y = targets.astype(np.float64)
@@ -127,19 +117,6 @@ def _bce_loss(logits: np.ndarray, targets: np.ndarray):
     loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z))
     dlogits = (sigmoid(z) - y)[:, None] / z.size
     return loss, dlogits
-
-
-def _backward(params: dict, x: np.ndarray, outs, dlogit: np.ndarray) -> dict:
-    grads = {}
-    dcur = dlogit
-    for i in range(4, -1, -1):
-        layer_in = x if i == 0 else outs[i - 1]
-        if i < 4:
-            dcur = dcur * (outs[i] > 0)
-        grads[f"fc{i + 1}.weight"] = layer_in.T @ dcur
-        grads[f"fc{i + 1}.bias"] = dcur.sum(axis=0)
-        dcur = dcur @ params[f"fc{i + 1}.weight"].T
-    return grads
 
 
 def train_detector(
@@ -173,31 +150,14 @@ def train_detector(
         standardizer = Standardizer.identity(spec.input_width)
     x_all = standardizer.transform(features)
 
+    net = spec.network()
     rng = np.random.default_rng(config.seed)
-    params = {k_: v.astype(np.float64) for k_, v in _init_tensors(spec, rng).items()}
-    velocity = {k_: np.zeros_like(v) for k_, v in params.items()}
-
-    n = features.shape[0]
-    step = 0
-    epoch_losses = []
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            take = order[start : start + config.batch_size]
-            outs = _forward_layers(params, x_all[take])
-            loss, dlogit = _bce_loss(outs[-1], labels[take])
-            grads = _backward(params, x_all[take], outs, dlogit)
-            lr_t = config.lr / (1.0 + config.decay * step)
-            for key in params:
-                velocity[key] = config.momentum * velocity[key] - lr_t * grads[key]
-                params[key] = params[key] + velocity[key]
-            step += 1
-            total += loss * take.size
-        epoch_losses.append(total / n)
-
-    tensors = {k_: v.astype(np.float32) for k_, v in params.items()}
-    return DetectorModel(spec, tensors, standardizer, criterion, k, epoch_losses)
+    params = init_weights_with_rng(net, rng).as_float64()
+    epoch_losses = momentum_sgd(
+        params, lambda take: _loss_and_grads(net, params, x_all[take], labels[take], _bce_loss),
+        features.shape[0], rng, lr=config.lr, momentum=config.momentum,
+        epochs=config.epochs, batch_size=config.batch_size, decay=config.decay)
+    return DetectorModel(spec, WeightStore(params).tensors, standardizer, criterion, k, epoch_losses)
 
 
 def score_batch(model: DetectorModel, features: np.ndarray) -> np.ndarray:
@@ -210,7 +170,7 @@ def score_batch(model: DetectorModel, features: np.ndarray) -> np.ndarray:
             f"feature width {features.shape[1]} does not match model input {model.spec.input_width}"
         )
     x = model.standardizer.transform(features)
-    logits = _forward_layers(model.params64(), x)[-1]
+    logits = _run_layers(model.spec.network(), model.params64(), x)[-1]
     return sigmoid(logits.ravel())
 
 
@@ -220,32 +180,13 @@ def predict(model: DetectorModel, feature, threshold: float = 0.5) -> Prediction
 
 
 def gradient_check(model: DetectorModel, feature, label: int, eps: float = 1e-3) -> float:
-    """Analytic vs central-difference BCE gradients; max relative error."""
-    n_params = sum(int(t.size) for t in model.tensors.values())
-    if n_params > 5000:
-        raise ValueError(f"gradient check limited to 5000 parameters, model has {n_params}")
+    """Analytic vs central-difference BCE gradients; max relative error.
+
+    Only meaningful on small models; refuses above 5000 parameters.
+    """
     x = model.standardizer.transform(np.asarray(feature, dtype=np.float64)[None])
     y = np.asarray([label], dtype=np.int64)
-    params = model.params64()
-    outs = _forward_layers(params, x)
-    _, dlogit = _bce_loss(outs[-1], y)
-    grads = _backward(params, x, outs, dlogit)
-
-    worst = 0.0
-    for name, tensor in params.items():
-        numeric = np.zeros_like(tensor)
-        flat = tensor.ravel()
-        num_flat = numeric.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up, _ = _bce_loss(_forward_layers(params, x)[-1], y)
-            flat[i] = orig - eps
-            down, _ = _bce_loss(_forward_layers(params, x)[-1], y)
-            flat[i] = orig
-            num_flat[i] = (up - down) / (2.0 * eps)
-        worst = max(worst, max_relative_error(grads[name], numeric))
-    return worst
+    return _check_gradients(model.spec.network(), model.params64(), x, y, _bce_loss, eps)
 
 
 def save_detector(model: DetectorModel, path) -> None:
@@ -284,13 +225,14 @@ def load_detector(path) -> DetectorModel:
     except KeyError as exc:
         raise WeightFormatError(f"{path}: missing standardization tensors") from exc
     expected = [f"fc{i}.{part}" for i in range(1, 6) for part in ("weight", "bias")]
-    if sorted(tensors) != sorted(expected):
+    if sorted(tensors) != sorted(expected) or any(tensors[f"fc{i}.weight"].ndim != 2 for i in range(1, 6)):
         raise WeightFormatError(f"{path}: detector needs exactly fc1..fc5 weight/bias tensors")
-    hidden = tuple(tensors[f"fc{i}.weight"].shape[1] for i in range(1, 5))
-    spec = DetectorSpec(tensors["fc1.weight"].shape[0], hidden)
-    for i in range(5):
-        w = tensors[f"fc{i + 1}.weight"]
-        widths = spec.layer_widths()
-        if w.shape != (widths[i], widths[i + 1]):
-            raise WeightFormatError(f"{path}: fc{i + 1}.weight has inconsistent shape {w.shape}")
+    try:
+        hidden = tuple(tensors[f"fc{i}.weight"].shape[1] for i in range(1, 5))
+        spec = DetectorSpec(tensors["fc1.weight"].shape[0], hidden)
+        WeightStore(tensors).validate(spec.network())
+        if mean.shape != (spec.input_width,) or std.shape != mean.shape:
+            raise ValueError(f"standardization tensors do not match input width {spec.input_width}")
+    except ValueError as exc:  # WeightFormatError is one
+        raise WeightFormatError(f"{path}: {exc}") from exc
     return DetectorModel(spec, tensors, Standardizer(mean, std), criterion, k)

@@ -13,6 +13,10 @@ class WeightFormatError(ValueError):
     """Bad NSW1 container: wrong magic, version, truncation, or shape mismatch."""
 
 
+class ThresholdsFormatError(ValueError):
+    """thresholds.json that is not JSON or not the document calibrate writes."""
+
+
 class ManifestError(ValueError):
     """Malformed corpus manifest. Carries the 1-based offending line number."""
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 

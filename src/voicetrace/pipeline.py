@@ -349,6 +349,19 @@ def _read_split(path, split: str):
     return matrix[keep], y
 
 
+def _current_detector(paths: RunPaths, cfg: dict, criterion: str, stage: str, width: int):
+    """The criterion's detector, refused when trained under another k or feature width."""
+    path = paths.detector(criterion)
+    _require(path, stage, "train-detector")
+    model = load_detector(path)
+    k = cfg["coverage"]["k"] if criterion == TKAN else 0
+    if (model.criterion, model.k, model.spec.input_width) != (criterion, k, width):
+        raise StageError(stage, f"{path} was trained for {model.criterion!r} k={model.k} on "
+                                f"{model.spec.input_width} features, but this run needs {criterion!r} "
+                                f"k={k} on {width}; rerun the train-detector stage")
+    return model
+
+
 def cmd_train_detector(cfg: dict, jobs: int = 1):
     paths = RunPaths(cfg)
     models = {}
@@ -382,9 +395,8 @@ def cmd_eval(cfg: dict, jobs: int = 1):
     for criterion in _criteria(cfg):
         feats = paths.features(criterion)
         _require(feats, "eval", "extract")
-        _require(paths.detector(criterion), "eval", "train-detector")
-        model = load_detector(paths.detector(criterion))
         x_test, y_test = _read_split(feats, "test")
+        model = _current_detector(paths, cfg, criterion, "eval", x_test.shape[1])
         scores = score_batch(model, x_test)
         rows.append(MetricRow.from_metrics("test", criterion, "none", 0.0,
                                            compute_all(y_test, scores)))
@@ -431,10 +443,11 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     records, root = _records_and_root(paths, "sweep")
     _require(paths.backbone, "sweep", "train-backbone")
     criteria = _criteria(cfg)
-    detectors = {}
-    for criterion in criteria:
-        _require(paths.detector(criterion), "sweep", "train-detector")
-        detectors[criterion] = load_detector(paths.detector(criterion))
+    netspec = _network_for(records, cfg)
+    n_layers = len(netspec.monitored_layers())
+    detectors = {c: _current_detector(paths, cfg, c, "sweep",
+                                      n_layers * (cfg["coverage"]["k"] if c == TKAN else 1))
+                 for c in criteria}
     thresholds = None
     if ACN in criteria:
         _require(paths.thresholds, "sweep", "calibrate")
@@ -447,7 +460,6 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
         frozen.append(paths.thresholds)
     hashes_before = {str(p): _sha256_file(p) for p in frozen}
 
-    netspec = _network_for(records, cfg)
     weights = load_weights(paths.backbone, netspec)
     bank = load_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"])
     sample = _sample_records(records, cfg["sweep"]["sample_per_class"])

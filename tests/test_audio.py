@@ -15,7 +15,6 @@ from voicetrace.audio import (
     mel_center_frequencies,
     rms,
     save_wav,
-    spectral_flatness,
     stft,
 )
 from voicetrace.errors import AudioFormatError, AudioParseError
@@ -227,12 +226,3 @@ def test_fix_frame_count_pad_and_crop():
     assert cropped.frames == 10
     start = (fm.frames - 10) // 2
     assert np.array_equal(cropped.values, fm.values[start : start + 10])
-
-
-def test_spectral_flatness_ordering():
-    rng = np.random.default_rng(6)
-    sr = 16000
-    t = np.arange(2 * sr) / sr
-    tone = spectral_flatness(Waveform(np.sin(2 * np.pi * 440 * t), sr))
-    noise = spectral_flatness(Waveform(rng.standard_normal(2 * sr), sr))
-    assert 0.0 <= tone < noise <= 1.0

@@ -241,6 +241,15 @@ def test_gradient_check_random_tiny_net():
     assert err < 1e-4
 
 
+def test_gradient_check_flat_fc_net_without_convs():
+    spec = NetworkSpec([FullyConnected(5), Relu(), FullyConnected(4), Relu(), FullyConnected(3)],
+                       input_shape=(6,))
+    assert [name for _, name, _ in spec.monitored_layers()] == ["fc1", "fc2", "fc3"]
+    rng = np.random.default_rng(41)
+    err = gradient_check(spec, init_weights(spec, 41), rng.standard_normal(6), label=2)
+    assert err < 1e-4
+
+
 def test_gradient_check_refuses_big_nets():
     spec = reference_spec(8)
     with pytest.raises(ValueError):

@@ -3,10 +3,12 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from voicetrace import pipeline
 from voicetrace.cli import main
+from voicetrace.detector import TrainConfig, save_detector, train_detector
 from voicetrace.pipeline import config_digest, load_config
 
 TINY = {
@@ -169,6 +171,43 @@ def test_truncated_backbone_exits_2_naming_the_stage(chain, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("voicetrace: calibrate: ")
     assert "truncated" in err
+
+
+@pytest.mark.parametrize("content", [
+    b'{"thresholds": []}',
+    b"[]",
+    b"\x00\xff not json",
+    b'{"calibration_size": 4, "thresholds": [["conv1", "high"]]}',
+], ids=["empty-thresholds", "top-level-list", "not-json", "non-numeric-delta"])
+def test_malformed_thresholds_exit_2_naming_calibrate(chain, tmp_path, capsys, content):
+    out, config_path = chain
+    part = tmp_path / "bad_thresholds"
+    part.mkdir()
+    shutil.copytree(out / "corpus", part / "corpus")
+    shutil.copy(out / "backbone.nsw1", part / "backbone.nsw1")
+    (part / "thresholds.json").write_bytes(content)
+    rc = main(["extract", "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("voicetrace: extract: ")
+    assert "rerun the calibrate stage" in err
+
+
+def test_detector_trained_at_another_k_exits_2_naming_train_detector(chain, tmp_path, capsys):
+    out, config_path = chain
+    part = tmp_path / "stale"
+    shutil.copytree(out, part)
+    # a TKAN detector for 6 layers x k=5 features, left behind for this k=3 run
+    feats = np.random.default_rng(0).standard_normal((20, 30))
+    stale = train_detector(feats, np.array([0, 1] * 10), TrainConfig(epochs=1), criterion="tkan", k=5)
+    save_detector(stale, part / "detector_tkan.nsd1")
+    for stage in ("eval", "sweep"):
+        rc = main([stage, "--config", str(config_path), "--out", str(part), "--seed", "7"])
+        err = capsys.readouterr().err
+        assert rc == 2, stage
+        assert err.startswith(f"voicetrace: {stage}: ")
+        assert "k=5 on 30 features" in err and "k=3 on 18" in err
+        assert "rerun the train-detector stage" in err
 
 
 def test_sweep_failure_with_comma_stays_one_csv_field(chain, tmp_path, monkeypatch):

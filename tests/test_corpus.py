@@ -10,7 +10,6 @@ from voicetrace.corpus import (
     ManifestRecord,
     _render_clip,
     _speaker_voice,
-    flatness_baseline,
     generate_corpus,
     load_manifest,
     save_manifest,
@@ -195,14 +194,3 @@ def test_save_manifest_format(tmp_path):
     p = tmp_path / "m.tsv"
     save_manifest([ManifestRecord("x/y.wav", "fake", "spk01", "val")], p)
     assert p.read_text() == "x/y.wav\tfake\tspk01\tval\n"
-
-
-def test_flatness_baseline_shapes(tmp_path):
-    records = generate_corpus(SMALL, tmp_path)
-    test_split = [r for r in records if r.split == "test"]
-    labels, scores = flatness_baseline(test_split, tmp_path)
-    assert labels.shape == scores.shape == (len(test_split),)
-    assert set(labels.tolist()) == {0, 1}
-    assert np.all(np.isfinite(scores))
-    # fakes trend flatter even on this miniature corpus
-    assert scores[labels == 1].mean() > scores[labels == 0].mean()

@@ -6,6 +6,7 @@ from voicetrace.detector import (
     DetectorSpec,
     Standardizer,
     TrainConfig,
+    _bce_loss,
     gradient_check,
     load_detector,
     predict,
@@ -14,7 +15,7 @@ from voicetrace.detector import (
     train_detector,
 )
 from voicetrace.errors import WeightFormatError
-from voicetrace.nn import relu, sigmoid
+from voicetrace.nn import glorot_uniform, relu, sigmoid
 
 TINY_SPEC = DetectorSpec(2, hidden=(4, 3, 3, 2))  # 50 parameters
 
@@ -88,6 +89,64 @@ def test_train_rejects_width_mismatch():
     feats, labels = _blobs(n_per_class=5)
     with pytest.raises(ValueError):
         train_detector(feats, labels, TrainConfig(), spec=DetectorSpec(3, hidden=(4, 3, 3, 2)))
+
+
+def _reference_train_detector(x, labels, config, spec):
+    """The detector's own five-layer FC loop, from before it ran on the backbone's engine."""
+    rng = np.random.default_rng(config.seed)
+    widths = spec.layer_widths()
+    params = {}
+    for i in range(5):
+        w = glorot_uniform(rng, (widths[i], widths[i + 1]), widths[i], widths[i + 1])
+        params[f"fc{i + 1}.weight"] = w.astype(np.float32).astype(np.float64)
+        params[f"fc{i + 1}.bias"] = np.zeros(widths[i + 1])
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    step = 0
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(x))
+        total = 0.0
+        for start in range(0, len(x), config.batch_size):
+            take = order[start : start + config.batch_size]
+            outs, cur = [], x[take]
+            for i in range(5):
+                cur = cur @ params[f"fc{i + 1}.weight"] + params[f"fc{i + 1}.bias"]
+                if i < 4:
+                    cur = relu(cur)
+                outs.append(cur)
+            loss, dcur = _bce_loss(outs[-1], labels[take])
+            grads = {}
+            for i in range(4, -1, -1):
+                layer_in = x[take] if i == 0 else outs[i - 1]
+                if i < 4:
+                    dcur = dcur * (outs[i] > 0)
+                grads[f"fc{i + 1}.weight"] = layer_in.T @ dcur
+                grads[f"fc{i + 1}.bias"] = dcur.sum(axis=0)
+                dcur = dcur @ params[f"fc{i + 1}.weight"].T
+            lr_t = config.lr / (1.0 + config.decay * step)
+            for key in params:
+                velocity[key] = config.momentum * velocity[key] - lr_t * grads[key]
+                params[key] = params[key] + velocity[key]
+            step += 1
+            total += loss * take.size
+        losses.append(total / len(x))
+    return {k: v.astype(np.float32) for k, v in params.items()}, losses
+
+
+@pytest.mark.parametrize("spec", [TINY_SPEC, DetectorSpec(30)], ids=["tiny", "default-hidden"])
+def test_train_detector_matches_the_hand_rolled_reference(spec):
+    rng = np.random.default_rng(37)
+    feats = rng.standard_normal((70, spec.input_width))
+    labels = (feats[:, 0] + 0.5 * rng.standard_normal(70) > 0).astype(int)
+    std = Standardizer.fit(feats)
+    cfg = TrainConfig(lr=0.02, momentum=0.9, decay=0.05, epochs=6, batch_size=16, seed=43)
+    model = train_detector(feats, labels, cfg, spec=spec, standardizer=std)
+    tensors, losses = _reference_train_detector(std.transform(feats), labels, cfg, spec)
+    assert model.loss_log == losses
+    assert list(model.tensors) == list(tensors)
+    for name, tensor in tensors.items():
+        assert model.tensors[name].dtype == np.float32
+        assert np.array_equal(model.tensors[name], tensor), name
 
 
 def test_zero_model_scores_half():
@@ -249,5 +308,25 @@ def test_load_rejects_missing_tensors(tmp_path):
                               "fc1.weight": np.zeros((2, 4), np.float32)})
     p = tmp_path / "bad.nsd1"
     p.write_bytes(header + body)
+    with pytest.raises(WeightFormatError):
+        load_detector(p)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("fc3.weight", lambda t: t.ravel()),
+    ("fc2.bias", lambda t: t[:-1]),
+    ("standardize.mean", lambda t: np.zeros(3, np.float32)),
+], ids=["flat-weight", "short-bias", "wide-mean"])
+def test_load_rejects_inconsistent_tensor_shapes(tmp_path, name, bad):
+    from voicetrace import nsw1
+
+    feats, labels = _blobs(n_per_class=5)
+    model = train_detector(feats, labels, TrainConfig(epochs=1), spec=TINY_SPEC)
+    p = tmp_path / "d.nsd1"
+    save_detector(model, p)
+    raw = p.read_bytes()
+    tensors = nsw1.read_tensor_stream(raw[16:], label="d")
+    tensors[name] = bad(tensors[name])
+    p.write_bytes(raw[:16] + nsw1.pack_tensors(tensors))
     with pytest.raises(WeightFormatError):
         load_detector(p)
