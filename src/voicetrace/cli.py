@@ -6,8 +6,8 @@ import argparse
 import sys
 
 from . import pipeline
-from .errors import (AudioFormatError, AudioParseError, ConfigError, ManifestError, StageError,
-                     ThresholdsFormatError, WeightFormatError)
+from .errors import (AudioFormatError, AudioParseError, ConfigError, FeatureFormatError, ManifestError,
+                     StageError, ThresholdsFormatError, WeightFormatError)
 
 _STAGES = [
     ("gen-data", pipeline.cmd_gen_data, "write the synthetic corpus and noise bank"),
@@ -49,7 +49,8 @@ def main(argv=None) -> int:
     except (StageError, ManifestError) as exc:
         print(f"voicetrace: {exc}", file=sys.stderr)
         return 2
-    except (WeightFormatError, ThresholdsFormatError, AudioParseError, AudioFormatError) as exc:
+    except (WeightFormatError, ThresholdsFormatError, FeatureFormatError, AudioParseError,
+            AudioFormatError) as exc:
         print(f"voicetrace: {args.command}: {exc}", file=sys.stderr)
         return 2
     if args.command == "sweep":

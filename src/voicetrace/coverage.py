@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import ActivationTrace
-from .errors import ThresholdsFormatError
+from .corpus import LABELS, SPLITS
+from .errors import FeatureFormatError, ThresholdsFormatError
 
 ACN = "acn"
 TKAN = "tkan"
@@ -124,7 +125,12 @@ def save_thresholds(thresholds: LayerThresholds, path) -> None:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def load_thresholds(path) -> LayerThresholds:
@@ -135,7 +141,7 @@ def load_thresholds(path) -> LayerThresholds:
 
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise bad(f"not a JSON document ({exc})") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("thresholds"), list) or not doc["thresholds"]:
         raise bad("expected an object with a non-empty 'thresholds' list")
@@ -162,19 +168,42 @@ def write_feature_csv(path, column_names, labels, splits, matrix) -> None:
 
 
 def read_feature_csv(path):
-    """Inverse of write_feature_csv: (column_names, labels, splits, matrix)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Inverse of write_feature_csv: (column_names, labels, splits, matrix).
+
+    Anything write_feature_csv cannot have written raises FeatureFormatError:
+    bytes that are not UTF-8, no header, a header other than label,split and
+    named feature columns, a row of another width, an unknown label or split,
+    or a feature cell that is not a finite number.
+    """
+
+    def bad(detail):
+        return FeatureFormatError(f"{path}: {detail}; rerun the extract stage")
+
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise bad(f"not UTF-8 text ({exc})") from exc
     if not lines:
-        raise ValueError(f"{path}: empty feature CSV")
+        raise bad("empty feature CSV")
     header = lines[0].split(",")
-    if header[:2] != ["label", "split"]:
-        raise ValueError(f"{path}: feature CSV must start with label,split columns")
     column_names = header[2:]
+    if header[:2] != ["label", "split"] or not column_names or not all(column_names):
+        raise bad("the header must be label,split followed by named feature columns")
     labels, splits, rows = [], [], []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
+        if len(fields) != len(header):
+            raise bad(f"line {number} has {len(fields)} fields, the header {len(header)}")
+        if fields[0] not in LABELS or fields[1] not in SPLITS:
+            raise bad(f"line {number} has label {fields[0]!r} and split {fields[1]!r}")
+        try:
+            row = [float(v) for v in fields[2:]]
+        except ValueError:
+            raise bad(f"line {number} has a feature cell that is not a number") from None
+        if not all(math.isfinite(v) for v in row):
+            raise bad(f"line {number} has a feature cell that is not finite")
         labels.append(fields[0])
         splits.append(fields[1])
-        rows.append([float(v) for v in fields[2:]])
+        rows.append(row)
     matrix = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, len(column_names)))
     return column_names, labels, splits, matrix

@@ -17,6 +17,10 @@ class ThresholdsFormatError(ValueError):
     """thresholds.json that is not JSON or not the document calibrate writes."""
 
 
+class FeatureFormatError(ValueError):
+    """Feature CSV that is not the table extract writes (header, row width, cells)."""
+
+
 class ManifestError(ValueError):
     """Malformed corpus manifest. Carries the 1-based offending line number."""
 

@@ -305,6 +305,17 @@ def cmd_calibrate(cfg: dict, jobs: int = 1):
     return thresholds
 
 
+def _thresholds_for(paths: RunPaths, netspec: NetworkSpec, stage: str):
+    """The calibrated thresholds, refused unless they name the backbone's monitored layers."""
+    _require(paths.thresholds, stage, "calibrate")
+    thresholds = load_thresholds(paths.thresholds)
+    layers = [name for _, name, _ in netspec.monitored_layers()]
+    if thresholds.layer_ids() != layers:
+        raise StageError(stage, f"{paths.thresholds} holds thresholds for layers {thresholds.layer_ids()}, "
+                                f"but the backbone monitors {layers}; rerun the calibrate stage")
+    return thresholds
+
+
 def _features_matrix(traces, criterion: str, cfg: dict, thresholds=None):
     if criterion == ACN:
         vecs = [acn_features(t, thresholds, cfg["coverage"]["normalize_acn"]) for t in traces]
@@ -319,14 +330,8 @@ def cmd_extract(cfg: dict, jobs: int = 1):
     records, root = _records_and_root(paths, "extract")
     _require(paths.backbone, "extract", "train-backbone")
     criteria = _criteria(cfg)
-    thresholds = None
-    if ACN in criteria:
-        if not paths.thresholds.exists():
-            raise StageError("extract",
-                             f"ACN features need {paths.thresholds}; run the calibrate stage first")
-        thresholds = load_thresholds(paths.thresholds)
-
     netspec = _network_for(records, cfg)
+    thresholds = _thresholds_for(paths, netspec, "extract") if ACN in criteria else None
     weights = load_weights(paths.backbone, netspec)
     traces = _traces_for_files(netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs)
 
@@ -448,10 +453,7 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     detectors = {c: _current_detector(paths, cfg, c, "sweep",
                                       n_layers * (cfg["coverage"]["k"] if c == TKAN else 1))
                  for c in criteria}
-    thresholds = None
-    if ACN in criteria:
-        _require(paths.thresholds, "sweep", "calibrate")
-        thresholds = load_thresholds(paths.thresholds)
+    thresholds = _thresholds_for(paths, netspec, "sweep") if ACN in criteria else None
     if not paths.noise_dir.exists():
         raise StageError("sweep", f"missing noise bank {paths.noise_dir}; run the gen-data stage first")
 
@@ -537,12 +539,8 @@ def cmd_export_features(cfg: dict, jobs: int = 1):
     records, root = _records_and_root(paths, "export-features")
     _require(paths.backbone, "export-features", "train-backbone")
     criteria = _criteria(cfg)
-    thresholds = None
-    if ACN in criteria:
-        _require(paths.thresholds, "export-features", "calibrate")
-        thresholds = load_thresholds(paths.thresholds)
-
     netspec = _network_for(records, cfg)
+    thresholds = _thresholds_for(paths, netspec, "export-features") if ACN in criteria else None
     weights = load_weights(paths.backbone, netspec)
     traces = _traces_for_files(netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs)
     paths.export_dir.mkdir(parents=True, exist_ok=True)

@@ -193,6 +193,56 @@ def test_malformed_thresholds_exit_2_naming_calibrate(chain, tmp_path, capsys, c
     assert "rerun the calibrate stage" in err
 
 
+def test_thresholds_for_other_layers_exit_2_naming_calibrate(chain, tmp_path, capsys):
+    out, config_path = chain
+    part = tmp_path / "other_layers"
+    part.mkdir()
+    shutil.copytree(out / "corpus", part / "corpus")
+    shutil.copy(out / "backbone.nsw1", part / "backbone.nsw1")
+    doc = json.loads((out / "thresholds.json").read_text(encoding="utf-8"))
+    assert doc["thresholds"][0][0] == "conv1"
+    doc["thresholds"][0][0] = "convX"
+    (part / "thresholds.json").write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["extract", "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("voicetrace: extract: ")
+    assert "'convX'" in err and "rerun the calibrate stage" in err
+    assert not (part / "features_acn.csv").exists()
+
+
+def _non_numeric_cell(text):
+    lines = text.splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",abc"
+    return "\n".join(lines) + "\n"
+
+
+def _ragged_row(text):
+    lines = text.splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+def _bad_header(text):
+    return text.replace("label,split,", "label,fold,", 1)
+
+
+@pytest.mark.parametrize("damage", [_non_numeric_cell, _ragged_row, lambda text: "", _bad_header],
+                         ids=["non-numeric-cell", "ragged-row", "empty-file", "bad-header"])
+def test_malformed_feature_csv_exits_2_naming_extract(chain, tmp_path, capsys, damage):
+    out, config_path = chain
+    part = tmp_path / "bad_features"
+    shutil.copytree(out, part)
+    csv_path = part / "features_tkan.csv"
+    csv_path.write_text(damage(csv_path.read_text(encoding="utf-8")), encoding="utf-8")
+    for stage in ("train-detector", "eval"):
+        rc = main([stage, "--config", str(config_path), "--out", str(part), "--seed", "7"])
+        err = capsys.readouterr().err
+        assert rc == 2, stage
+        assert err.startswith(f"voicetrace: {stage}: ")
+        assert "features_tkan.csv" in err and "rerun the extract stage" in err
+
+
 def test_detector_trained_at_another_k_exits_2_naming_train_detector(chain, tmp_path, capsys):
     out, config_path = chain
     part = tmp_path / "stale"

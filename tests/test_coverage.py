@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from voicetrace.backbone import ActivationTrace
+from voicetrace.errors import FeatureFormatError
 from voicetrace.coverage import (
     ACN,
     TKAN,
@@ -211,6 +212,35 @@ def test_feature_csv_round_trip(tmp_path):
     assert got_labels == labels
     assert got_splits == splits
     assert np.array_equal(got_matrix, matrix)
+
+
+@pytest.mark.parametrize("content", [
+    b"",
+    b"label,split,a.acn\nreal,train,abc\n",
+    b"label,split,a.acn,b.acn\nreal,train,1.0,2.0\nfake,test,3.0\n",
+    b"label,fold,a.acn\nreal,train,1.0\n",
+    b"label,split\nreal,train\n",
+    b"label,split,a.acn,\nreal,train,1.0,2.0\n",
+    b"label,split,a.acn\nmaybe,train,1.0\n",
+    b"label,split,a.acn\nreal,dev,1.0\n",
+    b"label,split,a.acn\nreal,train,nan\n",
+    b"label,split,a.acn\nreal,train,1.0\n\n",
+    b"label,split,a.acn\nreal,train,\xff\n",
+], ids=["empty", "non-numeric", "ragged", "bad-header", "no-columns", "unnamed-column",
+        "unknown-label", "unknown-split", "nan-cell", "blank-line", "not-utf8"])
+def test_read_feature_csv_rejects_malformed_tables(tmp_path, content):
+    p = tmp_path / "f.csv"
+    p.write_bytes(content)
+    with pytest.raises(FeatureFormatError, match="rerun the extract stage"):
+        read_feature_csv(p)
+
+
+def test_read_feature_csv_header_only_is_an_empty_table(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_bytes(b"label,split,a.acn,b.acn\n")
+    cols, labels, splits, matrix = read_feature_csv(p)
+    assert cols == ["a.acn", "b.acn"] and labels == [] and splits == []
+    assert matrix.shape == (0, 2)
 
 
 def test_feature_vector_is_plain_data():

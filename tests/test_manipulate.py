@@ -3,12 +3,14 @@ import pytest
 
 from voicetrace.audio import Waveform, load_wav, rms, stft
 from voicetrace.manipulate import (
+    _BLOCK,
     _KAISER_BETA,
     _TAPS,
     NOISE_CLASSES,
     PAPER,
     STANDARD,
     Manipulation,
+    _i0_in_place,
     _resample_by_ratio,
     apply_manipulation,
     generate_noise_bank,
@@ -99,6 +101,27 @@ def test_resample_rows_match_one_clip_calls(ratio):
     for row, out in zip(rows, together):
         assert np.array_equal(out, _resample_by_ratio(row, ratio))
     assert np.array_equal(together[0], _reference_resample(rows[0], ratio))
+
+
+def test_i0_in_place_matches_numpy_on_its_whole_range():
+    # both ends of [0, 8] included; an odd length also exercises vector loop tails
+    x = np.linspace(0.0, 8.0, 100_001)
+    scratch = np.empty((4,) + x.shape)
+    assert np.array_equal(_i0_in_place(x.copy(), scratch), np.i0(x))
+    grid = x[:-1].reshape(200, 500)
+    assert np.array_equal(_i0_in_place(grid.copy(), np.empty((4,) + grid.shape)), np.i0(grid))
+
+
+# 15600/16000 reaches every output length, with a cutoff below 1; 22050 -> 16000
+# is what the noise-bank loader converts
+@pytest.mark.parametrize("ratio, n_out", [(15600 / 16000, n) for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1)]
+                         + [(16000 / 22050, 16000)])
+def test_resample_block_edges_and_noise_bank_ratio_match_reference(ratio, n_out):
+    n_in = next(n for n in range(1, 2 * n_out + 2) if round(n * ratio) == n_out)
+    samples = np.random.default_rng(n_out).uniform(-0.5, 0.5, n_in)
+    out = _resample_by_ratio(samples, ratio)
+    assert out.shape == (n_out,)
+    assert np.array_equal(out, _reference_resample(samples, ratio))
 
 
 @pytest.mark.parametrize("m", [Manipulation("resample", 200), Manipulation("pitch", 2)],
