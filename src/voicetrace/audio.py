@@ -115,6 +115,8 @@ def load_wav(path) -> Waveform:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels not in (1, 2):
         raise AudioFormatError(f"{path}: unsupported channel count {channels}")
+    if sample_rate == 0:
+        raise AudioFormatError(f"{path}: sample rate is 0")
     if audio_format == _WAVE_FORMAT_PCM and bits == 16:
         frame_bytes = 2 * channels
         if len(payload) % frame_bytes:
@@ -125,6 +127,8 @@ def load_wav(path) -> Waveform:
         if len(payload) % frame_bytes:
             raise AudioParseError(f"{path}: data chunk is not whole 32-bit frames")
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise AudioFormatError(f"{path}: float samples include NaN or infinity")
     else:
         raise AudioFormatError(
             f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit); "

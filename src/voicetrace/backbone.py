@@ -234,6 +234,19 @@ def _conv_patches(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return np.ascontiguousarray(view).reshape(n, oh, ow, kernel * kernel * x.shape[3])
 
 
+def _window_cells(kernel: int, stride: int, oh: int, ow: int):
+    """(ki, kj, index) for each of the kernel x kernel offsets of a strided window grid.
+
+    Offsets come in window order (row-major). index selects, from an
+    (N, H, W, C) map, the (N, oh, ow, C) values at offset (ki, kj) of
+    every window.
+    """
+    for ki in range(kernel):
+        for kj in range(kernel):
+            yield ki, kj, (slice(None), slice(ki, ki + stride * oh, stride),
+                           slice(kj, kj + stride * ow, stride))
+
+
 def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray):
     """Forward a batch (N, *input_shape); returns each layer's output in order."""
     outputs = []
@@ -248,8 +261,12 @@ def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray):
         elif isinstance(layer, Relu):
             cur = relu(cur)
         elif isinstance(layer, MaxPool):
-            view = np.lib.stride_tricks.sliding_window_view(cur, (layer.kernel, layer.kernel), axis=(1, 2))
-            cur = view[:, ::layer.stride, ::layer.stride].max(axis=(4, 5))
+            oh, ow = spec.layer_shapes[idx][:2]
+            cells = (cur[at] for _, _, at in _window_cells(layer.kernel, layer.stride, oh, ow))
+            pooled = next(cells).copy()
+            for cell in cells:
+                np.maximum(pooled, cell, out=pooled)
+            cur = pooled
         elif isinstance(layer, Flatten):
             cur = cur.reshape(cur.shape[0], -1)
         elif isinstance(layer, FullyConnected):
@@ -316,7 +333,10 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray):
 
 
 def _backward(spec: NetworkSpec, params: dict, x: np.ndarray, outputs, dout: np.ndarray):
-    """Gradients of the loss w.r.t. every parameter tensor."""
+    """Gradients of the loss w.r.t. every parameter tensor.
+
+    The gradient w.r.t. the network input is never formed: nothing reads it.
+    """
     grads = {}
     dcur = dout
     for idx in range(len(spec.layers) - 1, -1, -1):
@@ -326,24 +346,24 @@ def _backward(spec: NetworkSpec, params: dict, x: np.ndarray, outputs, dout: np.
             name = spec.layer_names[idx]
             grads[f"{name}.weight"] = layer_in.T @ dcur
             grads[f"{name}.bias"] = dcur.sum(axis=0)
+            if idx == 0:
+                break
             dcur = dcur @ params[f"{name}.weight"].T
         elif isinstance(layer, Relu):
             dcur = dcur * (outputs[idx] > 0)
         elif isinstance(layer, Flatten):
             dcur = dcur.reshape(layer_in.shape)
         elif isinstance(layer, MaxPool):
-            k, s = layer.kernel, layer.stride
-            view = np.lib.stride_tricks.sliding_window_view(layer_in, (k, k), axis=(1, 2))
-            windows = view[:, ::s, ::s]  # (N, OH, OW, C, k, k)
-            n, oh, ow, c = windows.shape[:4]
-            flat = windows.reshape(n, oh, ow, c, k * k)
-            first_max = flat.argmax(axis=4)  # first index on ties
-            mask = first_max[..., None] == np.arange(k * k)
-            dwin = (dcur[..., None] * mask).reshape(n, oh, ow, c, k, k)
+            # each window's gradient goes to its first maximum in window order,
+            # argmax's tie rule; free marks windows whose maximum is not yet found
+            pooled = outputs[idx]
+            free = np.ones(dcur.shape, dtype=bool)
             dx = np.zeros_like(layer_in)
-            for ki in range(k):
-                for kj in range(k):
-                    dx[:, ki : ki + s * oh : s, kj : kj + s * ow : s, :] += dwin[:, :, :, :, ki, kj]
+            for _, _, at in _window_cells(layer.kernel, layer.stride, *dcur.shape[1:3]):
+                hit = layer_in[at] == pooled
+                hit &= free
+                free ^= hit
+                dx[at] += dcur * hit
             dcur = dx
         elif isinstance(layer, Conv2d):
             name = spec.layer_names[idx]
@@ -355,13 +375,14 @@ def _backward(spec: NetworkSpec, params: dict, x: np.ndarray, outputs, dout: np.
                 k, k, layer_in.shape[3], oc
             )
             grads[f"{name}.bias"] = dcur.sum(axis=(0, 1, 2))
+            if idx == 0:
+                break
             dpatch = (dcur @ params[f"{name}.weight"].reshape(pw, oc).T).reshape(
                 n, oh, ow, k, k, layer_in.shape[3]
             )
             dx = np.zeros_like(layer_in)
-            for ki in range(k):
-                for kj in range(k):
-                    dx[:, ki : ki + s * oh : s, kj : kj + s * ow : s, :] += dpatch[:, :, :, ki, kj, :]
+            for ki, kj, at in _window_cells(k, s, oh, ow):
+                dx[at] += dpatch[:, :, :, ki, kj, :]
             dcur = dx
     return grads
 

@@ -176,21 +176,27 @@ def _split_of(clip: int, clips_per_speaker: int) -> str:
     return "test"
 
 
-def generate_corpus(spec: CorpusSpec, out_dir) -> list:
-    """Write WAVs plus manifest.tsv under out_dir; returns the records."""
+def generate_corpus(spec: CorpusSpec, out_dir, map_fn=map) -> list:
+    """Write WAVs plus manifest.tsv under out_dir; returns the records.
+
+    Each clip is rendered and saved as one task of map_fn(task, clips),
+    which must return results in input order (a pool may run the tasks).
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = []
+    clips = []
     for speaker in range(spec.num_speakers):
+        (out_dir / f"spk{speaker:02d}").mkdir(exist_ok=True)
+        clips += [(speaker, label, clip) for label in LABELS for clip in range(spec.clips_per_speaker)]
+
+    def render(item):
+        speaker, label, clip = item
         speaker_id = f"spk{speaker:02d}"
-        (out_dir / speaker_id).mkdir(exist_ok=True)
-        for label in LABELS:
-            for clip in range(spec.clips_per_speaker):
-                samples = _synth_clip(spec, speaker, label, clip)
-                rel = f"{speaker_id}/{label}_{clip:03d}.wav"
-                save_wav(Waveform(samples, spec.sample_rate), out_dir / rel)
-                records.append(ManifestRecord(rel, label, speaker_id,
-                                              _split_of(clip, spec.clips_per_speaker)))
+        rel = f"{speaker_id}/{label}_{clip:03d}.wav"
+        save_wav(Waveform(_synth_clip(spec, speaker, label, clip), spec.sample_rate), out_dir / rel)
+        return ManifestRecord(rel, label, speaker_id, _split_of(clip, spec.clips_per_speaker))
+
+    records = list(map_fn(render, clips))
     save_manifest(records, out_dir / "manifest.tsv")
     return records
 
@@ -200,13 +206,24 @@ def save_manifest(records, path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _is_file(path: Path) -> bool:
+    try:
+        return path.is_file()
+    except OSError:  # a name the file system cannot hold, e.g. a component over 255 bytes
+        return False
+
+
 def load_manifest(path, check_paths: bool = True) -> list:
     """Parse and validate a manifest; errors carry 1-based line numbers."""
     path = Path(path)
     root = path.parent
     records = []
     seen = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path} is not UTF-8 text (byte {exc.start})") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split("\t")
         if len(fields) != 4:
             raise ManifestError(f"expected 4 tab-separated fields, got {len(fields)}", line=lineno)
@@ -217,7 +234,7 @@ def load_manifest(path, check_paths: bool = True) -> list:
             raise ManifestError(f"bad split {split!r}", line=lineno)
         if rel in seen:
             raise ManifestError(f"duplicate path {rel!r}", line=lineno)
-        if check_paths and not (root / rel).exists():
+        if check_paths and not _is_file(root / rel):
             raise ManifestError(f"referenced file missing: {rel}", line=lineno)
         seen.add(rel)
         records.append(ManifestRecord(rel, label, speaker_id, split))

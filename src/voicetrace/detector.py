@@ -233,6 +233,8 @@ def load_detector(path) -> DetectorModel:
         WeightStore(tensors).validate(spec.network())
         if mean.shape != (spec.input_width,) or std.shape != mean.shape:
             raise ValueError(f"standardization tensors do not match input width {spec.input_width}")
+        if not all(np.all(np.isfinite(t)) for t in (*tensors.values(), mean, std)) or np.any(std <= 0):
+            raise ValueError("weights and standardization must be finite, with every std above 0")
     except ValueError as exc:  # WeightFormatError is one
         raise WeightFormatError(f"{path}: {exc}") from exc
     return DetectorModel(spec, tensors, Standardizer(mean, std), criterion, k)

@@ -25,6 +25,8 @@ def _as_arrays(labels, scores):
         raise ValueError("metrics need at least one sample")
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("labels must be 0 (real) or 1 (fake)")
+    if np.any(np.isnan(scores)):  # NaN never ties with itself, so tie grouping would not end
+        raise ValueError("scores must not be NaN")
     return labels, scores
 
 

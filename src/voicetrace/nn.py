@@ -37,8 +37,9 @@ def momentum_sgd(params: dict, loss_and_grads, n: int, rng: np.random.Generator,
 
     Each epoch draws one permutation of the n rows from rng and walks it
     in batches; loss_and_grads(row indexes) returns (mean loss, grads
-    keyed like params). The step size decays per global step as
-    lr / (1 + decay * t); decay 0 keeps it at lr exactly.
+    keyed like params), fresh arrays that the update overwrites. The
+    step size decays per global step as lr / (1 + decay * t); decay 0
+    keeps it at lr exactly.
     """
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     step = 0
@@ -50,9 +51,13 @@ def momentum_sgd(params: dict, loss_and_grads, n: int, rng: np.random.Generator,
             take = order[start : start + batch_size]
             loss, grads = loss_and_grads(take)
             lr_t = lr / (1.0 + decay * step)
-            for key in params:
-                velocity[key] = momentum * velocity[key] - lr_t * grads[key]
-                params[key] = params[key] + velocity[key]
+            for key, param in params.items():
+                # v = momentum * v - lr_t * g; p = p + v, in the same order, in place
+                v, g = velocity[key], grads[key]
+                v *= momentum
+                g *= lr_t
+                v -= g
+                param += v
             step += 1
             total += loss * take.size
         epoch_losses.append(total / n)

@@ -9,6 +9,7 @@ Layout, all little-endian, no padding:
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -66,12 +67,18 @@ def read_tensor_stream(data: bytes, label: str = "NSW1 data") -> dict[str, np.nd
     count = r.u32()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WeightFormatError(f"{label}: tensor name at byte {r.pos} is not UTF-8") from exc
         rank = r.u32()
         shape = tuple(r.u32() for _ in range(rank))
-        n_elems = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        payload = r.take(4 * n_elems)
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
+        # a Python-int product: dims whose product wraps int64 still read as truncated
+        payload = r.take(4 * math.prod(shape))
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
+        except ValueError as exc:  # over 64 dims, or a 0 beside dims whose product passes intp
+            raise WeightFormatError(f"{label}: tensor {name!r} has a shape numpy cannot hold") from exc
     if r.pos != len(data):
         raise WeightFormatError(f"{label}: {len(data) - r.pos} trailing bytes after last tensor")
     return tensors

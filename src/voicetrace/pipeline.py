@@ -245,7 +245,8 @@ def cmd_gen_data(cfg: dict, jobs: int = 1):
     c = cfg["corpus"]
     cspec = CorpusSpec(c["num_speakers"], c["clips_per_speaker"], c["clip_seconds"],
                        c["sample_rate"], cfg["seed"], c["fake_artifact"])
-    records = generate_corpus(cspec, paths.corpus_dir)
+    records = generate_corpus(cspec, paths.corpus_dir,
+                              map_fn=lambda render, clips: _ordered_map(render, clips, jobs))
     bank = generate_noise_bank(paths.noise_dir, c["sample_rate"], seed=cfg["seed"] + 1)
     noise_files = sorted(paths.noise_dir.glob("*.wav"))
     _write_audit(paths, "gen-data", cfg, inputs=[],
@@ -368,28 +369,27 @@ def _current_detector(paths: RunPaths, cfg: dict, criterion: str, stage: str, wi
 
 
 def cmd_train_detector(cfg: dict, jobs: int = 1):
+    """Fit one detector per criterion on the train split; the criteria share the pool."""
     paths = RunPaths(cfg)
-    models = {}
-    losses = {}
-    for criterion in _criteria(cfg):
-        feats = paths.features(criterion)
-        _require(feats, "train-detector", "extract")
-        x_train, y_train = _read_split(feats, "train")
-        standardizer = Standardizer.fit(x_train)
-        d = cfg["detector"]
-        model = train_detector(
-            x_train, y_train,
-            TrainConfig(lr=d["lr"], momentum=d["momentum"], decay=d["decay"],
-                        epochs=d["epochs"], batch_size=d["batch_size"], seed=cfg["seed"]),
-            standardizer=standardizer, criterion=criterion,
-            k=cfg["coverage"]["k"] if criterion == TKAN else 0)
+    criteria = _criteria(cfg)
+    for criterion in criteria:
+        _require(paths.features(criterion), "train-detector", "extract")
+    d = cfg["detector"]
+    config = TrainConfig(lr=d["lr"], momentum=d["momentum"], decay=d["decay"],
+                         epochs=d["epochs"], batch_size=d["batch_size"], seed=cfg["seed"])
+
+    def fit(criterion):
+        x_train, y_train = _read_split(paths.features(criterion), "train")
+        model = train_detector(x_train, y_train, config, standardizer=Standardizer.fit(x_train),
+                               criterion=criterion, k=cfg["coverage"]["k"] if criterion == TKAN else 0)
         save_detector(model, paths.detector(criterion))
-        models[criterion] = model
-        losses[criterion] = model.loss_log
+        return model
+
+    models = dict(zip(criteria, _ordered_map(fit, criteria, jobs)))
     _write_audit(paths, "train-detector", cfg,
-                 inputs=[paths.features(c) for c in models],
-                 outputs=[paths.detector(c) for c in models],
-                 extra={"epoch_losses": losses})
+                 inputs=[paths.features(c) for c in criteria],
+                 outputs=[paths.detector(c) for c in criteria],
+                 extra={"epoch_losses": {c: m.loss_log for c, m in models.items()}})
     return models
 
 

@@ -10,17 +10,23 @@ from voicetrace.backbone import (
     NetworkSpec,
     Relu,
     WeightStore,
+    _backward,
+    _conv_patches,
     _loss_and_grads,
+    _run_layers,
+    _softmax_xent,
     forward,
     forward_batch,
     gradient_check,
     init_weights,
+    init_weights_with_rng,
     load_weights,
     reference_spec,
     save_weights,
     train_backbone,
 )
 from voicetrace.errors import WeightFormatError
+from voicetrace.nn import relu
 
 TINY_SPEC = NetworkSpec(
     [
@@ -364,3 +370,165 @@ def test_batch_forward_matches_single():
         for (name, block), (s_name, s_vals) in zip(entries, single_trace.entries):
             assert name == s_name
             np.testing.assert_allclose(block[i], s_vals, atol=1e-12)
+
+
+def _reference_run_layers(spec, params, x):
+    """The forward pass from before max-pool took a running maximum over window offsets."""
+    outputs = []
+    cur = x
+    for idx, layer in enumerate(spec.layers):
+        if isinstance(layer, Conv2d):
+            name = spec.layer_names[idx]
+            w = params[f"{name}.weight"]
+            b = params[f"{name}.bias"]
+            patches = _conv_patches(cur, layer.kernel, layer.stride)
+            cur = patches @ w.reshape(-1, layer.out_channels) + b
+        elif isinstance(layer, Relu):
+            cur = relu(cur)
+        elif isinstance(layer, MaxPool):
+            view = np.lib.stride_tricks.sliding_window_view(cur, (layer.kernel, layer.kernel), axis=(1, 2))
+            cur = view[:, ::layer.stride, ::layer.stride].max(axis=(4, 5))
+        elif isinstance(layer, Flatten):
+            cur = cur.reshape(cur.shape[0], -1)
+        elif isinstance(layer, FullyConnected):
+            name = spec.layer_names[idx]
+            cur = cur @ params[f"{name}.weight"] + params[f"{name}.bias"]
+        outputs.append(cur)
+    return outputs
+
+
+def _reference_backward(spec, params, x, outputs, dout):
+    """The backward pass from before it skipped the input gradient and routed max-pool by masks."""
+    grads = {}
+    dcur = dout
+    for idx in range(len(spec.layers) - 1, -1, -1):
+        layer = spec.layers[idx]
+        layer_in = x if idx == 0 else outputs[idx - 1]
+        if isinstance(layer, FullyConnected):
+            name = spec.layer_names[idx]
+            grads[f"{name}.weight"] = layer_in.T @ dcur
+            grads[f"{name}.bias"] = dcur.sum(axis=0)
+            dcur = dcur @ params[f"{name}.weight"].T
+        elif isinstance(layer, Relu):
+            dcur = dcur * (outputs[idx] > 0)
+        elif isinstance(layer, Flatten):
+            dcur = dcur.reshape(layer_in.shape)
+        elif isinstance(layer, MaxPool):
+            k, s = layer.kernel, layer.stride
+            view = np.lib.stride_tricks.sliding_window_view(layer_in, (k, k), axis=(1, 2))
+            windows = view[:, ::s, ::s]  # (N, OH, OW, C, k, k)
+            n, oh, ow, c = windows.shape[:4]
+            flat = windows.reshape(n, oh, ow, c, k * k)
+            first_max = flat.argmax(axis=4)  # first index on ties
+            mask = first_max[..., None] == np.arange(k * k)
+            dwin = (dcur[..., None] * mask).reshape(n, oh, ow, c, k, k)
+            dx = np.zeros_like(layer_in)
+            for ki in range(k):
+                for kj in range(k):
+                    dx[:, ki : ki + s * oh : s, kj : kj + s * ow : s, :] += dwin[:, :, :, :, ki, kj]
+            dcur = dx
+        elif isinstance(layer, Conv2d):
+            name = spec.layer_names[idx]
+            k, s, oc = layer.kernel, layer.stride, layer.out_channels
+            patches = _conv_patches(layer_in, k, s)
+            n, oh, ow, pw = patches.shape
+            dflat = dcur.reshape(-1, oc)
+            grads[f"{name}.weight"] = (patches.reshape(-1, pw).T @ dflat).reshape(
+                k, k, layer_in.shape[3], oc
+            )
+            grads[f"{name}.bias"] = dcur.sum(axis=(0, 1, 2))
+            dpatch = (dcur @ params[f"{name}.weight"].reshape(pw, oc).T).reshape(
+                n, oh, ow, k, k, layer_in.shape[3]
+            )
+            dx = np.zeros_like(layer_in)
+            for ki in range(k):
+                for kj in range(k):
+                    dx[:, ki : ki + s * oh : s, kj : kj + s * ow : s, :] += dpatch[:, :, :, ki, kj, :]
+            dcur = dx
+    return grads
+
+
+OVERLAP_POOL_SPEC = NetworkSpec(
+    [Conv2d(4, 3, 1), Relu(), MaxPool(3, 2), Conv2d(5, 2, 1), Relu(), MaxPool(3, 2),
+     Flatten(), FullyConnected(6), Relu(), FullyConnected(3)],
+    input_shape=(16, 15, 1),
+)
+SMALL_REFERENCE_SPEC = reference_spec(4, input_shape=(40, 32, 1))
+
+
+def _tied_case(spec, ties, seed):
+    """Params and a batch whose pooled windows hold exact ties.
+
+    "zeros": a negative conv1 bias leaves many post-ReLU windows all zero.
+    "values": integer inputs and conv kernels on a 1/8 grid make equal nonzero maxima common.
+    """
+    rng = np.random.default_rng(seed)
+    params = init_weights(spec, seed).as_float64()
+    x = rng.standard_normal((6, *spec.input_shape))
+    if ties == "values":
+        x = np.round(2 * x)
+        for name in params:
+            if name.startswith("conv") and name.endswith(".weight"):
+                params[name] = np.round(8 * params[name]) / 8
+    params["conv1.bias"] -= 0.5
+    return params, x
+
+
+@pytest.mark.parametrize("ties", ["zeros", "values"])
+@pytest.mark.parametrize("spec", [SMALL_REFERENCE_SPEC, OVERLAP_POOL_SPEC],
+                         ids=["reference-maxpool2x2", "overlapping-maxpool3x2"])
+def test_forward_and_backward_match_the_references_bitwise(spec, ties):
+    params, x = _tied_case(spec, ties, seed=47)
+    outputs = _run_layers(spec, params, x)
+    ref_outputs = _reference_run_layers(spec, params, x)
+    pooled = [out for layer, out in zip(spec.layers, outputs) if isinstance(layer, MaxPool)]
+    assert any(np.any(p == 0.0) for p in pooled)  # the case holds post-ReLU zero maxima
+    for got, want in zip(outputs, ref_outputs, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    _, dlogits = _softmax_xent(outputs[-1], np.arange(x.shape[0]) % spec.output_width)
+    grads = _backward(spec, params, x, outputs, dlogits)
+    ref_grads = _reference_backward(spec, params, x, ref_outputs, dlogits)
+    assert list(grads) == list(ref_grads)
+    assert all(np.any(g != 0) for g in grads.values())  # gradient reaches every tensor
+    for name, want in ref_grads.items():
+        assert grads[name].shape == want.shape
+        assert grads[name].tobytes() == want.tobytes(), name
+
+
+def _reference_train_backbone(spec, features, labels, config):
+    """train_backbone's loop on the reference layers, with the out-of-place momentum update."""
+    rng = np.random.default_rng(config.seed)
+    params = init_weights_with_rng(spec, rng).as_float64()
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(features.shape[0])
+        total = 0.0
+        for start in range(0, features.shape[0], config.batch_size):
+            take = order[start : start + config.batch_size]
+            outputs = _reference_run_layers(spec, params, features[take])
+            loss, dlogits = _softmax_xent(outputs[-1], labels[take])
+            grads = _reference_backward(spec, params, features[take], outputs, dlogits)
+            for key in params:
+                velocity[key] = config.momentum * velocity[key] - config.lr * grads[key]
+                params[key] = params[key] + velocity[key]
+            total += loss * take.size
+        losses.append(total / features.shape[0])
+    return {k: v.astype(np.float32) for k, v in params.items()}, losses
+
+
+@pytest.mark.parametrize("spec", [SMALL_REFERENCE_SPEC, OVERLAP_POOL_SPEC],
+                         ids=["reference-maxpool2x2", "overlapping-maxpool3x2"])
+def test_train_backbone_matches_the_reference_loop_bitwise(spec):
+    rng = np.random.default_rng(53)
+    feats = rng.standard_normal((20, *spec.input_shape))
+    labels = np.arange(20) % spec.output_width
+    cfg = BackboneTrainConfig(lr=0.05, momentum=0.9, epochs=3, batch_size=8, seed=59)
+    store, losses = train_backbone(spec, feats, labels, cfg)
+    tensors, ref_losses = _reference_train_backbone(spec, feats, labels, cfg)
+    assert losses == ref_losses
+    assert list(store.tensors) == list(tensors)
+    for name, tensor in tensors.items():
+        assert store.tensors[name].tobytes() == tensor.tobytes(), name

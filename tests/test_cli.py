@@ -106,12 +106,21 @@ def test_sweep_identity_cells_match_baseline_exactly(chain):
         assert (out / "sweep" / f"cell_{index:03d}.csv").exists()
 
 
+def _wav_tree_digest(root):
+    """One SHA-256 over every WAV's relative path and content digest, in path order."""
+    tree = hashlib.sha256()
+    for path in sorted(root.rglob("*.wav")):
+        tree.update(f"{path.relative_to(root).as_posix()}\t{_sha(path)}\n".encode())
+    return tree.hexdigest()
+
+
 def test_rerun_with_more_jobs_is_byte_identical(chain, tmp_path):
     out, config_path = chain
     again = tmp_path / "again"
     _run_chain(again, config_path, jobs=3)
-    for rel in ARTIFACTS:
+    for rel in (*ARTIFACTS, "corpus/manifest.tsv"):
         assert _sha(out / rel) == _sha(again / rel), rel
+    assert _wav_tree_digest(out / "corpus") == _wav_tree_digest(again / "corpus")
 
 
 def test_export_features_match_extract_output(chain):

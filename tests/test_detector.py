@@ -316,7 +316,10 @@ def test_load_rejects_missing_tensors(tmp_path):
     ("fc3.weight", lambda t: t.ravel()),
     ("fc2.bias", lambda t: t[:-1]),
     ("standardize.mean", lambda t: np.zeros(3, np.float32)),
-], ids=["flat-weight", "short-bias", "wide-mean"])
+    ("fc2.weight", lambda t: np.where(t == t.flat[0], np.float32(np.nan), t)),
+    ("standardize.mean", lambda t: np.full_like(t, np.inf)),
+    ("standardize.std", lambda t: np.zeros_like(t)),
+], ids=["flat-weight", "short-bias", "wide-mean", "nan-weight", "inf-mean", "zero-std"])
 def test_load_rejects_inconsistent_tensor_shapes(tmp_path, name, bad):
     from voicetrace import nsw1
 

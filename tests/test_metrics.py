@@ -171,6 +171,13 @@ def test_auc_rejects_single_class():
         roc_auc([1, 1], [0.2, 0.4])
 
 
+@pytest.mark.parametrize("metric", [roc_auc, average_precision, eer, compute_all])
+def test_ranking_metrics_reject_a_nan_score(metric):
+    # a NaN never ties with itself; the tie grouping used to loop forever on one
+    with pytest.raises(ValueError, match="NaN"):
+        metric([0, 1, 1], [0.2, float("nan"), 0.7])
+
+
 def test_ap_perfect():
     assert average_precision([1, 1, 0, 0], [0.9, 0.8, 0.2, 0.1]) == 1.0
 
