@@ -71,6 +71,8 @@ def read_tensor_stream(data: bytes, label: str = "NSW1 data") -> dict[str, np.nd
             name = r.take(r.u32()).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WeightFormatError(f"{label}: tensor name at byte {r.pos} is not UTF-8") from exc
+        if name in tensors:
+            raise WeightFormatError(f"{label}: tensor {name!r} appears twice")
         rank = r.u32()
         shape = tuple(r.u32() for _ in range(rank))
         # a Python-int product: dims whose product wraps int64 still read as truncated

@@ -26,7 +26,7 @@ from .corpus import FAKE, REAL, CorpusSpec, generate_corpus, load_manifest
 from .coverage import (ACN, TKAN, acn_features, calibrate_thresholds, load_thresholds,
                        read_feature_csv, save_thresholds, tkan_features, write_feature_csv)
 from .detector import Standardizer, TrainConfig, load_detector, save_detector, score_batch, train_detector
-from .errors import ConfigError, StageError
+from .errors import AudioFormatError, ConfigError, StageError
 from .manipulate import Manipulation, apply_manipulation, generate_noise_bank, load_noise_bank
 from .metrics import MetricRow, compute_all, write_report
 
@@ -190,6 +190,15 @@ def _network_for(records, cfg: dict) -> NetworkSpec:
     return reference_spec(len(speakers), (fcfg["frames"], fcfg["mel_bins"], 1))
 
 
+def _load_clip(path, fcfg: dict) -> Waveform:
+    """A corpus clip, refused when it is shorter than one analysis window."""
+    w = load_wav(path)
+    if len(w) < fcfg["window"]:
+        raise AudioFormatError(f"{path}: {len(w)} samples, shorter than one {fcfg['window']}-sample "
+                               f"analysis window; rerun the gen-data stage or fix the manifest")
+    return w
+
+
 def _prepare_map(w: Waveform, fcfg: dict):
     fm = log_mel(w, fcfg["window"], fcfg["hop"], fcfg["mel_bins"])
     return fix_frame_count(fm, fcfg["frames"])
@@ -209,7 +218,7 @@ def _ordered_map(work, items, jobs: int):
 
 def _feature_array(files, fcfg: dict, jobs: int) -> np.ndarray:
     def work(block):
-        return np.stack([_prepare_map(load_wav(f), fcfg).values[:, :, None] for f in block])
+        return np.stack([_prepare_map(_load_clip(f, fcfg), fcfg).values[:, :, None] for f in block])
 
     parts = _ordered_map(work, _blocks(list(files)), jobs)
     return np.concatenate(parts, axis=0)
@@ -226,7 +235,7 @@ def _trace_batch(netspec: NetworkSpec, weights: WeightStore, waveforms, fcfg: di
 
 def _traces_for_files(netspec, weights, files, fcfg, jobs=1, manipulation=None, bank=None, formula="paper"):
     def work(block):
-        waves = [load_wav(f) for f in block]
+        waves = [_load_clip(f, fcfg) for f in block]
         if manipulation is not None:
             waves = apply_manipulation(waves, manipulation, bank, formula)
         return _trace_batch(netspec, weights, waves, fcfg)

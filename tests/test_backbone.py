@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from voicetrace import nsw1
 from voicetrace.backbone import (
     BackboneTrainConfig,
     Conv2d,
@@ -331,6 +334,14 @@ def test_load_rejects_corrupt_magic(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(WeightFormatError):
         load_weights(p)
+
+
+def test_read_tensor_stream_rejects_a_duplicate_tensor_name():
+    tensor = struct.pack("<I", 1) + b"a" + struct.pack("<II", 1, 1) + struct.pack("<f", 1.0)
+    data = nsw1.MAGIC + struct.pack("<II", nsw1.VERSION, 2) + tensor + tensor
+    with pytest.raises(WeightFormatError) as exc:
+        nsw1.read_tensor_stream(data)
+    assert "'a'" in str(exc.value)
 
 
 def test_load_rejects_missing_layer(tmp_path):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from voicetrace import pipeline
+from voicetrace.audio import Waveform, load_wav, save_wav
 from voicetrace.cli import main
+from voicetrace.corpus import REAL, load_manifest
 from voicetrace.detector import TrainConfig, save_detector, train_detector
 from voicetrace.pipeline import config_digest, load_config
 
@@ -218,6 +220,24 @@ def test_thresholds_for_other_layers_exit_2_naming_calibrate(chain, tmp_path, ca
     assert err.startswith("voicetrace: extract: ")
     assert "'convX'" in err and "rerun the calibrate stage" in err
     assert not (part / "features_acn.csv").exists()
+
+
+@pytest.mark.parametrize("stage", ["extract", "train-backbone", "sweep"])
+def test_clip_shorter_than_one_window_exits_2_naming_the_file(chain, tmp_path, capsys, stage):
+    out, config_path = chain
+    part = tmp_path / "short_clip"
+    shutil.copytree(out, part)
+    # a real test clip: train-backbone's held-out check and the sweep sample both read it
+    record = next(r for r in load_manifest(part / "corpus" / "manifest.tsv")
+                  if r.split == "test" and r.label == REAL)
+    clip = part / "corpus" / record.path
+    save_wav(Waveform(np.zeros(100), load_wav(clip).sample_rate), clip)
+    rc = main([stage, "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: {stage}: ")
+    assert str(clip) in err and "100 samples" in err
+    assert "Traceback" not in err
 
 
 def _non_numeric_cell(text):

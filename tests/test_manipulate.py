@@ -10,7 +10,6 @@ from voicetrace.manipulate import (
     PAPER,
     STANDARD,
     Manipulation,
-    _i0_in_place,
     _resample_by_ratio,
     apply_manipulation,
     generate_noise_bank,
@@ -100,16 +99,7 @@ def test_resample_rows_match_one_clip_calls(ratio):
     assert together.shape == (2, round(10500 * ratio)) and together.shape[1] > 8192
     for row, out in zip(rows, together):
         assert np.array_equal(out, _resample_by_ratio(row, ratio))
-    assert np.array_equal(together[0], _reference_resample(rows[0], ratio))
-
-
-def test_i0_in_place_matches_numpy_on_its_whole_range():
-    # both ends of [0, 8] included; an odd length also exercises vector loop tails
-    x = np.linspace(0.0, 8.0, 100_001)
-    scratch = np.empty((4,) + x.shape)
-    assert np.array_equal(_i0_in_place(x.copy(), scratch), np.i0(x))
-    grid = x[:-1].reshape(200, 500)
-    assert np.array_equal(_i0_in_place(grid.copy(), np.empty((4,) + grid.shape)), np.i0(grid))
+    assert np.max(np.abs(together[0] - _reference_resample(rows[0], ratio))) <= 2e-5
 
 
 # 15600/16000 reaches every output length, with a cutoff below 1; 22050 -> 16000
@@ -121,7 +111,7 @@ def test_resample_block_edges_and_noise_bank_ratio_match_reference(ratio, n_out)
     samples = np.random.default_rng(n_out).uniform(-0.5, 0.5, n_in)
     out = _resample_by_ratio(samples, ratio)
     assert out.shape == (n_out,)
-    assert np.array_equal(out, _reference_resample(samples, ratio))
+    assert np.max(np.abs(out - _reference_resample(samples, ratio))) <= 2e-5
 
 
 @pytest.mark.parametrize("m", [Manipulation("resample", 200), Manipulation("pitch", 2)],
