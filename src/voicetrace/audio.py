@@ -49,32 +49,6 @@ class Waveform:
         return self.samples.size / self.sample_rate
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """Log-mel energies, one row per frame, plus the framing parameters."""
-
-    values: np.ndarray
-    window_size: int
-    hop: int
-    mel_bins: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("feature map values must be 2-D (frames x bins)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("feature map contains non-finite values")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def bins(self) -> int:
-        return self.values.shape[1]
-
-
 def load_wav(path) -> Waveform:
     """Read a RIFF/WAVE file into a mono Waveform.
 
@@ -210,8 +184,16 @@ def stft(w, window_size: int, hop: int, fft_size: int | None = None) -> np.ndarr
         raise ValueError(
             f"signal of {samples.size} samples is shorter than one window ({window_size})"
         )
-    frames = np.lib.stride_tricks.sliding_window_view(samples, window_size)[::hop]
-    return np.fft.rfft(frames * hann_window(window_size), n=fft_size, axis=1)
+    return _windowed_rfft(samples, hann_window(window_size), hop, fft_size)
+
+
+def _windowed_rfft(samples: np.ndarray, window: np.ndarray, hop: int, fft_size: int) -> np.ndarray:
+    frames = np.lib.stride_tricks.sliding_window_view(samples, window.size)[::hop]
+    if fft_size == window.size:
+        return np.fft.rfft(frames * window, axis=1)
+    padded = np.zeros((frames.shape[0], fft_size))
+    np.multiply(frames, window, out=padded[:, : window.size])
+    return np.fft.rfft(padded, axis=1)
 
 
 def istft(spec: np.ndarray, window_size: int, hop: int, length: int | None = None) -> np.ndarray:
@@ -287,32 +269,39 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def log_mel(w: Waveform, window_size: int = 400, hop: int = 160, mel_bins: int = 64) -> FeatureMap:
-    """Log mel-energy frontend: |STFT|^2 -> triangular mel filterbank -> log(x + 1e-6).
+def log_mel(waves, frames: int, window_size: int = 400, hop: int = 160, mel_bins: int = 64) -> np.ndarray:
+    """Log mel-energy maps of a block of waveforms, shape (len(waves), frames, mel_bins).
 
-    Frames use the window_size/hop grid; each windowed frame is
-    zero-padded to the next power of two for the FFT.
+    Each map is |STFT|^2 -> triangular mel filterbank -> log(x + 1e-6) on the
+    window_size/hop grid, every windowed frame zero-padded to the next power
+    of two for the FFT. A clip with n = 1 + (len - window_size) // hop frames
+    is center-cropped to `frames` rows (first kept frame (n - frames) // 2) or
+    zero-padded ((frames - n) // 2 rows before it).
     """
+    if frames <= 0:
+        raise ValueError("frames must be positive")
     fft_size = _next_pow2(window_size)
-    spec = stft(w, window_size, hop, fft_size=fft_size)
-    power = np.square(np.abs(spec))
-    fb = mel_filterbank(w.sample_rate, fft_size, mel_bins)
-    energies = power @ fb.T
-    return FeatureMap(np.log(energies + 1e-6), window_size, hop, mel_bins)
-
-
-def fix_frame_count(fm: FeatureMap, target_frames: int) -> FeatureMap:
-    """Center-crop or zero-pad a FeatureMap to exactly target_frames rows."""
-    if target_frames <= 0:
-        raise ValueError("target_frames must be positive")
-    n = fm.frames
-    if n == target_frames:
-        return fm
-    if n > target_frames:
-        start = (n - target_frames) // 2
-        values = fm.values[start : start + target_frames]
-    else:
-        before = (target_frames - n) // 2
-        after = target_frames - n - before
-        values = np.pad(fm.values, ((before, after), (0, 0)))
-    return FeatureMap(values, fm.window_size, fm.hop, fm.mel_bins)
+    window = hann_window(window_size)
+    banks = {}
+    out = np.zeros((len(waves), frames, mel_bins))
+    for row, w in zip(out, waves):
+        samples = w.samples
+        if samples.size < window_size:
+            raise ValueError(
+                f"signal of {samples.size} samples is shorter than one window ({window_size})"
+            )
+        n = 1 + (samples.size - window_size) // hop
+        if n > frames:
+            start = (n - frames) // 2 * hop
+            samples = samples[start : start + (frames - 1) * hop + window_size]
+        first = max(frames - n, 0) // 2
+        if w.sample_rate not in banks:
+            banks[w.sample_rate] = mel_filterbank(w.sample_rate, fft_size, mel_bins).T
+        power = np.abs(_windowed_rfft(samples, window, hop, fft_size))
+        np.square(power, out=power)
+        energies = power @ banks[w.sample_rate]
+        energies += 1e-6
+        np.log(energies, out=row[first : first + energies.shape[0]])
+    if not np.all(np.isfinite(out)):
+        raise ValueError("feature map contains non-finite values")
+    return out

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nsw1
-from .audio import FeatureMap
 from .errors import WeightFormatError
 from .nn import central_difference_check, glorot_uniform, momentum_sgd, relu
 
@@ -257,7 +256,8 @@ def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray):
             w = params[f"{name}.weight"]
             b = params[f"{name}.bias"]
             patches = _conv_patches(cur, layer.kernel, layer.stride)
-            cur = patches @ w.reshape(-1, layer.out_channels) + b
+            cur = patches @ w.reshape(-1, layer.out_channels)
+            cur += b
         elif isinstance(layer, Relu):
             cur = relu(cur)
         elif isinstance(layer, MaxPool):
@@ -271,7 +271,8 @@ def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray):
             cur = cur.reshape(cur.shape[0], -1)
         elif isinstance(layer, FullyConnected):
             name = spec.layer_names[idx]
-            cur = cur @ params[f"{name}.weight"] + params[f"{name}.bias"]
+            cur = cur @ params[f"{name}.weight"]
+            cur += params[f"{name}.bias"]
         outputs.append(cur)
     return outputs
 
@@ -295,10 +296,7 @@ def _batch_trace(spec: NetworkSpec, outputs) -> list:
 
 
 def _coerce_input(spec: NetworkSpec, inp) -> np.ndarray:
-    if isinstance(inp, FeatureMap):
-        arr = inp.values[:, :, None]
-    else:
-        arr = np.asarray(inp, dtype=np.float64)
+    arr = np.asarray(inp, dtype=np.float64)
     if arr.shape != spec.input_shape:
         raise ValueError(f"input shape {arr.shape} does not match spec {spec.input_shape}")
     return arr

@@ -163,7 +163,7 @@ def write_feature_csv(path, column_names, labels, splits, matrix) -> None:
         raise ValueError("matrix columns must match column_names")
     lines = ["label,split," + ",".join(column_names)]
     for label, split, row in zip(labels, splits, matrix):
-        lines.append(f"{label},{split}," + ",".join(repr(float(v)) for v in row))
+        lines.append(f"{label},{split}," + ",".join(map(repr, row.tolist())))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

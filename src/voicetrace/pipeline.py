@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, fix_frame_count, load_wav, log_mel
+from .audio import Waveform, load_wav, log_mel
 from .backbone import (ActivationTrace, BackboneTrainConfig, NetworkSpec, WeightStore,
                        classify, forward_batch, load_weights, reference_spec,
                        save_weights, train_backbone)
@@ -199,9 +199,9 @@ def _load_clip(path, fcfg: dict) -> Waveform:
     return w
 
 
-def _prepare_map(w: Waveform, fcfg: dict):
-    fm = log_mel(w, fcfg["window"], fcfg["hop"], fcfg["mel_bins"])
-    return fix_frame_count(fm, fcfg["frames"])
+def _network_input(waves, fcfg: dict) -> np.ndarray:
+    """A block's (clips, frames, mel_bins, 1) network input from one log-mel call."""
+    return log_mel(waves, fcfg["frames"], fcfg["window"], fcfg["hop"], fcfg["mel_bins"])[..., None]
 
 
 def _blocks(items, size=_TRACE_BLOCK):
@@ -218,30 +218,25 @@ def _ordered_map(work, items, jobs: int):
 
 def _feature_array(files, fcfg: dict, jobs: int) -> np.ndarray:
     def work(block):
-        return np.stack([_prepare_map(_load_clip(f, fcfg), fcfg).values[:, :, None] for f in block])
+        return _network_input([_load_clip(f, fcfg) for f in block], fcfg)
 
     parts = _ordered_map(work, _blocks(list(files)), jobs)
     return np.concatenate(parts, axis=0)
 
 
-def _trace_batch(netspec: NetworkSpec, weights: WeightStore, waveforms, fcfg: dict):
-    batch = np.stack([_prepare_map(w, fcfg).values[:, :, None] for w in waveforms])
-    _, entries = forward_batch(netspec, weights, batch)
-    return [
-        ActivationTrace(tuple((name, np.asarray(vals[i])) for name, vals in entries))
-        for i in range(len(waveforms))
-    ]
-
-
-def _traces_for_files(netspec, weights, files, fcfg, jobs=1, manipulation=None, bank=None, formula="paper"):
+def _traces(netspec: NetworkSpec, weights: WeightStore, items, fcfg: dict, jobs: int, waves_of):
+    """Activation traces of items, traced in blocks; waves_of maps a block to its waveforms."""
     def work(block):
-        waves = [_load_clip(f, fcfg) for f in block]
-        if manipulation is not None:
-            waves = apply_manipulation(waves, manipulation, bank, formula)
-        return _trace_batch(netspec, weights, waves, fcfg)
+        _, entries = forward_batch(netspec, weights, _network_input(waves_of(block), fcfg))
+        return [ActivationTrace(tuple((name, np.asarray(vals[i])) for name, vals in entries))
+                for i in range(len(block))]
 
-    parts = _ordered_map(work, _blocks(list(files)), jobs)
+    parts = _ordered_map(work, _blocks(list(items)), jobs)
     return [t for part in parts for t in part]
+
+
+def _traces_for_files(netspec, weights, files, fcfg: dict, jobs: int):
+    return _traces(netspec, weights, files, fcfg, jobs, lambda block: [_load_clip(f, fcfg) for f in block])
 
 
 # --- stages -----------------------------------------------------------
@@ -476,15 +471,18 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     sample = _sample_records(records, cfg["sweep"]["sample_per_class"])
     if not sample:
         raise StageError("sweep", "manifest has no test-split clips")
-    files = [root / r.path for r in sample]
+    waves = [_load_clip(root / r.path, cfg["frontend"]) for r in sample]
+    for w in waves:
+        w.samples.flags.writeable = False  # every cell manipulates these same clips
     y_true = np.asarray([1 if r.label == FAKE else 0 for r in sample])
     formula = cfg["snr_formula"]
     cells = sweep_cells(cfg, bank.ids())
     paths.sweep_dir.mkdir(parents=True, exist_ok=True)
 
     def evaluate(manipulation, tag: str):
-        traces = _traces_for_files(netspec, weights, files, cfg["frontend"], jobs=1,
-                                   manipulation=manipulation, bank=bank, formula=formula)
+        waves_of = list if manipulation is None else (
+            lambda block: apply_manipulation(block, manipulation, bank, formula))
+        traces = _traces(netspec, weights, waves, cfg["frontend"], 1, waves_of)
         rows = []
         for criterion in criteria:
             matrix, _ = _features_matrix(traces, criterion, cfg, thresholds)

@@ -7,12 +7,13 @@ from voicetrace.audio import (
     FLOAT32,
     PCM16,
     Waveform,
-    fix_frame_count,
+    _next_pow2,
     hann_window,
     istft,
     load_wav,
     log_mel,
     mel_center_frequencies,
+    mel_filterbank,
     rms,
     save_wav,
     stft,
@@ -185,44 +186,133 @@ def test_istft_reconstruction():
     assert np.max(np.abs(x[1024:-1024] - y[1024:-1024])) < 1e-9
 
 
+def _reference_log_mel(w, target_frames, window_size=400, hop=160, mel_bins=64):
+    """The per-clip frontend that log_mel replaced: log-mel, then center crop or zero pad."""
+    # log_mel, with stft() inlined
+    fft_size = _next_pow2(window_size)
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, window_size)[::hop]
+    spec = np.fft.rfft(frames * hann_window(window_size), n=fft_size, axis=1)
+    power = np.square(np.abs(spec))
+    fb = mel_filterbank(w.sample_rate, fft_size, mel_bins)
+    energies = power @ fb.T
+    values = np.log(energies + 1e-6)
+    # fix_frame_count
+    n = values.shape[0]
+    if n == target_frames:
+        return values
+    if n > target_frames:
+        start = (n - target_frames) // 2
+        return values[start : start + target_frames]
+    before = (target_frames - n) // 2
+    after = target_frames - n - before
+    return np.pad(values, ((before, after), (0, 0)))
+
+
+def _clip(rng, n, sr=16000):
+    return Waveform(rng.uniform(-0.5, 0.5, n), sr)
+
+
+def _frames_of(n):
+    return 1 + (n - 400) // 160
+
+
+@pytest.mark.parametrize("n", [
+    400, 1999, 4000,  # 1, 10 and 23 natural frames: 24, 20 and 13 pad rows before
+    400 + 49 * 160 + 37,  # exactly 50
+    400 + 51 * 160, 400 + 53 * 160, 400 + 53 * 160 + 159, 32000,  # crop starting at frame 1, 2, 2 and 74
+])
+def test_log_mel_matches_reference_bitwise(n):
+    w = _clip(np.random.default_rng(n), n)
+    assert np.array_equal(log_mel([w], 50)[0], _reference_log_mel(w, 50))
+
+
+def test_log_mel_small_crop_matches_reference_to_rounding():
+    # Below 19 kept rows OpenBLAS multiplies by the filterbank in its small-matrix
+    # kernel, which rounds differently from the kernel that multiplied all the
+    # natural rows; the speaker network needs 29 rows or more.
+    w = _clip(np.random.default_rng(10), 4000)
+    np.testing.assert_allclose(log_mel([w], 10)[0], _reference_log_mel(w, 10), rtol=1e-13, atol=0)
+
+
+def test_log_mel_mixed_rate_block_matches_reference():
+    rng = np.random.default_rng(31)
+    block = [_clip(rng, 32000, 16000), _clip(rng, 22050, 22050), _clip(rng, 6000, 16000),
+             _clip(rng, 44100, 22050)]
+    out = log_mel(block, 200)
+    assert out.shape == (4, 200, 64)
+    for row, w in zip(out, block):
+        assert np.array_equal(row, _reference_log_mel(w, 200))
+
+
+@pytest.mark.parametrize("size", [1, 16])
+def test_log_mel_block_matches_reference(size):
+    rng = np.random.default_rng(size)
+    block = [_clip(rng, int(n)) for n in rng.integers(400, 40000, size)]
+    out = log_mel(block, 200)
+    assert out.shape == (size, 200, 64)
+    for row, w in zip(out, block):
+        assert np.array_equal(row, _reference_log_mel(w, 200))
+
+
+def test_log_mel_rejects_a_clip_shorter_than_one_window():
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="shorter than one window"):
+        log_mel([_clip(rng, 4000), _clip(rng, 399)], 50)
+
+
+def test_log_mel_rejects_non_finite_output():
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        log_mel([Waveform(np.full(4000, 1e200), 16000)], 50)
+
+
+def test_stft_zero_padded_fft_equals_rfft_with_n():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-0.5, 0.5, 4000)
+    frames = np.lib.stride_tricks.sliding_window_view(x, 400)[::160]
+    expected = np.fft.rfft(frames * hann_window(400), n=512, axis=1)
+    assert np.array_equal(stft(Waveform(x, 16000), 400, 160, fft_size=512), expected)
+
+
 def test_log_mel_zero_signal_floor():
-    fm = log_mel(Waveform(np.zeros(4000), 16000))
-    assert np.all(fm.values == np.log(1e-6))
+    out = log_mel([Waveform(np.zeros(4000), 16000)], _frames_of(4000))
+    assert np.all(out == np.log(1e-6))
 
 
 def test_log_mel_frame_count_formula():
     for n in (400, 401, 4000, 16000):
-        fm = log_mel(Waveform(np.zeros(n), 16000))
-        assert fm.frames == 1 + (n - 400) // 160
+        # with one row to spare, only the last row is padding
+        out = log_mel([Waveform(np.ones(n), 16000)], _frames_of(n) + 1)[0]
+        assert np.all(out[:-1] != 0) and np.all(out[-1] == 0)
 
 
 def test_log_mel_tone_hits_nearest_mel_bin():
     sr = 16000
     t = np.arange(sr) / sr
-    fm = log_mel(Waveform(0.5 * np.sin(2 * np.pi * 1000 * t), sr))
+    out = log_mel([Waveform(0.5 * np.sin(2 * np.pi * 1000 * t), sr)], _frames_of(sr))[0]
     centers = mel_center_frequencies(sr, 64)
     expected_bin = int(np.argmin(np.abs(centers - 1000.0)))
-    hot = int(np.argmax(fm.values.mean(axis=0)))
+    hot = int(np.argmax(out.mean(axis=0)))
     assert hot == expected_bin
 
 
 def test_log_mel_deterministic():
     rng = np.random.default_rng(8)
     x = rng.uniform(-0.5, 0.5, 6400)
-    a = log_mel(Waveform(x, 16000))
-    b = log_mel(Waveform(x.copy(), 16000))
-    assert np.array_equal(a.values, b.values)
+    a = log_mel([Waveform(x, 16000)], 200)
+    b = log_mel([Waveform(x.copy(), 16000)], 200)
+    assert np.array_equal(a, b)
 
 
-def test_fix_frame_count_pad_and_crop():
+def test_log_mel_pad_and_crop_rows():
     rng = np.random.default_rng(12)
-    fm = log_mel(Waveform(rng.uniform(-0.5, 0.5, 4000), 16000))
-    padded = fix_frame_count(fm, 50)
-    assert padded.frames == 50
-    before = (50 - fm.frames) // 2
-    assert np.all(padded.values[:before] == 0)
-    assert np.array_equal(padded.values[before : before + fm.frames], fm.values)
-    cropped = fix_frame_count(fm, 10)
-    assert cropped.frames == 10
-    start = (fm.frames - 10) // 2
-    assert np.array_equal(cropped.values, fm.values[start : start + 10])
+    w = Waveform(rng.uniform(-0.5, 0.5, 4000), 16000)
+    n = _frames_of(4000)
+    full = log_mel([w], n)[0]
+    padded = log_mel([w], 50)[0]
+    before = (50 - n) // 2
+    assert np.all(padded[:before] == 0)
+    assert np.array_equal(padded[before : before + n], full)
+    assert np.all(padded[before + n :] == 0)
+    cropped = log_mel([w], 10)[0]
+    start = (n - 10) // 2
+    np.testing.assert_allclose(cropped, full[start : start + 10], rtol=1e-13, atol=0)

@@ -309,6 +309,34 @@ def test_sweep_failure_with_comma_stays_one_csv_field(chain, tmp_path, monkeypat
                     ["1", "speed", "1.0", "ValueError: a, b"]]
 
 
+def test_sweep_decodes_each_sampled_clip_once_and_shares_it_read_only(chain, tmp_path, monkeypatch):
+    out, config_path = chain
+    part = tmp_path / "shared"
+    shutil.copytree(out, part)
+    loaded, manipulated = [], []
+    real_load, real_apply = pipeline.load_wav, pipeline.apply_manipulation
+
+    def counting_load(path):
+        loaded.append(str(path))
+        return real_load(path)
+
+    def recording_apply(waves, m, *args, **kwargs):
+        manipulated.append([w.samples for w in waves])
+        return real_apply(waves, m, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_wav", counting_load)
+    monkeypatch.setattr(pipeline, "apply_manipulation", recording_apply)
+    rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7", "--jobs", "2"])
+    assert rc == 0
+    sampled = 2 * TINY["sweep"]["sample_per_class"]
+    assert len(loaded) == len(set(loaded)) == sampled
+    assert len(manipulated) == 3  # one call per cell, each on the same arrays
+    for samples in manipulated:
+        assert len(samples) == sampled and all(a is b for a, b in zip(samples, manipulated[0]))
+    with pytest.raises(ValueError, match="read-only"):
+        manipulated[0][0][0] = 0.0
+
+
 def test_single_criterion_run_reports_only_that_criterion(chain, tmp_path):
     out, _ = chain
     part = tmp_path / "acn_only"
