@@ -103,7 +103,21 @@ def load_config(path=None, seed=None, out_dir=None) -> dict:
     return cfg
 
 
+def _corpus_spec(cfg: dict) -> CorpusSpec:
+    c = cfg["corpus"]
+    return CorpusSpec(c["num_speakers"], c["clips_per_speaker"], c["clip_seconds"],
+                      c["sample_rate"], cfg["seed"], c["fake_artifact"])
+
+
 def _validate(cfg: dict) -> None:
+    clip_samples = _corpus_spec(cfg).clip_samples
+    window = cfg["frontend"]["window"]
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
+        raise ConfigError(f"frontend.window must be a positive integer, got {window!r}")
+    if clip_samples < window:
+        # every stage after gen-data refuses a clip shorter than one analysis window
+        raise ConfigError(f"corpus.clip_seconds gives {clip_samples}-sample clips at corpus.sample_rate "
+                          f"{cfg['corpus']['sample_rate']}, shorter than one {window}-sample frontend.window")
     if cfg["coverage"]["criterion"] not in (ACN, TKAN, "both"):
         raise ConfigError(f"coverage.criterion must be acn, tkan or both, got {cfg['coverage']['criterion']!r}")
     if cfg["coverage"]["calibration_classes"] not in ("both", "real"):
@@ -246,12 +260,9 @@ def cmd_gen_data(cfg: dict, jobs: int = 1):
     """Write the synthetic corpus plus the 12-texture noise bank."""
     paths = RunPaths(cfg)
     paths.out.mkdir(parents=True, exist_ok=True)
-    c = cfg["corpus"]
-    cspec = CorpusSpec(c["num_speakers"], c["clips_per_speaker"], c["clip_seconds"],
-                       c["sample_rate"], cfg["seed"], c["fake_artifact"])
-    records = generate_corpus(cspec, paths.corpus_dir,
+    records = generate_corpus(_corpus_spec(cfg), paths.corpus_dir,
                               map_fn=lambda render, clips: _ordered_map(render, clips, jobs))
-    bank = generate_noise_bank(paths.noise_dir, c["sample_rate"], seed=cfg["seed"] + 1)
+    bank = generate_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"], seed=cfg["seed"] + 1)
     noise_files = sorted(paths.noise_dir.glob("*.wav"))
     _write_audit(paths, "gen-data", cfg, inputs=[],
                  outputs=[paths.manifest, *noise_files],

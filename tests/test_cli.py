@@ -387,6 +387,29 @@ def test_bad_criterion_value_exits_2(tmp_path, capsys):
     assert "acorn" in err
 
 
+@pytest.mark.parametrize("overrides, flags, named", [
+    ({"corpus.num_speakers": 1}, [], "corpus.num_speakers"),
+    ({"corpus.clips_per_speaker": 2}, [], "corpus.clips_per_speaker"),
+    ({"corpus.fake_artifact": "nope"}, [], "corpus.fake_artifact"),
+    ({"corpus.num_speakers": "8"}, [], "corpus.num_speakers"),
+    ({"corpus.sample_rate": 0}, [], "corpus.sample_rate"),
+    ({"corpus.clip_seconds": -1}, [], "corpus.clip_seconds"),
+    ({"seed": -1}, [], "seed"),
+    ({}, ["--seed", "-1"], "seed"),
+    ({"corpus.clip_seconds": 0}, [], "corpus.clip_seconds"),
+    # 0.02 s is 320 samples at 16 kHz, shorter than the 400-sample window
+    ({"corpus.clip_seconds": 0.02}, [], "frontend.window"),
+])
+def test_bad_corpus_config_exits_2_naming_the_field(tmp_path, capsys, overrides, flags, named):
+    config_path = _write_config(tmp_path, overrides)
+    rc = main(["gen-data", "--config", str(config_path), "--out", str(tmp_path / "run"), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_seed_flag_changes_generated_bytes(tmp_path, capsys):
     config_path = _write_config(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"

@@ -3,18 +3,22 @@ import hashlib
 import numpy as np
 import pytest
 
+from voicetrace import corpus
 from voicetrace.audio import load_wav, rms
 from voicetrace.corpus import (
     _EDGE_MARGIN,
+    _NOISE_FLOOR,
     CorpusSpec,
     ManifestRecord,
+    _pink_noise,
     _render_clip,
     _speaker_voice,
+    _SpeakerVoice,
     generate_corpus,
     load_manifest,
     save_manifest,
 )
-from voicetrace.errors import ManifestError
+from voicetrace.errors import ConfigError, ManifestError
 
 SMALL = CorpusSpec(num_speakers=3, clips_per_speaker=10, clip_seconds=0.6, seed=11)
 
@@ -35,6 +39,97 @@ def test_spec_validation():
         CorpusSpec(clips_per_speaker=4)
     with pytest.raises(ValueError):
         CorpusSpec(fake_artifact="gan_vocoder")
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"num_speakers": 1}, "corpus.num_speakers"),
+    ({"num_speakers": "8"}, "corpus.num_speakers"),
+    ({"num_speakers": True}, "corpus.num_speakers"),
+    ({"clips_per_speaker": 4}, "corpus.clips_per_speaker"),
+    ({"sample_rate": 0}, "corpus.sample_rate"),
+    ({"sample_rate": 16000.0}, "corpus.sample_rate"),
+    ({"seed": -1}, "seed"),
+    ({"clip_seconds": 0}, "corpus.clip_seconds"),
+    ({"clip_seconds": -1}, "corpus.clip_seconds"),
+    ({"clip_seconds": float("nan")}, "corpus.clip_seconds"),
+    ({"clip_seconds": "2"}, "corpus.clip_seconds"),
+    ({"fake_artifact": "gan_vocoder"}, "corpus.fake_artifact"),
+])
+def test_spec_validation_names_the_field(fields, named):
+    with pytest.raises(ConfigError) as exc:
+        CorpusSpec(**fields)
+    assert str(exc.value).startswith(named + " ")
+
+
+def _reference_render_clip(voice, rng, n, sr, harmonic_jitter=0.0):
+    """_render_clip as it was before the Horner sum: one np.sin per harmonic."""
+    t = np.arange(n) / sr
+    f0 = voice.f0 * (1.0 + rng.uniform(-0.06, 0.06))
+    vib_phase = rng.uniform(0.0, 2.0 * np.pi)
+    inst_f0 = f0 * (1.0 + voice.vibrato_depth * np.sin(2.0 * np.pi * voice.vibrato_hz * t + vib_phase))
+    base_phase = 2.0 * np.pi * np.cumsum(inst_f0) / sr
+
+    n_harm = max(3, int(6800.0 / f0))
+    clip = np.zeros(n)
+    for h in range(1, n_harm + 1):
+        freq = h * f0
+        amp = 1.0 / h
+        for center, gain, width in ((voice.formants[0], 3.0, 320.0), (voice.formants[1], 2.0, 520.0)):
+            amp *= 1.0 + gain * np.exp(-(((freq - center) / width) ** 2))
+        detune = 1.0 + harmonic_jitter * rng.uniform(-1.0, 1.0)
+        clip += amp * np.sin(h * detune * base_phase + rng.uniform(0.0, 2.0 * np.pi))
+
+    syllable = 0.65 + 0.35 * np.sin(2.0 * np.pi * rng.uniform(2.5, 4.0) * t + rng.uniform(0.0, 2.0 * np.pi))
+    clip *= syllable
+    fade = min(n // 20, int(0.05 * sr))
+    ramp = np.linspace(0.0, 1.0, fade)
+    clip[:fade] *= ramp
+    clip[-fade:] *= ramp[::-1]
+
+    clip = clip / np.max(np.abs(clip))
+    clip += _NOISE_FLOOR * _pink_noise(rng, n)
+    return 0.35 * clip
+
+
+# Speaker f0 is drawn from [100, 300] Hz and each clip moves it by up to 6%.
+# Seed 34 draws f0 = 94.3 Hz from a 100 Hz voice: 72 harmonics, the most any
+# corpus clip has; seed 4 draws 316 Hz from a 300 Hz voice: 21 harmonics.
+@pytest.mark.parametrize("voice_f0, rng_seed, harmonics", [(100.0, 34, 72), (300.0, 4, 21)])
+def test_horner_render_matches_per_harmonic_sines(voice_f0, rng_seed, harmonics):
+    voice = _SpeakerVoice(f0=voice_f0, formants=(700.0, 2300.0), vibrato_hz=5.5, vibrato_depth=0.003)
+    f0 = voice_f0 * (1.0 + np.random.default_rng(rng_seed).uniform(-0.06, 0.06))
+    assert int(6800.0 / f0) == harmonics
+    n = 32000 + 2 * _EDGE_MARGIN
+    ours = _render_clip(voice, np.random.default_rng(rng_seed), n, 16000)
+    ref = _reference_render_clip(voice, np.random.default_rng(rng_seed), n, 16000)
+    assert np.max(np.abs(ours - ref)) <= 1e-11
+
+
+def test_harmonic_jitter_render_is_the_per_harmonic_sum():
+    for speaker in range(3):
+        voice = _speaker_voice(5, speaker)
+        ours = _render_clip(voice, np.random.default_rng((5, speaker)), 9000, 16000, harmonic_jitter=0.018)
+        ref = _reference_render_clip(voice, np.random.default_rng((5, speaker)), 9000, 16000,
+                                     harmonic_jitter=0.018)
+        assert np.array_equal(ours, ref)
+
+
+@pytest.mark.parametrize("artifact", ["phase_quantization", "band_limit", "harmonic_jitter"])
+def test_corpus_bytes_equal_the_per_harmonic_render(tmp_path, monkeypatch, artifact):
+    spec = CorpusSpec(num_speakers=3, clips_per_speaker=5, clip_seconds=0.5, seed=23, fake_artifact=artifact)
+    generate_corpus(spec, tmp_path / "horner")
+    monkeypatch.setattr(corpus, "_render_clip", _reference_render_clip)
+    generate_corpus(spec, tmp_path / "reference")
+    assert _tree_digest(tmp_path / "horner") == _tree_digest(tmp_path / "reference")
+
+
+def test_render_below_20_hz_has_no_fade():
+    # at 10 Hz the 50 ms fade rounds to zero samples, so no sample is faded
+    voice = _speaker_voice(3, 0)
+    clip = _render_clip(voice, np.random.default_rng(0), 2000, 10)
+    assert clip.shape == (2000,)
+    assert np.all(np.isfinite(clip))
+    assert clip[0] != 0.0 and clip[-1] != 0.0
 
 
 def test_generation_is_byte_deterministic(tmp_path):
