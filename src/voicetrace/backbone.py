@@ -19,6 +19,7 @@ Everything computes in float64; stored weights are float32.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,7 @@ class NetworkSpec:
                     n_conv += 1
                     self.layer_names.append(f"conv{n_conv}")
             elif isinstance(layer, Flatten):
-                shape = (int(np.prod(shape)),)
+                shape = (math.prod(shape),)
                 self.layer_names.append(None)
             elif isinstance(layer, FullyConnected):
                 if len(shape) != 1:

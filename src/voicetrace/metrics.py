@@ -51,29 +51,24 @@ def threshold_metrics(labels, scores, threshold: float = 0.5) -> dict:
     }
 
 
+def _tie_groups(labels, scores):
+    """Scores descending, each group of tied scores' end index and running positive count."""
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, ranked.size)
+    return ends, np.cumsum(labels[order])[ends - 1]
+
+
 def _roc_points(labels, scores):
     """Tie-grouped (fpr, fnr) operating points, threshold descending from +inf."""
     n_pos = int(np.sum(labels == 1))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ranking metrics need both classes present")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    fpr = [0.0]
-    fnr = [1.0]
-    tp = fp = 0
-    i = 0
-    while i < labels.size:
-        j = i
-        while j < labels.size and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(np.sum(sorted_labels[i:j] == 1))
-        fp += (j - i) - int(np.sum(sorted_labels[i:j] == 1))
-        fpr.append(fp / n_neg)
-        fnr.append(1.0 - tp / n_pos)
-        i = j
-    return np.asarray(fpr), np.asarray(fnr)
+    ends, positives = _tie_groups(labels, scores)
+    fpr = np.concatenate(([0.0], (ends - positives) / n_neg))
+    fnr = np.concatenate(([1.0], 1.0 - positives / n_pos))
+    return fpr, fnr
 
 
 def roc_auc(labels, scores) -> float:
@@ -90,23 +85,12 @@ def average_precision(labels, scores) -> float:
     n_pos = int(np.sum(labels == 1))
     if n_pos == 0:
         raise ValueError("average precision needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
     ap = 0.0
-    tp = 0
     prev_recall = 0.0
-    i = 0
-    while i < labels.size:
-        j = i
-        while j < labels.size and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(np.sum(sorted_labels[i:j] == 1))
+    for end, tp in zip(*(a.tolist() for a in _tie_groups(labels, scores))):
         recall = tp / n_pos
-        precision = tp / j
-        ap += (recall - prev_recall) * precision
+        ap += (recall - prev_recall) * (tp / end)
         prev_recall = recall
-        i = j
     return ap
 
 

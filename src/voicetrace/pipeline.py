@@ -12,6 +12,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -22,8 +23,8 @@ from .audio import Waveform, load_wav, log_mel
 from .backbone import (ActivationTrace, BackboneTrainConfig, NetworkSpec, WeightStore,
                        classify, forward_batch, load_weights, reference_spec,
                        save_weights, train_backbone)
-from .corpus import FAKE, REAL, CorpusSpec, generate_corpus, load_manifest
-from .coverage import (ACN, TKAN, acn_features, calibrate_thresholds, load_thresholds,
+from .corpus import ARTIFACTS, FAKE, REAL, CorpusSpec, generate_corpus, load_manifest
+from .coverage import (ACN, TKAN, _is_number, acn_features, calibrate_thresholds, load_thresholds,
                        read_feature_csv, save_thresholds, tkan_features, write_feature_csv)
 from .detector import Standardizer, TrainConfig, load_detector, save_detector, score_batch, train_detector
 from .errors import AudioFormatError, ConfigError, StageError
@@ -64,8 +65,43 @@ DEFAULT_CONFIG = {
 }
 
 
+# Every field must have its default's type (an int refuses bools and floats, a float takes
+# any finite number, a list holds finite numbers). A number must be positive, and a str
+# may be any text, unless listed here with its [low, high) bounds or its allowed values.
+_LIMITS = {
+    "seed": (0, math.inf),
+    "snr_formula": ("paper", "standard"),
+    "corpus.num_speakers": (2, math.inf),
+    # five clips per speaker is the fewest a 60/20/20 split can hold
+    "corpus.clips_per_speaker": (5, math.inf),
+    "corpus.fake_artifact": ARTIFACTS,
+    "backbone.momentum": (0, 1),
+    "coverage.criterion": (ACN, TKAN, "both"),
+    "coverage.calibration_classes": ("both", "real"),
+    "detector.momentum": (0, 1),
+    "detector.decay": (0, math.inf),
+    "sweep.sample_per_class": (0, math.inf),  # 0 samples every test clip
+}
+
+
+def _check_field(where: str, value, default) -> None:
+    limit = _LIMITS.get(where)
+    if isinstance(default, (bool, str)):
+        ok = type(value) is type(default) and (limit is None or value in limit)
+        want = f"one of {limit}" if limit else f"a {type(default).__name__}"
+    elif isinstance(default, list):
+        ok, want = isinstance(value, list) and all(map(_is_number, value)), "a list of finite numbers"
+    else:
+        integral = isinstance(default, int)
+        ok = _is_number(value) and (isinstance(value, int) or not integral)
+        ok = ok and (limit[0] <= value < limit[1] if limit else value > 0)
+        want = ("an integer" if integral else "a number") + (" in [%s, %s)" % limit if limit else " > 0")
+    if not ok:
+        raise ConfigError(f"{where} must be {want}, got {value!r}")
+
+
 def _merge(defaults: dict, override: dict, trail: str = "") -> dict:
-    merged = copy.deepcopy(defaults)
+    merged = dict(defaults)
     for key, value in override.items():
         where = f"{trail}.{key}" if trail else key
         if key not in defaults:
@@ -75,13 +111,14 @@ def _merge(defaults: dict, override: dict, trail: str = "") -> dict:
                 raise ConfigError(f"field {where!r} must be an object")
             merged[key] = _merge(defaults[key], value, where)
         else:
+            _check_field(where, value, defaults[key])
             merged[key] = value
     return merged
 
 
 def load_config(path=None, seed=None, out_dir=None) -> dict:
-    """Defaults, overlaid with the JSON file, then the CLI overrides."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    """Defaults, overlaid with the JSON file, then the CLI overrides; every field is checked."""
+    cfg = DEFAULT_CONFIG
     if path is not None:
         try:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -95,8 +132,10 @@ def load_config(path=None, seed=None, out_dir=None) -> dict:
             cfg = _merge(cfg, user)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+    cfg = copy.deepcopy(cfg)  # _merge shares the fields it did not override with DEFAULT_CONFIG
     if seed is not None:
-        cfg["seed"] = int(seed)
+        _check_field("seed", seed, DEFAULT_CONFIG["seed"])
+        cfg["seed"] = seed
     if out_dir is not None:
         cfg["out_dir"] = str(out_dir)
     _validate(cfg)
@@ -110,24 +149,19 @@ def _corpus_spec(cfg: dict) -> CorpusSpec:
 
 
 def _validate(cfg: dict) -> None:
+    """The checks that join fields; each field alone was checked as it was merged."""
+    c, f = cfg["corpus"], cfg["frontend"]
+    if not _is_number(c["clip_seconds"] * c["sample_rate"]):
+        raise ConfigError(f"corpus.clip_seconds {c['clip_seconds']!r} gives too many samples to count")
     clip_samples = _corpus_spec(cfg).clip_samples
-    window = cfg["frontend"]["window"]
-    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
-        raise ConfigError(f"frontend.window must be a positive integer, got {window!r}")
-    if clip_samples < window:
+    if clip_samples < f["window"]:
         # every stage after gen-data refuses a clip shorter than one analysis window
         raise ConfigError(f"corpus.clip_seconds gives {clip_samples}-sample clips at corpus.sample_rate "
-                          f"{cfg['corpus']['sample_rate']}, shorter than one {window}-sample frontend.window")
-    if cfg["coverage"]["criterion"] not in (ACN, TKAN, "both"):
-        raise ConfigError(f"coverage.criterion must be acn, tkan or both, got {cfg['coverage']['criterion']!r}")
-    if cfg["coverage"]["calibration_classes"] not in ("both", "real"):
-        raise ConfigError("coverage.calibration_classes must be 'both' or 'real'")
-    if cfg["snr_formula"] not in ("paper", "standard"):
-        raise ConfigError(f"snr_formula must be 'paper' or 'standard', got {cfg['snr_formula']!r}")
-    if cfg["coverage"]["k"] < 1:
-        raise ConfigError("coverage.k must be positive")
-    if cfg["sweep"]["sample_per_class"] < 0:
-        raise ConfigError("sweep.sample_per_class must be >= 0 (0 means all)")
+                          f"{c['sample_rate']}, shorter than one {f['window']}-sample frontend.window")
+    try:
+        reference_spec(c["num_speakers"], (f["frames"], f["mel_bins"], 1))
+    except ValueError as exc:
+        raise ConfigError(f"frontend.frames by frontend.mel_bins is too small an input ({exc})") from exc
 
 
 def config_digest(cfg: dict) -> str:
@@ -340,26 +374,38 @@ def _features_matrix(traces, criterion: str, cfg: dict, thresholds=None):
     return np.stack([v.values for v in vecs]), vecs[0].column_names(criterion)
 
 
-def cmd_extract(cfg: dict, jobs: int = 1):
-    """Trace every manifest clip and write per-criterion feature CSVs."""
-    paths = RunPaths(cfg)
-    records, root = _records_and_root(paths, "extract")
-    _require(paths.backbone, "extract", "train-backbone")
+def _trace_and_write(cfg: dict, paths: RunPaths, stage: str, jobs: int, feature_path):
+    """Trace every manifest clip, write each criterion's feature CSV to feature_path(criterion),
+    and return (records, traces, audit inputs, written CSVs)."""
+    records, root = _records_and_root(paths, stage)
+    _require(paths.backbone, stage, "train-backbone")
     criteria = _criteria(cfg)
     netspec = _network_for(records, cfg)
-    thresholds = _thresholds_for(paths, netspec, "extract") if ACN in criteria else None
+    narrowest = min(width for _, _, width in netspec.monitored_layers())
+    if TKAN in criteria and cfg["coverage"]["k"] > narrowest:
+        raise ConfigError(f"coverage.k {cfg['coverage']['k']} exceeds the {narrowest} neurons of the "
+                          f"narrowest monitored layer; lower coverage.k or use more speakers")
+    thresholds = _thresholds_for(paths, netspec, stage) if ACN in criteria else None
     weights = load_weights(paths.backbone, netspec)
     traces = _traces_for_files(netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs)
 
     outputs = []
     for criterion in criteria:
         matrix, names = _features_matrix(traces, criterion, cfg, thresholds)
-        write_feature_csv(paths.features(criterion), names,
-                          [r.label for r in records], [r.split for r in records], matrix)
-        outputs.append(paths.features(criterion))
+        out = feature_path(criterion)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_feature_csv(out, names, [r.label for r in records], [r.split for r in records], matrix)
+        outputs.append(out)
     inputs = [paths.manifest, paths.backbone] + ([paths.thresholds] if thresholds else [])
+    return records, traces, inputs, outputs
+
+
+def cmd_extract(cfg: dict, jobs: int = 1):
+    """Trace every manifest clip and write per-criterion feature CSVs."""
+    paths = RunPaths(cfg)
+    records, _, inputs, outputs = _trace_and_write(cfg, paths, "extract", jobs, paths.features)
     _write_audit(paths, "extract", cfg, inputs=inputs, outputs=outputs,
-                 extra={"rows": len(records), "criteria": criteria})
+                 extra={"rows": len(records), "criteria": _criteria(cfg)})
     return outputs
 
 
@@ -554,28 +600,14 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
 def cmd_export_features(cfg: dict, jobs: int = 1):
     """Raw traces plus per-criterion features as labeled CSVs for plotting."""
     paths = RunPaths(cfg)
-    records, root = _records_and_root(paths, "export-features")
-    _require(paths.backbone, "export-features", "train-backbone")
-    criteria = _criteria(cfg)
-    netspec = _network_for(records, cfg)
-    thresholds = _thresholds_for(paths, netspec, "export-features") if ACN in criteria else None
-    weights = load_weights(paths.backbone, netspec)
-    traces = _traces_for_files(netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs)
-    paths.export_dir.mkdir(parents=True, exist_ok=True)
-
-    raw_names = []
-    for layer_id, width in zip(traces[0].layer_ids(), traces[0].widths()):
-        raw_names.extend(f"{layer_id}.n{i + 1}" for i in range(width))
+    records, traces, inputs, features = _trace_and_write(
+        cfg, paths, "export-features", jobs, lambda criterion: paths.export_dir / f"features_{criterion}.csv")
+    raw_names = [f"{layer_id}.n{i + 1}"
+                 for layer_id, width in zip(traces[0].layer_ids(), traces[0].widths()) for i in range(width)]
     raw_matrix = np.stack([np.concatenate([vals for _, vals in t.entries]) for t in traces])
-    outputs = [paths.export_dir / "traces.csv"]
+    outputs = [paths.export_dir / "traces.csv", *features]
     write_feature_csv(outputs[0], raw_names, [r.label for r in records],
                       [r.split for r in records], raw_matrix)
-    for criterion in criteria:
-        matrix, names = _features_matrix(traces, criterion, cfg, thresholds)
-        out = paths.export_dir / f"features_{criterion}.csv"
-        write_feature_csv(out, names, [r.label for r in records], [r.split for r in records], matrix)
-        outputs.append(out)
-    inputs = [paths.manifest, paths.backbone] + ([paths.thresholds] if thresholds else [])
     _write_audit(paths, "export-features", cfg, inputs=inputs, outputs=outputs,
                  extra={"rows": len(records)})
     return outputs

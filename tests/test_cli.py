@@ -11,6 +11,7 @@ from voicetrace.audio import Waveform, load_wav, save_wav
 from voicetrace.cli import main
 from voicetrace.corpus import REAL, load_manifest
 from voicetrace.detector import TrainConfig, save_detector, train_detector
+from voicetrace.errors import ConfigError
 from voicetrace.pipeline import config_digest, load_config
 
 TINY = {
@@ -399,6 +400,12 @@ def test_bad_criterion_value_exits_2(tmp_path, capsys):
     ({"corpus.clip_seconds": 0}, [], "corpus.clip_seconds"),
     # 0.02 s is 320 samples at 16 kHz, shorter than the 400-sample window
     ({"corpus.clip_seconds": 0.02}, [], "frontend.window"),
+    ({"corpus.clip_seconds": 1e305}, [], "corpus.clip_seconds"),
+    # fields that passed gen-data and then crashed a later stage
+    ({"frontend.hop": 0}, [], "frontend.hop"),
+    ({"backbone.batch_size": 0}, [], "backbone.batch_size"),
+    ({"frontend.frames": 10}, [], "frontend.frames"),
+    ({"coverage.k": "5"}, [], "coverage.k"),
 ])
 def test_bad_corpus_config_exits_2_naming_the_field(tmp_path, capsys, overrides, flags, named):
     config_path = _write_config(tmp_path, overrides)
@@ -408,6 +415,64 @@ def test_bad_corpus_config_exits_2_naming_the_field(tmp_path, capsys, overrides,
     assert named in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def _leaves(node, trail=""):
+    for key, value in node.items():
+        where = f"{trail}.{key}" if trail else key
+        yield from _leaves(value, where) if isinstance(value, dict) else [where]
+
+
+def _of_default_type(value, default):
+    if isinstance(default, (bool, str, list)) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, int):
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) and value == value  # a float field takes any finite number
+
+
+@pytest.mark.parametrize("value", ["x", 0, -1, float("nan"), [], True, None, 1.5], ids=repr)
+@pytest.mark.parametrize("field", list(_leaves(pipeline.DEFAULT_CONFIG)))
+def test_every_config_field_is_loaded_or_refused_by_name(tmp_path, field, value):
+    node = doc = {}
+    default = pipeline.DEFAULT_CONFIG
+    parts = field.split(".")
+    for part in parts[:-1]:
+        node = node.setdefault(part, {})
+        default = default[part]
+    node[parts[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        cfg = load_config(path)
+    except ConfigError as exc:
+        assert field in str(exc)
+    else:
+        assert _of_default_type(value, default[parts[-1]]), "a value of the wrong type was accepted"
+        assert cfg == pipeline._merge(pipeline.DEFAULT_CONFIG, doc)  # stored as given
+
+
+@pytest.mark.parametrize("stage", ["extract", "export-features"])
+def test_k_above_the_narrowest_layer_exits_2_before_tracing(chain, tmp_path, capsys, monkeypatch, stage):
+    out, _ = chain
+    part = tmp_path / "run"
+    part.mkdir()
+    shutil.copytree(out / "corpus", part / "corpus")
+    shutil.copy(out / "backbone.nsw1", part / "backbone.nsw1")
+    shutil.copy(out / "thresholds.json", part / "thresholds.json")
+    # three speakers give the logit layer three neurons, fewer than k=5
+    cfg = _write_config(tmp_path, {"coverage.k": 5})
+    monkeypatch.setattr(pipeline, "load_wav", None)  # any traced clip would raise
+    rc = main([stage, "--config", str(cfg), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "coverage.k" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in part.iterdir()) == ["backbone.nsw1", "corpus", "thresholds.json"]
+
+    acn_only = _write_config(tmp_path, {"coverage.k": 5, "coverage.criterion": "acn"})
+    monkeypatch.undo()
+    assert main([stage, "--config", str(acn_only), "--out", str(part), "--seed", "7"]) == 0
 
 
 def test_seed_flag_changes_generated_bytes(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from voicetrace.corpus import (
     save_manifest,
 )
 from voicetrace.errors import ConfigError, ManifestError
+from voicetrace.pipeline import load_config
 
 SMALL = CorpusSpec(num_speakers=3, clips_per_speaker=10, clip_seconds=0.6, seed=11)
 
@@ -32,13 +34,23 @@ def _tree_digest(root):
     return h.hexdigest()
 
 
-def test_spec_validation():
+def _load_corpus_config(tmp_path, fields):
+    """load_config over a file setting these CorpusSpec fields (seed at the top level)."""
+    doc = {"corpus": {k: v for k, v in fields.items() if k != "seed"}}
+    if "seed" in fields:
+        doc["seed"] = fields["seed"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_config(path)
+
+
+def test_spec_validation(tmp_path):
     with pytest.raises(ValueError):
-        CorpusSpec(num_speakers=1)
+        _load_corpus_config(tmp_path, {"num_speakers": 1})
     with pytest.raises(ValueError):
-        CorpusSpec(clips_per_speaker=4)
+        _load_corpus_config(tmp_path, {"clips_per_speaker": 4})
     with pytest.raises(ValueError):
-        CorpusSpec(fake_artifact="gan_vocoder")
+        _load_corpus_config(tmp_path, {"fake_artifact": "gan_vocoder"})
 
 
 @pytest.mark.parametrize("fields, named", [
@@ -55,10 +67,11 @@ def test_spec_validation():
     ({"clip_seconds": "2"}, "corpus.clip_seconds"),
     ({"fake_artifact": "gan_vocoder"}, "corpus.fake_artifact"),
 ])
-def test_spec_validation_names_the_field(fields, named):
+def test_spec_validation_names_the_field(tmp_path, fields, named):
+    path = tmp_path / "config.json"
     with pytest.raises(ConfigError) as exc:
-        CorpusSpec(**fields)
-    assert str(exc.value).startswith(named + " ")
+        _load_corpus_config(tmp_path, fields)
+    assert str(exc.value).startswith(f"{path}: {named} ")
 
 
 def _reference_render_clip(voice, rng, n, sr, harmonic_jitter=0.0):

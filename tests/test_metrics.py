@@ -269,3 +269,97 @@ def test_metric_row_from_metrics():
     assert row.dataset == "test"
     assert row.magnitude == 1.2
     assert row.auc == metrics["auc"]
+
+
+def _reference_roc_points(labels, scores):
+    """_roc_points as it was before the shared tie grouping: one walk over the ties."""
+    labels, scores = np.asarray(labels), np.asarray(scores, dtype=np.float64)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = labels.size - n_pos
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    fpr = [0.0]
+    fnr = [1.0]
+    tp = fp = 0
+    i = 0
+    while i < labels.size:
+        j = i
+        while j < labels.size and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        tp += int(np.sum(sorted_labels[i:j] == 1))
+        fp += (j - i) - int(np.sum(sorted_labels[i:j] == 1))
+        fpr.append(fp / n_neg)
+        fnr.append(1.0 - tp / n_pos)
+        i = j
+    return np.asarray(fpr), np.asarray(fnr)
+
+
+def _reference_roc_auc(labels, scores):
+    fpr, fnr = _reference_roc_points(labels, scores)
+    tpr = 1.0 - fnr
+    return float(np.sum(0.5 * (tpr[1:] + tpr[:-1]) * np.diff(fpr)))
+
+
+def _reference_average_precision(labels, scores):
+    """average_precision as it was before the shared tie grouping."""
+    labels, scores = np.asarray(labels), np.asarray(scores, dtype=np.float64)
+    n_pos = int(np.sum(labels == 1))
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    ap = 0.0
+    tp = 0
+    prev_recall = 0.0
+    i = 0
+    while i < labels.size:
+        j = i
+        while j < labels.size and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        tp += int(np.sum(sorted_labels[i:j] == 1))
+        recall = tp / n_pos
+        precision = tp / j
+        ap += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j
+    return ap
+
+
+def _reference_eer(labels, scores):
+    fpr, fnr = _reference_roc_points(labels, scores)
+    diff = fpr - fnr
+    idx = int(np.argmax(diff >= 0.0))
+    if diff[idx] == 0.0:
+        return float(fpr[idx])
+    alpha = -diff[idx - 1] / (diff[idx] - diff[idx - 1])
+    return float(fpr[idx - 1] + alpha * (fpr[idx] - fpr[idx - 1]))
+
+
+_SCORE_POOL = np.array([0.0, -0.0, np.inf, -np.inf, 0.5, 1.0, 1e-300, -2.5])
+_SCORES = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "few_levels": lambda rng, n: rng.integers(0, 4, n).astype(float),
+    "signed_zeros_and_infs": lambda rng, n: rng.choice(_SCORE_POOL, n),
+    "rounded": lambda rng, n: np.round(rng.random(n), 2) * rng.choice([1, -1], n),
+}
+
+
+@pytest.mark.parametrize("seed, kind", list(enumerate(_SCORES)))
+def test_ranking_metrics_bitwise_equal_the_reference_walk(seed, kind):
+    rng = np.random.default_rng(seed)
+    for _ in range(300):
+        n = int(rng.integers(2, 60))
+        labels = rng.permutation(np.concatenate(([0, 1], rng.integers(0, 2, n - 2))))
+        scores = _SCORES[kind](rng, n)
+        for metric, reference in ((roc_auc, _reference_roc_auc),
+                                  (average_precision, _reference_average_precision),
+                                  (eer, _reference_eer)):
+            got, want = metric(labels, scores), reference(labels, scores)
+            assert repr(got) == repr(want) and type(got) is type(want), (metric.__name__, labels, scores)
+
+
+def test_average_precision_bitwise_equals_the_reference_walk_without_negatives():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7):
+        scores = rng.integers(0, 3, n).astype(float)
+        assert repr(average_precision(np.ones(n), scores)) == repr(_reference_average_precision(np.ones(n), scores))
