@@ -1,4 +1,4 @@
-"""WAV I/O and core DSP: RMS, STFT/ISTFT, and the log-mel frontend.
+"""WAV I/O and core DSP: RMS, an FFT band filter, STFT/ISTFT, and the log-mel frontend.
 
 All operations are pure functions; waveforms are immutable value objects.
 Only RIFF/WAVE files holding 16-bit PCM or 32-bit IEEE float, mono or
@@ -155,6 +155,15 @@ def rms(w: Waveform) -> float:
     return float(np.sqrt(np.mean(np.square(w.samples))))
 
 
+def band_pass(samples: np.ndarray, sample_rate: int, low_hz: float = 0.0,
+              high_hz: float = np.inf) -> np.ndarray:
+    """Zero every FFT bin below low_hz or above high_hz; the cut-offs themselves pass."""
+    spec = np.fft.rfft(samples)
+    freqs = np.fft.rfftfreq(samples.size, 1.0 / sample_rate)
+    spec[(freqs < low_hz) | (freqs > high_hz)] = 0.0
+    return np.fft.irfft(spec, samples.size)
+
+
 def hann_window(size: int) -> np.ndarray:
     # periodic Hann: exact COLA at hop = size/4 and size/2
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(size) / size)
@@ -166,25 +175,20 @@ def _as_samples(w) -> np.ndarray:
     return np.asarray(w, dtype=np.float64)
 
 
-def stft(w, window_size: int, hop: int, fft_size: int | None = None) -> np.ndarray:
-    """Hann-windowed one-sided STFT, shape (frames, fft_size//2 + 1).
+def stft(w, window_size: int, hop: int) -> np.ndarray:
+    """Hann-windowed one-sided STFT, shape (frames, window_size//2 + 1).
 
     Frames start at sample 0 with no centering; the trailing partial
-    window is dropped. fft_size must be a power of two and defaults to
-    window_size; a larger fft_size zero-pads each windowed frame.
+    window is dropped.
     """
     samples = _as_samples(w)
-    if fft_size is None:
-        fft_size = window_size
-    if fft_size < window_size or fft_size & (fft_size - 1):
-        raise ValueError(f"fft_size must be a power of two >= window_size, got {fft_size}")
     if not 1 <= hop <= window_size:
         raise ValueError(f"hop must be in [1, window_size], got {hop}")
     if samples.size < window_size:
         raise ValueError(
             f"signal of {samples.size} samples is shorter than one window ({window_size})"
         )
-    return _windowed_rfft(samples, hann_window(window_size), hop, fft_size)
+    return _windowed_rfft(samples, hann_window(window_size), hop, window_size)
 
 
 def _windowed_rfft(samples: np.ndarray, window: np.ndarray, hop: int, fft_size: int) -> np.ndarray:
@@ -280,6 +284,8 @@ def log_mel(waves, frames: int, window_size: int = 400, hop: int = 160, mel_bins
     """
     if frames <= 0:
         raise ValueError("frames must be positive")
+    if not 1 <= hop <= window_size:
+        raise ValueError(f"hop must be in [1, window_size], got {hop}")
     fft_size = _next_pow2(window_size)
     window = hann_window(window_size)
     banks = {}

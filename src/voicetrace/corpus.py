@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, istft, save_wav, stft
+from .audio import Waveform, band_pass, istft, save_wav, stft
 from .errors import ManifestError
 
 REAL = "real"
@@ -156,13 +156,6 @@ def _quantize_phase(samples: np.ndarray, sr: int) -> np.ndarray:
     return istft(doctored, _ART_WINDOW, _ART_HOP, length=samples.size)
 
 
-def _band_limit(samples: np.ndarray, sr: int, cutoff_hz: float = 3400.0) -> np.ndarray:
-    spec = np.fft.rfft(samples)
-    freqs = np.fft.rfftfreq(samples.size, 1.0 / sr)
-    spec[freqs > cutoff_hz] = 0.0
-    return np.fft.irfft(spec, samples.size)
-
-
 def _synth_clip(spec: CorpusSpec, speaker: int, label: str, clip: int) -> np.ndarray:
     """Render one clip; fakes run the configured artifact and keep the
     pre-artifact RMS so loudness never separates the classes."""
@@ -179,7 +172,7 @@ def _synth_clip(spec: CorpusSpec, speaker: int, label: str, clip: int) -> np.nda
         if spec.fake_artifact == "phase_quantization":
             doctored = _quantize_phase(samples, spec.sample_rate)
         else:
-            doctored = _band_limit(samples, spec.sample_rate)
+            doctored = band_pass(samples, spec.sample_rate, high_hz=3400.0)
         # compare loudness on the kept region only: the overlap-add edges
         # of a phase-doctored reconstruction are unreliable, which is why
         # they are rendered into the margin and discarded

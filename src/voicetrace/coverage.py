@@ -21,7 +21,6 @@ from .errors import FeatureFormatError, ThresholdsFormatError
 
 ACN = "acn"
 TKAN = "tkan"
-DEFAULT_K = 5
 
 
 @dataclass(frozen=True)
@@ -87,23 +86,19 @@ def calibrate_thresholds(traces) -> LayerThresholds:
     return LayerThresholds(deltas, n)
 
 
-def acn_features(trace: ActivationTrace, thresholds: LayerThresholds, normalize: bool = False) -> FeatureVector:
+def acn_features(trace: ActivationTrace, thresholds: LayerThresholds) -> FeatureVector:
     """Count of neurons strictly above the layer threshold, one slot per layer."""
     if trace.layer_ids() != thresholds.layer_ids():
         raise ValueError(
             f"trace layers {trace.layer_ids()} do not match thresholds {thresholds.layer_ids()}"
         )
-    counts = []
-    for (name, values), (_, delta) in zip(trace.entries, thresholds.deltas):
-        count = float(np.count_nonzero(values > delta))
-        if normalize:
-            count /= values.size
-        counts.append(count)
+    counts = [float(np.count_nonzero(values > delta))
+              for (_, values), (_, delta) in zip(trace.entries, thresholds.deltas)]
     layout = tuple((name, 1) for name, _ in trace.entries)
     return FeatureVector(np.asarray(counts), layout)
 
 
-def tkan_features(trace: ActivationTrace, k: int = DEFAULT_K) -> FeatureVector:
+def tkan_features(trace: ActivationTrace, k: int) -> FeatureVector:
     """The k largest neuron outputs per layer, sorted descending, values only."""
     if k < 1:
         raise ValueError("k must be a positive integer")

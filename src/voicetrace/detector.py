@@ -19,11 +19,9 @@ import numpy as np
 from . import nsw1
 from .backbone import (FullyConnected, NetworkSpec, Relu, WeightStore, _check_gradients,
                        _loss_and_grads, _run_layers, init_weights_with_rng)
+from .corpus import FAKE, REAL
 from .errors import WeightFormatError
 from .nn import momentum_sgd, sigmoid
-
-REAL = "real"
-FAKE = "fake"
 
 _MAGIC = b"NSD1"
 _VERSION = 1
@@ -202,22 +200,18 @@ def save_detector(model: DetectorModel, path) -> None:
 
 def load_detector(path) -> DetectorModel:
     data = Path(path).read_bytes()
-    if len(data) < 8 or data[:4] != _MAGIC:
+    r = nsw1.Reader(data, str(path))
+    if r.take(4) != _MAGIC:
         raise WeightFormatError(f"{path}: bad magic, not a detector file")
-    (version,) = struct.unpack_from("<I", data, 4)
+    version = r.u32()
     if version != _VERSION:
         raise WeightFormatError(f"{path}: unsupported detector version {version}")
-    if len(data) < 12:
-        raise WeightFormatError(f"{path}: truncated detector header")
-    (crit_len,) = struct.unpack_from("<I", data, 8)
-    if len(data) < 16 + crit_len:
-        raise WeightFormatError(f"{path}: truncated detector header")
     try:
-        criterion = data[12 : 12 + crit_len].decode("utf-8")
+        criterion = r.take(r.u32()).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise WeightFormatError(f"{path}: criterion name is not UTF-8") from exc
-    (k,) = struct.unpack_from("<I", data, 12 + crit_len)
-    tensors = nsw1.read_tensor_stream(data[16 + crit_len :], label=str(path))
+    k = r.u32()
+    tensors = nsw1.read_tensor_stream(data[r.pos :], label=str(path))
 
     try:
         mean = tensors.pop("standardize.mean").astype(np.float64)

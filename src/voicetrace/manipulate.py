@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import FLOAT32, Waveform, istft, load_wav, rms, save_wav, stft
+from .audio import FLOAT32, Waveform, band_pass, istft, load_wav, rms, save_wav, stft
 
 STFT_WINDOW = 2048
 STFT_HOP = 512
@@ -307,20 +307,6 @@ def load_noise_bank(directory, working_rate: int = 16000) -> NoiseBank:
     return NoiseBank(entries)
 
 
-def _lowpass(rng_noise: np.ndarray, sample_rate: int, cutoff_hz: float) -> np.ndarray:
-    spec = np.fft.rfft(rng_noise)
-    freqs = np.fft.rfftfreq(rng_noise.size, 1.0 / sample_rate)
-    spec[freqs > cutoff_hz] = 0.0
-    return np.fft.irfft(spec, rng_noise.size)
-
-
-def _highpass(rng_noise: np.ndarray, sample_rate: int, cutoff_hz: float) -> np.ndarray:
-    spec = np.fft.rfft(rng_noise)
-    freqs = np.fft.rfftfreq(rng_noise.size, 1.0 / sample_rate)
-    spec[freqs < cutoff_hz] = 0.0
-    return np.fft.irfft(spec, rng_noise.size)
-
-
 def _bursts(rng: np.random.Generator, n: int, sample_rate: int, rate_hz: float,
             burst_len: float, jitter: float = 0.3) -> np.ndarray:
     """Decaying broadband bursts at roughly rate_hz events per second."""
@@ -343,13 +329,13 @@ def _synth_noise(tag: str, rng: np.random.Generator, n: int, sr: int) -> np.ndar
     white = rng.standard_normal(n)
     if tag == "breathing":
         envelope = 0.55 + 0.45 * np.sin(2.0 * np.pi * 0.3 * tt)
-        return _lowpass(white, sr, 900.0) * envelope
+        return band_pass(white, sr, high_hz=900.0) * envelope
     if tag == "footsteps":
         return _bursts(rng, n, sr, 1.8, 0.06)
     if tag == "laughing":
         buzz = np.sign(np.sin(2.0 * np.pi * 190.0 * tt))
         envelope = np.clip(np.sin(2.0 * np.pi * 4.5 * tt), 0.0, None)
-        return buzz * envelope + 0.2 * _lowpass(white, sr, 2000.0)
+        return buzz * envelope + 0.2 * band_pass(white, sr, high_hz=2000.0)
     if tag == "mouse-click":
         return _bursts(rng, n, sr, 2.5, 0.004)
     if tag == "keyboard-type":
@@ -358,20 +344,20 @@ def _synth_noise(tag: str, rng: np.random.Generator, n: int, sr: int) -> np.ndar
         return _bursts(rng, n, sr, 1.0, 0.008, jitter=0.0)
     if tag == "engine":
         rumble = np.sin(2.0 * np.pi * 42.0 * tt) + 0.5 * np.sin(2.0 * np.pi * 84.0 * tt + 0.7)
-        return rumble + 0.3 * _lowpass(white, sr, 400.0)
+        return rumble + 0.3 * band_pass(white, sr, high_hz=400.0)
     if tag == "train":
         clatter = 0.5 + 0.5 * np.square(np.sin(2.0 * np.pi * 2.0 * tt))
-        return _lowpass(white, sr, 1500.0) * clatter
+        return band_pass(white, sr, high_hz=1500.0) * clatter
     if tag == "fireworks":
         return _bursts(rng, n, sr, 0.7, 0.35, jitter=0.9)
     if tag == "rain":
-        return _highpass(white, sr, 1200.0)
+        return band_pass(white, sr, low_hz=1200.0)
     if tag == "wind":
         wander = 0.6 + 0.4 * np.sin(2.0 * np.pi * 0.17 * tt + 1.1)
-        return _lowpass(white, sr, 600.0) * wander
+        return band_pass(white, sr, high_hz=600.0) * wander
     if tag == "thunderstorm":
-        rumble = _lowpass(_bursts(rng, n, sr, 0.5, 0.8, jitter=0.6), sr, 250.0)
-        return rumble + 0.15 * _highpass(white, sr, 1500.0)
+        rumble = band_pass(_bursts(rng, n, sr, 0.5, 0.8, jitter=0.6), sr, high_hz=250.0)
+        return rumble + 0.15 * band_pass(white, sr, low_hz=1500.0)
     raise ValueError(f"unknown noise class {tag!r}")
 
 

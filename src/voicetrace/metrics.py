@@ -12,9 +12,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-REPORT_COLUMNS = ("dataset", "criterion", "manipulation", "magnitude",
-                  "acc", "auc", "f1", "ap", "fpr", "fnr", "eer")
-
 
 def _as_arrays(labels, scores):
     labels = np.asarray(labels, dtype=np.int64)
@@ -132,9 +129,10 @@ class MetricRow:
 
     @classmethod
     def from_metrics(cls, dataset, criterion, manipulation, magnitude, metrics: dict):
-        return cls(dataset, criterion, manipulation, float(magnitude),
-                   metrics["acc"], metrics["auc"], metrics["f1"], metrics["ap"],
-                   metrics["fpr"], metrics["fnr"], metrics["eer"])
+        return cls(dataset, criterion, manipulation, float(magnitude), **metrics)
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(MetricRow))
 
 
 def write_report(path, rows) -> None:
@@ -145,7 +143,7 @@ def write_report(path, rows) -> None:
         for row in rows:
             writer.writerow([
                 row.dataset, row.criterion, row.manipulation,
-                *(repr(getattr(row, f.name)) for f in fields(MetricRow)[3:]),
+                *(repr(getattr(row, name)) for name in REPORT_COLUMNS[3:]),
             ])
 
 

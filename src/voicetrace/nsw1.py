@@ -39,7 +39,9 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     Path(path).write_bytes(pack_tensors(tensors))
 
 
-class _Reader:
+class Reader:
+    """Little-endian reads from a byte string; running past its end raises WeightFormatError."""
+
     def __init__(self, data: bytes, label: str):
         self.data = data
         self.pos = 0
@@ -58,7 +60,7 @@ class _Reader:
 
 def read_tensor_stream(data: bytes, label: str = "NSW1 data") -> dict[str, np.ndarray]:
     """Parse an NSW1 byte string. Raises WeightFormatError, never partially loads."""
-    r = _Reader(data, label)
+    r = Reader(data, label)
     if r.take(4) != MAGIC:
         raise WeightFormatError(f"{label}: bad magic, not an NSW1 file")
     version = r.u32()

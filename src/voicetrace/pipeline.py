@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .coverage import (ACN, TKAN, _is_number, acn_features, calibrate_thresholds
 from .detector import Standardizer, TrainConfig, load_detector, save_detector, score_batch, train_detector
 from .errors import AudioFormatError, ConfigError, StageError
 from .manipulate import Manipulation, apply_manipulation, generate_noise_bank, load_noise_bank
-from .metrics import MetricRow, compute_all, write_report
+from .metrics import REPORT_COLUMNS, MetricRow, compute_all, write_report
 
 _TRACE_BLOCK = 16
 
@@ -48,12 +49,7 @@ DEFAULT_CONFIG = {
     },
     "frontend": {"window": 400, "hop": 160, "mel_bins": 64, "frames": 200},
     "backbone": {"lr": 0.01, "momentum": 0.9, "epochs": 15, "batch_size": 32},
-    "coverage": {
-        "criterion": "both",
-        "k": 5,
-        "calibration_classes": "both",
-        "normalize_acn": False,
-    },
+    "coverage": {"criterion": "both", "k": 5, "calibration_classes": "both"},
     "detector": {"lr": 3e-4, "momentum": 0.9, "decay": 1e-6, "epochs": 3000, "batch_size": 32},
     "sweep": {
         "resample_offsets": [-400, -200, 0, 200, 400],
@@ -142,22 +138,19 @@ def load_config(path=None, seed=None, out_dir=None) -> dict:
     return cfg
 
 
-def _corpus_spec(cfg: dict) -> CorpusSpec:
-    c = cfg["corpus"]
-    return CorpusSpec(c["num_speakers"], c["clips_per_speaker"], c["clip_seconds"],
-                      c["sample_rate"], cfg["seed"], c["fake_artifact"])
-
-
 def _validate(cfg: dict) -> None:
     """The checks that join fields; each field alone was checked as it was merged."""
     c, f = cfg["corpus"], cfg["frontend"]
     if not _is_number(c["clip_seconds"] * c["sample_rate"]):
         raise ConfigError(f"corpus.clip_seconds {c['clip_seconds']!r} gives too many samples to count")
-    clip_samples = _corpus_spec(cfg).clip_samples
+    clip_samples = CorpusSpec(**c, seed=cfg["seed"]).clip_samples
     if clip_samples < f["window"]:
         # every stage after gen-data refuses a clip shorter than one analysis window
         raise ConfigError(f"corpus.clip_seconds gives {clip_samples}-sample clips at corpus.sample_rate "
                           f"{c['sample_rate']}, shorter than one {f['window']}-sample frontend.window")
+    if f["hop"] > f["window"]:
+        raise ConfigError(f"frontend.hop {f['hop']} exceeds frontend.window {f['window']}, "
+                          f"so samples between windows would go unanalysed")
     try:
         reference_spec(c["num_speakers"], (f["frames"], f["mel_bins"], 1))
     except ValueError as exc:
@@ -294,7 +287,7 @@ def cmd_gen_data(cfg: dict, jobs: int = 1):
     """Write the synthetic corpus plus the 12-texture noise bank."""
     paths = RunPaths(cfg)
     paths.out.mkdir(parents=True, exist_ok=True)
-    records = generate_corpus(_corpus_spec(cfg), paths.corpus_dir,
+    records = generate_corpus(CorpusSpec(**cfg["corpus"], seed=cfg["seed"]), paths.corpus_dir,
                               map_fn=lambda render, clips: _ordered_map(render, clips, jobs))
     bank = generate_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"], seed=cfg["seed"] + 1)
     noise_files = sorted(paths.noise_dir.glob("*.wav"))
@@ -317,10 +310,8 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
 
     feats = _feature_array([root / r.path for r in train_real], cfg["frontend"], jobs)
     labels = np.asarray([index[r.speaker_id] for r in train_real])
-    b = cfg["backbone"]
-    store, losses = train_backbone(netspec, feats, labels, BackboneTrainConfig(
-        lr=b["lr"], momentum=b["momentum"], epochs=b["epochs"],
-        batch_size=b["batch_size"], seed=cfg["seed"]))
+    store, losses = train_backbone(netspec, feats, labels,
+                                   BackboneTrainConfig(**cfg["backbone"], seed=cfg["seed"]))
     save_weights(store, paths.backbone)
 
     held = [r for r in records if r.split == "test" and r.label == REAL]
@@ -368,7 +359,7 @@ def _thresholds_for(paths: RunPaths, netspec: NetworkSpec, stage: str):
 
 def _features_matrix(traces, criterion: str, cfg: dict, thresholds=None):
     if criterion == ACN:
-        vecs = [acn_features(t, thresholds, cfg["coverage"]["normalize_acn"]) for t in traces]
+        vecs = [acn_features(t, thresholds) for t in traces]
     else:
         vecs = [tkan_features(t, cfg["coverage"]["k"]) for t in traces]
     return np.stack([v.values for v in vecs]), vecs[0].column_names(criterion)
@@ -435,9 +426,7 @@ def cmd_train_detector(cfg: dict, jobs: int = 1):
     criteria = _criteria(cfg)
     for criterion in criteria:
         _require(paths.features(criterion), "train-detector", "extract")
-    d = cfg["detector"]
-    config = TrainConfig(lr=d["lr"], momentum=d["momentum"], decay=d["decay"],
-                         epochs=d["epochs"], batch_size=d["batch_size"], seed=cfg["seed"])
+    config = TrainConfig(**cfg["detector"], seed=cfg["seed"])
 
     def fit(criterion):
         x_train, y_train = _read_split(paths.features(criterion), "train")
@@ -485,16 +474,21 @@ def sweep_cells(cfg: dict, noise_ids) -> list:
 
 
 def _sample_records(records, per_class: int):
+    """per_class test clips of each class, taken round-robin over the sorted speaker ids
+    (manifest order within a speaker), returned in manifest order; 0 takes every test clip."""
     test = [r for r in records if r.split == "test"]
     if per_class <= 0:
         return test
     picked = []
-    counts = {REAL: 0, FAKE: 0}
-    for r in test:
-        if counts[r.label] < per_class:
-            counts[r.label] += 1
-            picked.append(r)
-    return picked
+    for label in (REAL, FAKE):
+        seen = Counter()
+        ranked = []  # (the clip's rank within its speaker, speaker, manifest index)
+        for i, r in enumerate(test):
+            if r.label == label:
+                ranked.append((seen[r.speaker_id], r.speaker_id, i))
+                seen[r.speaker_id] += 1
+        picked += [i for _, _, i in sorted(ranked)[:per_class]]
+    return [test[i] for i in sorted(picked)]
 
 
 def _atomic_write_report(path: Path, rows) -> None:
@@ -577,7 +571,7 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     with open(paths.sweep_long, "w", newline="", encoding="utf-8") as fh:
         fh.write("dataset,criterion,manipulation,magnitude,metric,value\n")
         for row in merged:
-            for metric in ("acc", "auc", "f1", "ap", "fpr", "fnr", "eer"):
+            for metric in REPORT_COLUMNS[4:]:
                 fh.write(f"{row.dataset},{row.criterion},{row.manipulation},"
                          f"{row.magnitude!r},{metric},{getattr(row, metric)!r}\n")
     with open(paths.sweep_failures, "w", newline="", encoding="utf-8") as fh:

@@ -8,6 +8,8 @@ from voicetrace.audio import (
     PCM16,
     Waveform,
     _next_pow2,
+    _windowed_rfft,
+    band_pass,
     hann_window,
     istft,
     load_wav,
@@ -260,6 +262,12 @@ def test_log_mel_rejects_a_clip_shorter_than_one_window():
         log_mel([_clip(rng, 4000), _clip(rng, 399)], 50)
 
 
+def test_log_mel_rejects_a_hop_longer_than_the_window():
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="hop"):
+        log_mel([_clip(rng, 4000)], 5, window_size=400, hop=500)
+
+
 def test_log_mel_rejects_non_finite_output():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         log_mel([Waveform(np.full(4000, 1e200), 16000)], 50)
@@ -270,7 +278,7 @@ def test_stft_zero_padded_fft_equals_rfft_with_n():
     x = rng.uniform(-0.5, 0.5, 4000)
     frames = np.lib.stride_tricks.sliding_window_view(x, 400)[::160]
     expected = np.fft.rfft(frames * hann_window(400), n=512, axis=1)
-    assert np.array_equal(stft(Waveform(x, 16000), 400, 160, fft_size=512), expected)
+    assert np.array_equal(_windowed_rfft(x, hann_window(400), 160, 512), expected)
 
 
 def test_log_mel_zero_signal_floor():
@@ -316,3 +324,36 @@ def test_log_mel_pad_and_crop_rows():
     cropped = log_mel([w], 10)[0]
     start = (n - 10) // 2
     np.testing.assert_allclose(cropped, full[start : start + 10], rtol=1e-13, atol=0)
+
+
+# The FFT filters that band_pass replaced, kept as its references.
+def _reference_lowpass(samples, sample_rate, cutoff_hz):
+    spec = np.fft.rfft(samples)
+    freqs = np.fft.rfftfreq(samples.size, 1.0 / sample_rate)
+    spec[freqs > cutoff_hz] = 0.0
+    return np.fft.irfft(spec, samples.size)
+
+
+def _reference_highpass(samples, sample_rate, cutoff_hz):
+    spec = np.fft.rfft(samples)
+    freqs = np.fft.rfftfreq(samples.size, 1.0 / sample_rate)
+    spec[freqs < cutoff_hz] = 0.0
+    return np.fft.irfft(spec, samples.size)
+
+
+def _reference_band_limit(samples, sr, cutoff_hz=3400.0):
+    spec = np.fft.rfft(samples)
+    freqs = np.fft.rfftfreq(samples.size, 1.0 / sr)
+    spec[freqs > cutoff_hz] = 0.0
+    return np.fft.irfft(spec, samples.size)
+
+
+# every cut-off the corpus and the noise bank use, plus exact bin frequencies and the band edges
+@pytest.mark.parametrize("cutoff", [0.0, 1.0, 250.0, 400.0, 600.0, 900.0, 1200.0, 1500.0,
+                                    2000.0, 3400.0, 8000.0])
+@pytest.mark.parametrize("n", [1, 2, 1001, 16000, 34048])
+def test_band_pass_equals_the_filters_it_replaced_bitwise(n, cutoff):
+    x = np.random.default_rng(n).standard_normal(n)
+    assert np.array_equal(band_pass(x, 16000, high_hz=cutoff), _reference_lowpass(x, 16000, cutoff))
+    assert np.array_equal(band_pass(x, 16000, low_hz=cutoff), _reference_highpass(x, 16000, cutoff))
+    assert np.array_equal(band_pass(x, 16000, high_hz=cutoff), _reference_band_limit(x, 16000, cutoff))

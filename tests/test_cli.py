@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -8,8 +9,9 @@ import pytest
 
 from voicetrace import pipeline
 from voicetrace.audio import Waveform, load_wav, save_wav
+from voicetrace.backbone import BackboneTrainConfig
 from voicetrace.cli import main
-from voicetrace.corpus import REAL, load_manifest
+from voicetrace.corpus import FAKE, REAL, CorpusSpec, ManifestRecord, load_manifest
 from voicetrace.detector import TrainConfig, save_detector, train_detector
 from voicetrace.errors import ConfigError
 from voicetrace.pipeline import config_digest, load_config
@@ -371,6 +373,15 @@ def test_unknown_config_field_exits_2(tmp_path, capsys):
     assert "detecto" in err
 
 
+def test_a_config_that_sets_the_removed_normalize_acn_exits_2(tmp_path, capsys):
+    config_path = _write_config(tmp_path, {"coverage.normalize_acn": False})
+    rc = main(["gen-data", "--config", str(config_path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "unknown field 'coverage.normalize_acn'" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_invalid_json_config_exits_2(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text('{"corpus": ', encoding="utf-8")
@@ -406,6 +417,8 @@ def test_bad_criterion_value_exits_2(tmp_path, capsys):
     ({"backbone.batch_size": 0}, [], "backbone.batch_size"),
     ({"frontend.frames": 10}, [], "frontend.frames"),
     ({"coverage.k": "5"}, [], "coverage.k"),
+    # a hop past the window leaves 100 samples per hop unanalysed
+    ({"frontend.hop": 500}, [], "frontend.hop"),
 ])
 def test_bad_corpus_config_exits_2_naming_the_field(tmp_path, capsys, overrides, flags, named):
     config_path = _write_config(tmp_path, overrides)
@@ -431,8 +444,9 @@ def _of_default_type(value, default):
     return isinstance(value, (int, float)) and value == value  # a float field takes any finite number
 
 
+# a removed field stays listed: an old config that sets it must be refused by name
 @pytest.mark.parametrize("value", ["x", 0, -1, float("nan"), [], True, None, 1.5], ids=repr)
-@pytest.mark.parametrize("field", list(_leaves(pipeline.DEFAULT_CONFIG)))
+@pytest.mark.parametrize("field", [*_leaves(pipeline.DEFAULT_CONFIG), "coverage.normalize_acn"])
 def test_every_config_field_is_loaded_or_refused_by_name(tmp_path, field, value):
     node = doc = {}
     default = pipeline.DEFAULT_CONFIG
@@ -450,6 +464,14 @@ def test_every_config_field_is_loaded_or_refused_by_name(tmp_path, field, value)
     else:
         assert _of_default_type(value, default[parts[-1]]), "a value of the wrong type was accepted"
         assert cfg == pipeline._merge(pipeline.DEFAULT_CONFIG, doc)  # stored as given
+
+
+@pytest.mark.parametrize("section, spec", [("corpus", CorpusSpec), ("backbone", BackboneTrainConfig),
+                                           ("detector", TrainConfig)])
+def test_each_config_section_holds_its_dataclass_fields_but_seed(section, spec):
+    # the stages build each as spec(**cfg[section], seed=cfg["seed"])
+    names = sorted(f.name for f in dataclasses.fields(spec))
+    assert sorted([*pipeline.DEFAULT_CONFIG[section], "seed"]) == names
 
 
 @pytest.mark.parametrize("stage", ["extract", "export-features"])
@@ -473,6 +495,21 @@ def test_k_above_the_narrowest_layer_exits_2_before_tracing(chain, tmp_path, cap
     acn_only = _write_config(tmp_path, {"coverage.k": 5, "coverage.criterion": "acn"})
     monkeypatch.undo()
     assert main([stage, "--config", str(acn_only), "--out", str(part), "--seed", "7"]) == 0
+
+
+@pytest.mark.parametrize("per_class", [1, 2, 3, 4, 5])
+def test_sweep_sample_takes_each_class_round_robin_over_speakers(per_class):
+    # three speakers with two test clips per class, listed speaker by speaker but not in id order
+    records = [ManifestRecord(f"spk{s:02d}/{label}_{c:03d}.wav", label, f"spk{s:02d}", split)
+               for s in (2, 0, 1) for label in (REAL, FAKE)
+               for c, split in enumerate(("train", "test", "test", "val"))]
+    sample = pipeline._sample_records(records, per_class)
+    assert sample == [r for r in records if r in sample]  # manifest order
+    for label in (REAL, FAKE):
+        picked = [r for r in sample if r.label == label]
+        assert len({r.speaker_id for r in picked}) == min(per_class, 3)
+        round_robin = [f"spk{s:02d}/{label}_{c:03d}.wav" for c in (1, 2) for s in (0, 1, 2)]
+        assert {r.path for r in picked} == set(round_robin[:per_class])
 
 
 def test_seed_flag_changes_generated_bytes(tmp_path, capsys):

@@ -120,13 +120,6 @@ def test_acn_monotone_in_threshold():
         prev = count
 
 
-def test_acn_normalized_counts():
-    trace = _trace([("fc1", [1.0, 0.0, 1.0, 1.0])])
-    th = LayerThresholds((("fc1", 0.5),), 1)
-    fv = acn_features(trace, th, normalize=True)
-    assert fv.values.tolist() == [0.75]
-
-
 def test_acn_rejects_mismatched_thresholds():
     trace = _trace([("fc1", [1.0])])
     th = LayerThresholds((("other", 0.5),), 1)
