@@ -258,14 +258,6 @@ def mel_filterbank(
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
-def mel_center_frequencies(sample_rate: int, mel_bins: int, fmin: float = 0.0, fmax: float | None = None) -> np.ndarray:
-    """Center frequency (Hz) of each triangular mel filter."""
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), mel_bins + 2))
-    return edges[1:-1]
-
-
 def _next_pow2(n: int) -> int:
     p = 1
     while p < n:

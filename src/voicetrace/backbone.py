@@ -59,7 +59,8 @@ class FullyConnected:
 
 @dataclass(frozen=True)
 class ActivationTrace:
-    """Ordered (layer_id, neuron values) pairs, one per monitored layer."""
+    """Ordered (layer_id, neuron values) pairs, one per monitored layer; the values
+    are (width,) for one clip, or (clips, width) with one row per clip."""
 
     entries: tuple
 
@@ -67,7 +68,7 @@ class ActivationTrace:
         return [name for name, _ in self.entries]
 
     def widths(self):
-        return [values.size for _, values in self.entries]
+        return [values.shape[-1] for _, values in self.entries]
 
     def values(self, layer_id: str) -> np.ndarray:
         for name, values in self.entries:

@@ -42,7 +42,7 @@ class LayerThresholds:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Flat feature values plus which layer contributed which slots."""
+    """Feature values (one row per clip for a block trace) plus which layer contributed which slots."""
 
     values: np.ndarray
     layout: tuple  # ((layer_id, slot_count), ...)
@@ -57,58 +57,55 @@ class FeatureVector:
         return names
 
 
-def _check_layout(trace: ActivationTrace, reference: ActivationTrace):
-    ids = trace.layer_ids()
-    if ids != reference.layer_ids() or trace.widths() != reference.widths():
-        raise ValueError(f"trace layout {ids}/{trace.widths()} does not match calibration layout")
-
-
 def calibrate_thresholds(traces) -> LayerThresholds:
-    """Per layer: mean of every neuron output over every calibration input.
+    """Per layer: mean of every neuron output over every calibration clip.
 
-    Accumulation is sequential over the given ordering, so results are
-    bit-stable for a fixed input order (and order-free mathematically).
+    A trace holds one clip or a block of clips on a leading axis. Each
+    clip's layer sum is added in clip order, as a loop over single-clip
+    traces would add it, so thresholds.json is byte-identical however the
+    clips are blocked (np.cumsum adds left to right).
     """
     traces = list(traces)
     if not traces:
         raise ValueError("calibration needs at least one trace")
     first = traces[0]
-    sums = np.zeros(len(first.entries))
+    sums = [[] for _ in first.entries]  # per layer: each clip's sum, in clip order
     for trace in traces:
-        _check_layout(trace, first)
-        for j, (_, values) in enumerate(trace.entries):
-            sums[j] += float(np.sum(values))
-    n = len(traces)
-    deltas = tuple(
-        (name, float(sums[j] / (n * values.size)))
-        for j, (name, values) in enumerate(first.entries)
-    )
+        if trace.layer_ids() != first.layer_ids() or trace.widths() != first.widths():
+            raise ValueError(f"trace layout {trace.layer_ids()}/{trace.widths()} "
+                             f"does not match calibration layout")
+        for layer, (_, values) in zip(sums, trace.entries):
+            layer.append(np.atleast_1d(np.sum(values, axis=-1)))
+    sums = [np.concatenate(layer) for layer in sums]
+    n = len(sums[0])
+    deltas = tuple((name, float(np.cumsum(layer)[-1] / (n * width)))
+                   for name, width, layer in zip(first.layer_ids(), first.widths(), sums))
     return LayerThresholds(deltas, n)
 
 
 def acn_features(trace: ActivationTrace, thresholds: LayerThresholds) -> FeatureVector:
-    """Count of neurons strictly above the layer threshold, one slot per layer."""
+    """Count of neurons strictly above the layer threshold, one slot per layer (per clip)."""
     if trace.layer_ids() != thresholds.layer_ids():
         raise ValueError(
             f"trace layers {trace.layer_ids()} do not match thresholds {thresholds.layer_ids()}"
         )
-    counts = [float(np.count_nonzero(values > delta))
+    counts = [np.count_nonzero(values > delta, axis=-1)
               for (_, values), (_, delta) in zip(trace.entries, thresholds.deltas)]
     layout = tuple((name, 1) for name, _ in trace.entries)
-    return FeatureVector(np.asarray(counts), layout)
+    return FeatureVector(np.stack(counts, axis=-1).astype(np.float64), layout)
 
 
 def tkan_features(trace: ActivationTrace, k: int) -> FeatureVector:
-    """The k largest neuron outputs per layer, sorted descending, values only."""
+    """The k largest neuron outputs per layer (per clip), sorted descending, values only."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     parts = []
     for name, values in trace.entries:
-        if values.size < k:
-            raise ValueError(f"layer {name!r} has {values.size} neurons, fewer than k={k}")
-        parts.append(np.sort(values)[::-1][:k])
+        if values.shape[-1] < k:
+            raise ValueError(f"layer {name!r} has {values.shape[-1]} neurons, fewer than k={k}")
+        parts.append(np.sort(values, axis=-1)[..., ::-1][..., :k])
     layout = tuple((name, k) for name, _ in trace.entries)
-    return FeatureVector(np.concatenate(parts), layout)
+    return FeatureVector(np.concatenate(parts, axis=-1), layout)
 
 
 def save_thresholds(thresholds: LayerThresholds, path) -> None:

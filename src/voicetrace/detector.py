@@ -38,9 +38,6 @@ class DetectorSpec:
         if len(self.hidden) != 4:
             raise ValueError("detector has exactly five FC layers: four hidden plus the output")
 
-    def layer_widths(self):
-        return [self.input_width, *self.hidden, 1]
-
     def network(self) -> NetworkSpec:
         """FC-ReLU for each hidden width, then one FC logit; tensors fc1..fc5."""
         layers = []

@@ -220,6 +220,14 @@ def _require(path, stage: str, producer: str) -> None:
         raise StageError(stage, f"missing {path}; run the {producer} stage first")
 
 
+def _require_two(stage: str, paths: RunPaths, what: str, found) -> None:
+    """Refuse clips that hold fewer than two distinct labels or speakers, naming the manifest."""
+    found = sorted(set(found))
+    if len(found) < 2:
+        raise StageError(stage, f"{what} in {paths.manifest} are {found}, but {stage} needs "
+                                f"at least two; fix the manifest")
+
+
 def _records_and_root(paths: RunPaths, stage: str):
     _require(paths.manifest, stage, "gen-data")
     return load_manifest(paths.manifest), paths.manifest.parent
@@ -265,19 +273,19 @@ def _feature_array(files, fcfg: dict, jobs: int) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def _traces(netspec: NetworkSpec, weights: WeightStore, items, fcfg: dict, jobs: int, waves_of):
-    """Activation traces of items, traced in blocks; waves_of maps a block to its waveforms."""
+def _trace(netspec: NetworkSpec, weights: WeightStore, items, fcfg: dict, jobs: int, waves_of):
+    """One trace of items, each layer a (clips, width) array in item order; traced in blocks,
+    and waves_of maps a block to its waveforms."""
     def work(block):
-        _, entries = forward_batch(netspec, weights, _network_input(waves_of(block), fcfg))
-        return [ActivationTrace(tuple((name, np.asarray(vals[i])) for name, vals in entries))
-                for i in range(len(block))]
+        return forward_batch(netspec, weights, _network_input(waves_of(block), fcfg))[1]
 
-    parts = _ordered_map(work, _blocks(list(items)), jobs)
-    return [t for part in parts for t in part]
+    parts = _ordered_map(work, _blocks(list(items)), jobs)  # per block: [(layer_id, (block, width))]
+    return ActivationTrace(tuple((pairs[0][0], np.concatenate([vals for _, vals in pairs]))
+                                 for pairs in zip(*parts)))
 
 
-def _traces_for_files(netspec, weights, files, fcfg: dict, jobs: int):
-    return _traces(netspec, weights, files, fcfg, jobs, lambda block: [_load_clip(f, fcfg) for f in block])
+def _trace_files(netspec, weights, files, fcfg: dict, jobs: int):
+    return _trace(netspec, weights, files, fcfg, jobs, lambda block: [_load_clip(f, fcfg) for f in block])
 
 
 # --- stages -----------------------------------------------------------
@@ -302,8 +310,8 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
     paths = RunPaths(cfg)
     records, root = _records_and_root(paths, "train-backbone")
     train_real = [r for r in records if r.split == "train" and r.label == REAL]
-    if not train_real:
-        raise StageError("train-backbone", "manifest has no real train-split clips")
+    _require_two("train-backbone", paths, "the speakers of the real train-split clips",
+                 [r.speaker_id for r in train_real])
     speakers = sorted({r.speaker_id for r in records})
     index = {s: i for i, s in enumerate(speakers)}
     netspec = _network_for(records, cfg)
@@ -338,8 +346,8 @@ def cmd_calibrate(cfg: dict, jobs: int = 1):
     cal = [r for r in records if r.split == "train" and (keep_fake or r.label == REAL)]
     if not cal:
         raise StageError("calibrate", "no train-split clips to calibrate on")
-    traces = _traces_for_files(netspec, weights, [root / r.path for r in cal], cfg["frontend"], jobs)
-    thresholds = calibrate_thresholds(traces)
+    trace = _trace_files(netspec, weights, [root / r.path for r in cal], cfg["frontend"], jobs)
+    thresholds = calibrate_thresholds([trace])
     save_thresholds(thresholds, paths.thresholds)
     _write_audit(paths, "calibrate", cfg, inputs=[paths.manifest, paths.backbone],
                  outputs=[paths.thresholds], extra={"calibration_clips": len(cal)})
@@ -357,38 +365,31 @@ def _thresholds_for(paths: RunPaths, netspec: NetworkSpec, stage: str):
     return thresholds
 
 
-def _features_matrix(traces, criterion: str, cfg: dict, thresholds=None):
-    if criterion == ACN:
-        vecs = [acn_features(t, thresholds) for t in traces]
-    else:
-        vecs = [tkan_features(t, cfg["coverage"]["k"]) for t in traces]
-    return np.stack([v.values for v in vecs]), vecs[0].column_names(criterion)
-
-
 def _trace_and_write(cfg: dict, paths: RunPaths, stage: str, jobs: int, feature_path):
     """Trace every manifest clip, write each criterion's feature CSV to feature_path(criterion),
-    and return (records, traces, audit inputs, written CSVs)."""
+    and return (records, trace, audit inputs, written CSVs)."""
     records, root = _records_and_root(paths, stage)
     _require(paths.backbone, stage, "train-backbone")
-    criteria = _criteria(cfg)
+    criteria, k = _criteria(cfg), cfg["coverage"]["k"]
     netspec = _network_for(records, cfg)
     narrowest = min(width for _, _, width in netspec.monitored_layers())
-    if TKAN in criteria and cfg["coverage"]["k"] > narrowest:
-        raise ConfigError(f"coverage.k {cfg['coverage']['k']} exceeds the {narrowest} neurons of the "
+    if TKAN in criteria and k > narrowest:
+        raise ConfigError(f"coverage.k {k} exceeds the {narrowest} neurons of the "
                           f"narrowest monitored layer; lower coverage.k or use more speakers")
     thresholds = _thresholds_for(paths, netspec, stage) if ACN in criteria else None
     weights = load_weights(paths.backbone, netspec)
-    traces = _traces_for_files(netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs)
+    trace = _trace_files(netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs)
 
     outputs = []
     for criterion in criteria:
-        matrix, names = _features_matrix(traces, criterion, cfg, thresholds)
+        feats = acn_features(trace, thresholds) if criterion == ACN else tkan_features(trace, k)
         out = feature_path(criterion)
         out.parent.mkdir(parents=True, exist_ok=True)
-        write_feature_csv(out, names, [r.label for r in records], [r.split for r in records], matrix)
+        write_feature_csv(out, feats.column_names(criterion), [r.label for r in records],
+                          [r.split for r in records], feats.values)
         outputs.append(out)
     inputs = [paths.manifest, paths.backbone] + ([paths.thresholds] if thresholds else [])
-    return records, traces, inputs, outputs
+    return records, trace, inputs, outputs
 
 
 def cmd_extract(cfg: dict, jobs: int = 1):
@@ -400,9 +401,10 @@ def cmd_extract(cfg: dict, jobs: int = 1):
     return outputs
 
 
-def _read_split(path, split: str):
+def _read_split(path, split: str, stage: str, paths: RunPaths):
     names, labels, splits, matrix = read_feature_csv(path)
     keep = [i for i, s in enumerate(splits) if s == split]
+    _require_two(stage, paths, f"the labels of the {split}-split clips", [labels[i] for i in keep])
     y = np.asarray([1 if labels[i] == FAKE else 0 for i in keep])
     return matrix[keep], y
 
@@ -429,7 +431,7 @@ def cmd_train_detector(cfg: dict, jobs: int = 1):
     config = TrainConfig(**cfg["detector"], seed=cfg["seed"])
 
     def fit(criterion):
-        x_train, y_train = _read_split(paths.features(criterion), "train")
+        x_train, y_train = _read_split(paths.features(criterion), "train", "train-detector", paths)
         model = train_detector(x_train, y_train, config, standardizer=Standardizer.fit(x_train),
                                criterion=criterion, k=cfg["coverage"]["k"] if criterion == TKAN else 0)
         save_detector(model, paths.detector(criterion))
@@ -450,7 +452,7 @@ def cmd_eval(cfg: dict, jobs: int = 1):
     for criterion in _criteria(cfg):
         feats = paths.features(criterion)
         _require(feats, "eval", "extract")
-        x_test, y_test = _read_split(feats, "test")
+        x_test, y_test = _read_split(feats, "test", "eval", paths)
         model = _current_detector(paths, cfg, criterion, "eval", x_test.shape[1])
         scores = score_batch(model, x_test)
         rows.append(MetricRow.from_metrics("test", criterion, "none", 0.0,
@@ -502,15 +504,15 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     paths = RunPaths(cfg)
     records, root = _records_and_root(paths, "sweep")
     _require(paths.backbone, "sweep", "train-backbone")
-    criteria = _criteria(cfg)
+    criteria, k = _criteria(cfg), cfg["coverage"]["k"]
     netspec = _network_for(records, cfg)
     n_layers = len(netspec.monitored_layers())
-    detectors = {c: _current_detector(paths, cfg, c, "sweep",
-                                      n_layers * (cfg["coverage"]["k"] if c == TKAN else 1))
+    detectors = {c: _current_detector(paths, cfg, c, "sweep", n_layers * (k if c == TKAN else 1))
                  for c in criteria}
     thresholds = _thresholds_for(paths, netspec, "sweep") if ACN in criteria else None
-    if not paths.noise_dir.exists():
-        raise StageError("sweep", f"missing noise bank {paths.noise_dir}; run the gen-data stage first")
+    if not any(paths.noise_dir.glob("*.wav")):  # a path that is no directory globs to nothing
+        raise StageError("sweep", f"missing noise bank {paths.noise_dir} (no *.wav files); "
+                                  f"run the gen-data stage first")
 
     frozen = [paths.backbone] + [paths.detector(c) for c in criteria]
     if thresholds is not None:
@@ -520,8 +522,7 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     weights = load_weights(paths.backbone, netspec)
     bank = load_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"])
     sample = _sample_records(records, cfg["sweep"]["sample_per_class"])
-    if not sample:
-        raise StageError("sweep", "manifest has no test-split clips")
+    _require_two("sweep", paths, "the labels of the sampled test-split clips", [r.label for r in sample])
     waves = [_load_clip(root / r.path, cfg["frontend"]) for r in sample]
     for w in waves:
         w.samples.flags.writeable = False  # every cell manipulates these same clips
@@ -533,11 +534,11 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     def evaluate(manipulation, tag: str):
         waves_of = list if manipulation is None else (
             lambda block: apply_manipulation(block, manipulation, bank, formula))
-        traces = _traces(netspec, weights, waves, cfg["frontend"], 1, waves_of)
+        trace = _trace(netspec, weights, waves, cfg["frontend"], 1, waves_of)
         rows = []
         for criterion in criteria:
-            matrix, _ = _features_matrix(traces, criterion, cfg, thresholds)
-            scores = score_batch(detectors[criterion], matrix)
+            feats = acn_features(trace, thresholds) if criterion == ACN else tkan_features(trace, k)
+            scores = score_batch(detectors[criterion], feats.values)
             name = manipulation.describe() if manipulation else "none"
             magnitude = manipulation.magnitude if manipulation else 0.0
             rows.append(MetricRow.from_metrics(tag, criterion, name, magnitude,
@@ -594,14 +595,13 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
 def cmd_export_features(cfg: dict, jobs: int = 1):
     """Raw traces plus per-criterion features as labeled CSVs for plotting."""
     paths = RunPaths(cfg)
-    records, traces, inputs, features = _trace_and_write(
+    records, trace, inputs, features = _trace_and_write(
         cfg, paths, "export-features", jobs, lambda criterion: paths.export_dir / f"features_{criterion}.csv")
     raw_names = [f"{layer_id}.n{i + 1}"
-                 for layer_id, width in zip(traces[0].layer_ids(), traces[0].widths()) for i in range(width)]
-    raw_matrix = np.stack([np.concatenate([vals for _, vals in t.entries]) for t in traces])
+                 for layer_id, width in zip(trace.layer_ids(), trace.widths()) for i in range(width)]
     outputs = [paths.export_dir / "traces.csv", *features]
-    write_feature_csv(outputs[0], raw_names, [r.label for r in records],
-                      [r.split for r in records], raw_matrix)
+    write_feature_csv(outputs[0], raw_names, [r.label for r in records], [r.split for r in records],
+                      np.concatenate([vals for _, vals in trace.entries], axis=1))
     _write_audit(paths, "export-features", cfg, inputs=inputs, outputs=outputs,
                  extra={"rows": len(records)})
     return outputs

@@ -11,16 +11,22 @@ from voicetrace.audio import (
     _windowed_rfft,
     band_pass,
     hann_window,
+    hz_to_mel,
     istft,
     load_wav,
     log_mel,
-    mel_center_frequencies,
     mel_filterbank,
+    mel_to_hz,
     rms,
     save_wav,
     stft,
 )
 from voicetrace.errors import AudioFormatError, AudioParseError
+
+
+def _mel_center_frequencies(sample_rate, mel_bins):
+    """Center frequency (Hz) of each triangular filter of mel_filterbank(sample_rate, _, mel_bins)."""
+    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), mel_bins + 2))[1:-1]
 
 
 def _pcm16_file(path, words, sample_rate=16000, channels=1):
@@ -297,7 +303,7 @@ def test_log_mel_tone_hits_nearest_mel_bin():
     sr = 16000
     t = np.arange(sr) / sr
     out = log_mel([Waveform(0.5 * np.sin(2 * np.pi * 1000 * t), sr)], _frames_of(sr))[0]
-    centers = mel_center_frequencies(sr, 64)
+    centers = _mel_center_frequencies(sr, 64)
     expected_bin = int(np.argmin(np.abs(centers - 1000.0)))
     hot = int(np.argmax(out.mean(axis=0)))
     assert hot == expected_bin

@@ -340,6 +340,54 @@ def test_sweep_decodes_each_sampled_clip_once_and_shares_it_read_only(chain, tmp
         manipulated[0][0][0] = 0.0
 
 
+def _run_with_manifest_without(chain, tmp_path, drop):
+    """A copy of the chain's run, a user manifest without the records drop picks, and its config."""
+    out, _ = chain
+    part = tmp_path / "run"
+    shutil.copytree(out, part)
+    lines = (part / "corpus" / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    manifest = part / "corpus" / "user_manifest.tsv"
+    manifest.write_text("".join(f"{line}\n" for line in lines if not drop(ManifestRecord(*line.split("\t")))),
+                        encoding="utf-8")
+    return part, manifest, _write_config(tmp_path, {"manifest": str(manifest)})
+
+
+@pytest.mark.parametrize("drop, stages", [
+    (lambda r: r.label == FAKE and r.split == "test", ["eval", "sweep"]),
+    (lambda r: r.label == FAKE and r.split == "train", ["train-detector"]),
+    (lambda r: r.split == "train" and r.speaker_id != "spk00", ["train-backbone"]),
+], ids=["no-fake-test-clips", "no-fake-train-clips", "one-train-speaker"])
+def test_a_split_that_lacks_a_class_exits_2_naming_the_manifest(chain, tmp_path, capsys, drop, stages):
+    part, manifest, cfg = _run_with_manifest_without(chain, tmp_path, drop)
+    # the feature CSVs that train-detector and eval read follow the manifest
+    assert main(["extract", "--config", str(cfg), "--out", str(part), "--seed", "7"]) == 0
+    capsys.readouterr()
+    for stage in stages:
+        rc = main([stage, "--config", str(cfg), "--out", str(part), "--seed", "7"])
+        err = capsys.readouterr().err
+        assert rc == 2, stage
+        assert err.startswith(f"voicetrace: {stage}: ")
+        assert str(manifest) in err and "needs at least two; fix the manifest" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("files", [[], ["notes.txt"]], ids=["empty-directory", "no-wav-files"])
+def test_noise_bank_without_wav_files_exits_2(chain, tmp_path, capsys, files):
+    out, _ = chain
+    part = tmp_path / "run"
+    shutil.copytree(out, part)
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    for name in files:
+        (bank / name).write_text("not audio", encoding="utf-8")
+    cfg = _write_config(tmp_path, {"noise_bank": str(bank)})
+    rc = main(["sweep", "--config", str(cfg), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: sweep: missing noise bank {bank} ")
+    assert "Traceback" not in err
+
+
 def test_single_criterion_run_reports_only_that_criterion(chain, tmp_path):
     out, _ = chain
     part = tmp_path / "acn_only"

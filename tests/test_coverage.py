@@ -16,6 +16,7 @@ from voicetrace.coverage import (
     tkan_features,
     write_feature_csv,
 )
+from voicetrace.pipeline import _TRACE_BLOCK
 
 
 def _trace(layer_values):
@@ -81,6 +82,58 @@ def test_calibrate_order_free():
     forward = calibrate_thresholds(traces)
     backward = calibrate_thresholds(traces[::-1])
     assert forward.deltas == backward.deltas
+
+
+def _clips(block):
+    """The single-clip traces of a block trace, in clip order."""
+    return [ActivationTrace(tuple((name, values[i]) for name, values in block.entries))
+            for i in range(len(block.entries[0][1]))]
+
+
+def _reference_calibrate(traces):
+    """The per-clip loop calibrate ran before traces held a clip axis."""
+    sums = np.zeros(len(traces[0].entries))
+    for trace in traces:
+        for j, (_, values) in enumerate(trace.entries):
+            sums[j] += float(np.sum(values))
+    return LayerThresholds(tuple((name, float(sums[j] / (len(traces) * values.size)))
+                                 for j, (name, values) in enumerate(traces[0].entries)), len(traces))
+
+
+def _bits(thresholds):
+    return [(name, delta.hex()) for name, delta in thresholds.deltas]
+
+
+@pytest.fixture
+def block():
+    """A 17-clip trace, one clip more than the pipeline's trace block, on the stock layer widths."""
+    rng = np.random.default_rng(71)
+    widths = (16, 32, 64, 128, 64, 8)
+    return _trace([(f"l{j}", np.maximum(rng.standard_normal((_TRACE_BLOCK + 1, w)), 0.0))
+                   for j, w in enumerate(widths)])
+
+
+def test_batched_calibrate_equals_the_per_clip_loop_bitwise(block):
+    clips = _clips(block)
+    batched = calibrate_thresholds([block])
+    assert batched.calibration_size == len(clips) == _TRACE_BLOCK + 1
+    assert block.widths() == [16, 32, 64, 128, 64, 8]
+    assert _bits(batched) == _bits(_reference_calibrate(clips))
+    assert _bits(batched) == _bits(calibrate_thresholds(clips))
+    split = ActivationTrace(tuple((name, values[:_TRACE_BLOCK]) for name, values in block.entries))
+    assert _bits(batched) == _bits(calibrate_thresholds([split, clips[-1]]))
+
+
+def test_batched_features_equal_the_per_clip_features_bitwise(block):
+    clips = _clips(block)
+    th = calibrate_thresholds([block])
+    for batched, single in ((acn_features(block, th), lambda c: acn_features(c, th)),
+                            (tkan_features(block, k=5), lambda c: tkan_features(c, k=5))):
+        per_clip = np.stack([single(c).values for c in clips])
+        assert batched.values.shape == per_clip.shape == (_TRACE_BLOCK + 1, len(batched.column_names(ACN)))
+        assert batched.values.dtype == np.float64
+        assert np.array_equal(batched.values, per_clip)
+        assert batched.layout == single(clips[0]).layout
 
 
 def test_acn_hand_case():

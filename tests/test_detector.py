@@ -20,6 +20,11 @@ from voicetrace.nn import glorot_uniform, relu, sigmoid
 TINY_SPEC = DetectorSpec(2, hidden=(4, 3, 3, 2))  # 50 parameters
 
 
+def _layer_widths(spec):
+    """Input width, the four hidden widths, then the one logit."""
+    return [spec.input_width, *spec.hidden, 1]
+
+
 def _blobs(n_per_class=40, gap=4.0, seed=0):
     rng = np.random.default_rng(seed)
     real = rng.standard_normal((n_per_class, 2)) * 0.4
@@ -32,7 +37,7 @@ def _blobs(n_per_class=40, gap=4.0, seed=0):
 def test_spec_requires_four_hidden_layers():
     with pytest.raises(ValueError):
         DetectorSpec(8, hidden=(16, 8))
-    assert DetectorSpec(8).layer_widths() == [8, 256, 128, 64, 32, 1]
+    assert _layer_widths(DetectorSpec(8)) == [8, 256, 128, 64, 32, 1]
 
 
 def test_train_config_validation():
@@ -94,7 +99,7 @@ def test_train_rejects_width_mismatch():
 def _reference_train_detector(x, labels, config, spec):
     """The detector's own five-layer FC loop, from before it ran on the backbone's engine."""
     rng = np.random.default_rng(config.seed)
-    widths = spec.layer_widths()
+    widths = _layer_widths(spec)
     params = {}
     for i in range(5):
         w = glorot_uniform(rng, (widths[i], widths[i + 1]), widths[i], widths[i + 1])
@@ -150,7 +155,7 @@ def test_train_detector_matches_the_hand_rolled_reference(spec):
 
 
 def test_zero_model_scores_half():
-    widths = TINY_SPEC.layer_widths()
+    widths = _layer_widths(TINY_SPEC)
     tensors = {}
     for i in range(5):
         tensors[f"fc{i + 1}.weight"] = np.zeros((widths[i], widths[i + 1]), dtype=np.float32)
