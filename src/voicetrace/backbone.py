@@ -196,8 +196,10 @@ class WeightStore:
         return {k: v.astype(np.float64) for k, v in self.tensors.items()}
 
 
-def init_weights_with_rng(spec: NetworkSpec, rng: np.random.Generator) -> WeightStore:
-    """Glorot-uniform weights, zero biases; all draws from the given generator."""
+def init_weights(spec: NetworkSpec, seed: int | np.random.Generator) -> WeightStore:
+    """Glorot-uniform weights, zero biases; all draws come from the seed's generator, or from
+    the given Generator itself, which np.random.default_rng returns unaltered."""
+    rng = np.random.default_rng(seed)
     tensors = {}
     for name, shape in spec.parameter_shapes().items():
         if name.endswith(".bias"):
@@ -209,10 +211,6 @@ def init_weights_with_rng(spec: NetworkSpec, rng: np.random.Generator) -> Weight
             fan_in, fan_out = shape
             tensors[name] = glorot_uniform(rng, shape, fan_in, fan_out).astype(np.float32)
     return WeightStore(tensors)
-
-
-def init_weights(spec: NetworkSpec, seed: int) -> WeightStore:
-    return init_weights_with_rng(spec, np.random.default_rng(seed))
 
 
 def save_weights(weights: WeightStore, path) -> None:
@@ -434,7 +432,7 @@ def train_backbone(spec: NetworkSpec, features: np.ndarray, labels, config: Back
         raise ValueError("labels must lie in [0, output_width)")
 
     rng = np.random.default_rng(config.seed)
-    params = init_weights_with_rng(spec, rng).as_float64()
+    params = init_weights(spec, rng).as_float64()
     epoch_losses = momentum_sgd(
         params, lambda take: _loss_and_grads(spec, params, features[take], labels[take]),
         features.shape[0], rng, lr=config.lr, momentum=config.momentum,

@@ -21,6 +21,13 @@ _STAGES = [
 ]
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voicetrace",
@@ -32,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON experiment config")
         p.add_argument("--seed", type=int, metavar="N", help="override the config seed")
         p.add_argument("--out", metavar="DIR", help="override the output directory")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
+        p.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                        help="worker threads (never changes output bytes)")
         p.set_defaults(func=func)
     return parser
@@ -42,7 +49,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = pipeline.load_config(args.config, seed=args.seed, out_dir=args.out)
-        result = args.func(cfg, jobs=max(1, args.jobs))
+        result = args.func(cfg, jobs=args.jobs)
     except ConfigError as exc:
         print(f"voicetrace: config error: {exc}", file=sys.stderr)
         return 2

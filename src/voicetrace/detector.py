@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nsw1
 from .backbone import (FullyConnected, NetworkSpec, Relu, WeightStore, _check_gradients,
-                       _loss_and_grads, _run_layers, init_weights_with_rng)
+                       _loss_and_grads, _run_layers, init_weights)
 from .corpus import FAKE, REAL
 from .errors import WeightFormatError
 from .nn import momentum_sgd, sigmoid
@@ -147,7 +147,7 @@ def train_detector(
 
     net = spec.network()
     rng = np.random.default_rng(config.seed)
-    params = init_weights_with_rng(net, rng).as_float64()
+    params = init_weights(net, rng).as_float64()
     epoch_losses = momentum_sgd(
         params, lambda take: _loss_and_grads(net, params, x_all[take], labels[take], _bce_loss),
         features.shape[0], rng, lr=config.lr, momentum=config.momentum,

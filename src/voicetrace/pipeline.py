@@ -3,7 +3,9 @@
 Each stage reads artifacts written by earlier stages, writes its own
 under the output directory, and drops an audit JSON holding the config
 digest, the seed, and input/output content hashes. Nothing records wall
-time, so reruns with the same config and seed are byte-identical.
+time, so reruns with the same config and seed are byte-identical. A stage
+reads each input through one `_Stage` object, which refuses a missing file
+by naming the stage that writes it and lists the file in the audit.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ DEFAULT_CONFIG = {
     },
     "frontend": {"window": 400, "hop": 160, "mel_bins": 64, "frames": 200},
     "backbone": {"lr": 0.01, "momentum": 0.9, "epochs": 15, "batch_size": 32},
-    "coverage": {"criterion": "both", "k": 5, "calibration_classes": "both"},
+    "coverage": {"criterion": "both", "k": 5},
     "detector": {"lr": 3e-4, "momentum": 0.9, "decay": 1e-6, "epochs": 3000, "batch_size": 32},
     "sweep": {
         "resample_offsets": [-400, -200, 0, 200, 400],
@@ -73,7 +75,6 @@ _LIMITS = {
     "corpus.fake_artifact": ARTIFACTS,
     "backbone.momentum": (0, 1),
     "coverage.criterion": (ACN, TKAN, "both"),
-    "coverage.calibration_classes": ("both", "real"),
     "detector.momentum": (0, 1),
     "detector.decay": (0, math.inf),
     "sweep.sample_per_class": (0, math.inf),  # 0 samples every test clip
@@ -194,43 +195,76 @@ def _criteria(cfg: dict):
     return [ACN, TKAN] if chosen == "both" else [chosen]
 
 
-def _sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _sha256s(files) -> dict:
+    return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in files}
 
 
-def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+class _Stage:
+    """One run of a named stage. Every input it reads passes through need(), which refuses a
+    missing file by naming the stage that writes it and records the file for the audit."""
 
+    def __init__(self, cfg: dict, name: str):
+        self.cfg, self.name = cfg, name
+        self.paths = RunPaths(cfg)
+        self.inputs = []
 
-def _write_audit(paths: RunPaths, stage: str, cfg: dict, inputs, outputs, extra=None) -> None:
-    audit = {
-        "stage": stage,
-        "config_sha256": config_digest(cfg),
-        "seed": cfg["seed"],
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
-        "outputs": {str(p): _sha256_file(p) for p in outputs},
-    }
-    if extra:
-        audit.update(extra)
-    _write_json(paths.audit(stage), audit)
+    def error(self, msg: str) -> StageError:
+        return StageError(self.name, msg)
 
+    def need(self, path, producer: str) -> Path:
+        path = Path(path)
+        if not path.exists():
+            raise self.error(f"missing {path}; run the {producer} stage first")
+        self.inputs.append(path)
+        return path
 
-def _require(path, stage: str, producer: str) -> None:
-    if not Path(path).exists():
-        raise StageError(stage, f"missing {path}; run the {producer} stage first")
+    def require_two(self, what: str, found) -> None:
+        """Refuse clips that hold fewer than two distinct labels or speakers, naming the manifest."""
+        found = sorted(set(found))
+        if len(found) < 2:
+            raise self.error(f"{what} in {self.paths.manifest} are {found}, but {self.name} needs "
+                             f"at least two; fix the manifest")
 
+    def records(self):
+        """The manifest's records and the directory their paths are relative to."""
+        manifest = self.need(self.paths.manifest, "gen-data")
+        return load_manifest(manifest), manifest.parent
 
-def _require_two(stage: str, paths: RunPaths, what: str, found) -> None:
-    """Refuse clips that hold fewer than two distinct labels or speakers, naming the manifest."""
-    found = sorted(set(found))
-    if len(found) < 2:
-        raise StageError(stage, f"{what} in {paths.manifest} are {found}, but {stage} needs "
-                                f"at least two; fix the manifest")
+    def thresholds(self, netspec: NetworkSpec):
+        """The calibrated thresholds, refused unless they name the backbone's monitored layers."""
+        path = self.need(self.paths.thresholds, "calibrate")
+        thresholds = load_thresholds(path)
+        layers = [name for _, name, _ in netspec.monitored_layers()]
+        if thresholds.layer_ids() != layers:
+            raise self.error(f"{path} holds thresholds for layers {thresholds.layer_ids()}, "
+                             f"but the backbone monitors {layers}; rerun the calibrate stage")
+        return thresholds
 
+    def split(self, criterion: str, split: str):
+        """One split's rows of the criterion's feature CSV and their labels, fake as 1."""
+        _, labels, splits, matrix = read_feature_csv(self.need(self.paths.features(criterion), "extract"))
+        keep = [i for i, s in enumerate(splits) if s == split]
+        self.require_two(f"the labels of the {split}-split clips", [labels[i] for i in keep])
+        return matrix[keep], np.asarray([1 if labels[i] == FAKE else 0 for i in keep])
 
-def _records_and_root(paths: RunPaths, stage: str):
-    _require(paths.manifest, stage, "gen-data")
-    return load_manifest(paths.manifest), paths.manifest.parent
+    def detector(self, criterion: str, width: int):
+        """The criterion's detector, refused when trained under another k or feature width."""
+        path = self.need(self.paths.detector(criterion), "train-detector")
+        model = load_detector(path)
+        k = self.cfg["coverage"]["k"] if criterion == TKAN else 0
+        if (model.criterion, model.k, model.spec.input_width) != (criterion, k, width):
+            raise self.error(f"{path} was trained for {model.criterion!r} k={model.k} on "
+                             f"{model.spec.input_width} features, but this run needs {criterion!r} "
+                             f"k={k} on {width}; rerun the train-detector stage")
+        return model
+
+    def audit(self, outputs, **extra) -> None:
+        """Write the stage's audit: the config digest, the seed, and the SHA-256 of every input
+        it read and of every output it wrote."""
+        audit = {"stage": self.name, "config_sha256": config_digest(self.cfg), "seed": self.cfg["seed"],
+                 "inputs": _sha256s(self.inputs), "outputs": _sha256s(outputs), **extra}
+        self.paths.audit(self.name).write_text(json.dumps(audit, sort_keys=True, indent=2) + "\n",
+                                               encoding="utf-8")
 
 
 def _network_for(records, cfg: dict) -> NetworkSpec:
@@ -293,25 +327,23 @@ def _trace_files(netspec, weights, files, fcfg: dict, jobs: int):
 
 def cmd_gen_data(cfg: dict, jobs: int = 1):
     """Write the synthetic corpus plus the 12-texture noise bank."""
-    paths = RunPaths(cfg)
+    stage = _Stage(cfg, "gen-data")
+    paths = stage.paths
     paths.out.mkdir(parents=True, exist_ok=True)
     records = generate_corpus(CorpusSpec(**cfg["corpus"], seed=cfg["seed"]), paths.corpus_dir,
                               map_fn=lambda render, clips: _ordered_map(render, clips, jobs))
     bank = generate_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"], seed=cfg["seed"] + 1)
-    noise_files = sorted(paths.noise_dir.glob("*.wav"))
-    _write_audit(paths, "gen-data", cfg, inputs=[],
-                 outputs=[paths.manifest, *noise_files],
-                 extra={"clips": len(records), "noise_classes": bank.ids()})
+    stage.audit([paths.manifest, *sorted(paths.noise_dir.glob("*.wav"))],
+                clips=len(records), noise_classes=bank.ids())
     return records
 
 
 def cmd_train_backbone(cfg: dict, jobs: int = 1):
     """Train the speaker network on real train-split clips."""
-    paths = RunPaths(cfg)
-    records, root = _records_and_root(paths, "train-backbone")
+    stage = _Stage(cfg, "train-backbone")
+    records, root = stage.records()
     train_real = [r for r in records if r.split == "train" and r.label == REAL]
-    _require_two("train-backbone", paths, "the speakers of the real train-split clips",
-                 [r.speaker_id for r in train_real])
+    stage.require_two("the speakers of the real train-split clips", [r.speaker_id for r in train_real])
     speakers = sorted({r.speaker_id for r in records})
     index = {s: i for i, s in enumerate(speakers)}
     netspec = _network_for(records, cfg)
@@ -320,7 +352,7 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
     labels = np.asarray([index[r.speaker_id] for r in train_real])
     store, losses = train_backbone(netspec, feats, labels,
                                    BackboneTrainConfig(**cfg["backbone"], seed=cfg["seed"]))
-    save_weights(store, paths.backbone)
+    save_weights(store, stage.paths.backbone)
 
     held = [r for r in records if r.split == "test" and r.label == REAL]
     accuracy = None
@@ -329,55 +361,42 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
         predicted = classify(netspec, store, held_feats)
         truth = np.asarray([index[r.speaker_id] for r in held])
         accuracy = float(np.mean(predicted == truth))
-    _write_audit(paths, "train-backbone", cfg, inputs=[paths.manifest], outputs=[paths.backbone],
-                 extra={"epoch_losses": losses, "holdout_speaker_accuracy": accuracy})
+    stage.audit([stage.paths.backbone], epoch_losses=losses, holdout_speaker_accuracy=accuracy)
     return store
 
 
 def cmd_calibrate(cfg: dict, jobs: int = 1):
-    """Average train-split activations into per-layer thresholds."""
-    paths = RunPaths(cfg)
-    records, root = _records_and_root(paths, "calibrate")
-    _require(paths.backbone, "calibrate", "train-backbone")
+    """Average train-split activations of both classes into per-layer thresholds."""
+    stage = _Stage(cfg, "calibrate")
+    records, root = stage.records()
+    backbone = stage.need(stage.paths.backbone, "train-backbone")
     netspec = _network_for(records, cfg)
-    weights = load_weights(paths.backbone, netspec)
+    weights = load_weights(backbone, netspec)
 
-    keep_fake = cfg["coverage"]["calibration_classes"] == "both"
-    cal = [r for r in records if r.split == "train" and (keep_fake or r.label == REAL)]
+    cal = [r for r in records if r.split == "train"]
     if not cal:
-        raise StageError("calibrate", "no train-split clips to calibrate on")
+        raise stage.error("no train-split clips to calibrate on")
     trace = _trace_files(netspec, weights, [root / r.path for r in cal], cfg["frontend"], jobs)
     thresholds = calibrate_thresholds([trace])
-    save_thresholds(thresholds, paths.thresholds)
-    _write_audit(paths, "calibrate", cfg, inputs=[paths.manifest, paths.backbone],
-                 outputs=[paths.thresholds], extra={"calibration_clips": len(cal)})
+    save_thresholds(thresholds, stage.paths.thresholds)
+    stage.audit([stage.paths.thresholds], calibration_clips=len(cal))
     return thresholds
 
 
-def _thresholds_for(paths: RunPaths, netspec: NetworkSpec, stage: str):
-    """The calibrated thresholds, refused unless they name the backbone's monitored layers."""
-    _require(paths.thresholds, stage, "calibrate")
-    thresholds = load_thresholds(paths.thresholds)
-    layers = [name for _, name, _ in netspec.monitored_layers()]
-    if thresholds.layer_ids() != layers:
-        raise StageError(stage, f"{paths.thresholds} holds thresholds for layers {thresholds.layer_ids()}, "
-                                f"but the backbone monitors {layers}; rerun the calibrate stage")
-    return thresholds
-
-
-def _trace_and_write(cfg: dict, paths: RunPaths, stage: str, jobs: int, feature_path):
+def _trace_and_write(stage: _Stage, jobs: int, feature_path):
     """Trace every manifest clip, write each criterion's feature CSV to feature_path(criterion),
-    and return (records, trace, audit inputs, written CSVs)."""
-    records, root = _records_and_root(paths, stage)
-    _require(paths.backbone, stage, "train-backbone")
+    and return (records, trace, written CSVs)."""
+    cfg = stage.cfg
+    records, root = stage.records()
+    backbone = stage.need(stage.paths.backbone, "train-backbone")
     criteria, k = _criteria(cfg), cfg["coverage"]["k"]
     netspec = _network_for(records, cfg)
     narrowest = min(width for _, _, width in netspec.monitored_layers())
     if TKAN in criteria and k > narrowest:
         raise ConfigError(f"coverage.k {k} exceeds the {narrowest} neurons of the "
                           f"narrowest monitored layer; lower coverage.k or use more speakers")
-    thresholds = _thresholds_for(paths, netspec, stage) if ACN in criteria else None
-    weights = load_weights(paths.backbone, netspec)
+    thresholds = stage.thresholds(netspec) if ACN in criteria else None
+    weights = load_weights(backbone, netspec)
     trace = _trace_files(netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs)
 
     outputs = []
@@ -388,79 +407,48 @@ def _trace_and_write(cfg: dict, paths: RunPaths, stage: str, jobs: int, feature_
         write_feature_csv(out, feats.column_names(criterion), [r.label for r in records],
                           [r.split for r in records], feats.values)
         outputs.append(out)
-    inputs = [paths.manifest, paths.backbone] + ([paths.thresholds] if thresholds else [])
-    return records, trace, inputs, outputs
+    return records, trace, outputs
 
 
 def cmd_extract(cfg: dict, jobs: int = 1):
     """Trace every manifest clip and write per-criterion feature CSVs."""
-    paths = RunPaths(cfg)
-    records, _, inputs, outputs = _trace_and_write(cfg, paths, "extract", jobs, paths.features)
-    _write_audit(paths, "extract", cfg, inputs=inputs, outputs=outputs,
-                 extra={"rows": len(records), "criteria": _criteria(cfg)})
+    stage = _Stage(cfg, "extract")
+    records, _, outputs = _trace_and_write(stage, jobs, stage.paths.features)
+    stage.audit(outputs, rows=len(records), criteria=_criteria(cfg))
     return outputs
-
-
-def _read_split(path, split: str, stage: str, paths: RunPaths):
-    names, labels, splits, matrix = read_feature_csv(path)
-    keep = [i for i, s in enumerate(splits) if s == split]
-    _require_two(stage, paths, f"the labels of the {split}-split clips", [labels[i] for i in keep])
-    y = np.asarray([1 if labels[i] == FAKE else 0 for i in keep])
-    return matrix[keep], y
-
-
-def _current_detector(paths: RunPaths, cfg: dict, criterion: str, stage: str, width: int):
-    """The criterion's detector, refused when trained under another k or feature width."""
-    path = paths.detector(criterion)
-    _require(path, stage, "train-detector")
-    model = load_detector(path)
-    k = cfg["coverage"]["k"] if criterion == TKAN else 0
-    if (model.criterion, model.k, model.spec.input_width) != (criterion, k, width):
-        raise StageError(stage, f"{path} was trained for {model.criterion!r} k={model.k} on "
-                                f"{model.spec.input_width} features, but this run needs {criterion!r} "
-                                f"k={k} on {width}; rerun the train-detector stage")
-    return model
 
 
 def cmd_train_detector(cfg: dict, jobs: int = 1):
     """Fit one detector per criterion on the train split; the criteria share the pool."""
-    paths = RunPaths(cfg)
+    stage = _Stage(cfg, "train-detector")
     criteria = _criteria(cfg)
-    for criterion in criteria:
-        _require(paths.features(criterion), "train-detector", "extract")
+    train = {c: stage.split(c, "train") for c in criteria}
     config = TrainConfig(**cfg["detector"], seed=cfg["seed"])
 
     def fit(criterion):
-        x_train, y_train = _read_split(paths.features(criterion), "train", "train-detector", paths)
+        x_train, y_train = train[criterion]
         model = train_detector(x_train, y_train, config, standardizer=Standardizer.fit(x_train),
                                criterion=criterion, k=cfg["coverage"]["k"] if criterion == TKAN else 0)
-        save_detector(model, paths.detector(criterion))
+        save_detector(model, stage.paths.detector(criterion))
         return model
 
     models = dict(zip(criteria, _ordered_map(fit, criteria, jobs)))
-    _write_audit(paths, "train-detector", cfg,
-                 inputs=[paths.features(c) for c in criteria],
-                 outputs=[paths.detector(c) for c in criteria],
-                 extra={"epoch_losses": {c: m.loss_log for c, m in models.items()}})
+    stage.audit([stage.paths.detector(c) for c in criteria],
+                epoch_losses={c: m.loss_log for c, m in models.items()})
     return models
 
 
 def cmd_eval(cfg: dict, jobs: int = 1):
     """Score the test split with the frozen detectors; one report row per criterion."""
-    paths = RunPaths(cfg)
+    stage = _Stage(cfg, "eval")
     rows = []
     for criterion in _criteria(cfg):
-        feats = paths.features(criterion)
-        _require(feats, "eval", "extract")
-        x_test, y_test = _read_split(feats, "test", "eval", paths)
-        model = _current_detector(paths, cfg, criterion, "eval", x_test.shape[1])
-        scores = score_batch(model, x_test)
+        x_test, y_test = stage.split(criterion, "test")
+        scores = score_batch(stage.detector(criterion, x_test.shape[1]), x_test)
         rows.append(MetricRow.from_metrics("test", criterion, "none", 0.0,
                                            compute_all(y_test, scores)))
-    write_report(paths.eval_report, rows)
-    _write_audit(paths, "eval", cfg,
-                 inputs=[p for c in _criteria(cfg) for p in (paths.features(c), paths.detector(c))],
-                 outputs=[paths.eval_report])
+    write_report(stage.paths.eval_report, rows)
+    stage.audit([stage.paths.eval_report])
     return rows
 
 
@@ -501,28 +489,31 @@ def _atomic_write_report(path: Path, rows) -> None:
 
 def cmd_sweep(cfg: dict, jobs: int = 1):
     """Run every manipulation cell against frozen models; continue past cell failures."""
-    paths = RunPaths(cfg)
-    records, root = _records_and_root(paths, "sweep")
-    _require(paths.backbone, "sweep", "train-backbone")
+    stage = _Stage(cfg, "sweep")
+    paths = stage.paths
+    records, root = stage.records()
+    stage.need(paths.backbone, "train-backbone")
     criteria, k = _criteria(cfg), cfg["coverage"]["k"]
     netspec = _network_for(records, cfg)
     n_layers = len(netspec.monitored_layers())
-    detectors = {c: _current_detector(paths, cfg, c, "sweep", n_layers * (k if c == TKAN else 1))
-                 for c in criteria}
-    thresholds = _thresholds_for(paths, netspec, "sweep") if ACN in criteria else None
-    if not any(paths.noise_dir.glob("*.wav")):  # a path that is no directory globs to nothing
-        raise StageError("sweep", f"missing noise bank {paths.noise_dir} (no *.wav files); "
-                                  f"run the gen-data stage first")
+    detectors = {c: stage.detector(c, n_layers * (k if c == TKAN else 1)) for c in criteria}
+    thresholds = stage.thresholds(netspec) if ACN in criteria else None
+    noise_files = sorted(paths.noise_dir.glob("*.wav"))  # a path that is no directory globs to nothing
+    if not noise_files:
+        raise stage.error(f"missing noise bank {paths.noise_dir} (no *.wav files); "
+                          f"run the gen-data stage first")
+    for path in noise_files:
+        stage.need(path, "gen-data")
 
     frozen = [paths.backbone] + [paths.detector(c) for c in criteria]
     if thresholds is not None:
         frozen.append(paths.thresholds)
-    hashes_before = {str(p): _sha256_file(p) for p in frozen}
+    hashes_before = _sha256s(frozen)
 
     weights = load_weights(paths.backbone, netspec)
     bank = load_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"])
     sample = _sample_records(records, cfg["sweep"]["sample_per_class"])
-    _require_two("sweep", paths, "the labels of the sampled test-split clips", [r.label for r in sample])
+    stage.require_two("the labels of the sampled test-split clips", [r.label for r in sample])
     waves = [_load_clip(root / r.path, cfg["frontend"]) for r in sample]
     for w in waves:
         w.samples.flags.writeable = False  # every cell manipulates these same clips
@@ -531,7 +522,7 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     cells = sweep_cells(cfg, bank.ids())
     paths.sweep_dir.mkdir(parents=True, exist_ok=True)
 
-    def evaluate(manipulation, tag: str):
+    def evaluate(manipulation):
         waves_of = list if manipulation is None else (
             lambda block: apply_manipulation(block, manipulation, bank, formula))
         trace = _trace(netspec, weights, waves, cfg["frontend"], 1, waves_of)
@@ -541,17 +532,17 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
             scores = score_batch(detectors[criterion], feats.values)
             name = manipulation.describe() if manipulation else "none"
             magnitude = manipulation.magnitude if manipulation else 0.0
-            rows.append(MetricRow.from_metrics(tag, criterion, name, magnitude,
+            rows.append(MetricRow.from_metrics("test", criterion, name, magnitude,
                                                compute_all(y_true, scores)))
         return rows
 
-    baseline_rows = evaluate(None, "test")
+    baseline_rows = evaluate(None)
     _atomic_write_report(paths.sweep_dir / "baseline.csv", baseline_rows)
 
     def run_cell(indexed):
         index, manipulation = indexed
         try:
-            rows = evaluate(manipulation, "test")
+            rows = evaluate(manipulation)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             return index, None, f"{type(exc).__name__}: {exc}"
         _atomic_write_report(paths.sweep_dir / f"cell_{index:03d}.csv", rows)
@@ -581,27 +572,23 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
         for index, name, magnitude, error in failures:
             writer.writerow([index, name, repr(magnitude), error.replace("\n", " ")])
 
-    hashes_after = {str(p): _sha256_file(p) for p in frozen}
-    if hashes_after != hashes_before:
-        raise StageError("sweep", "frozen model artifacts changed during the sweep")
-    _write_audit(paths, "sweep", cfg,
-                 inputs=frozen + [paths.manifest],
-                 outputs=[paths.sweep_report, paths.sweep_long, paths.sweep_failures],
-                 extra={"cells": len(cells), "failed_cells": len(failures),
-                        "sampled_clips": len(sample), "frozen_hashes": hashes_before})
+    if _sha256s(frozen) != hashes_before:
+        raise stage.error("frozen model artifacts changed during the sweep")
+    stage.audit([paths.sweep_report, paths.sweep_long, paths.sweep_failures], cells=len(cells),
+                failed_cells=len(failures), sampled_clips=len(sample), frozen_hashes=hashes_before)
     return merged, failures
 
 
 def cmd_export_features(cfg: dict, jobs: int = 1):
     """Raw traces plus per-criterion features as labeled CSVs for plotting."""
-    paths = RunPaths(cfg)
-    records, trace, inputs, features = _trace_and_write(
-        cfg, paths, "export-features", jobs, lambda criterion: paths.export_dir / f"features_{criterion}.csv")
+    stage = _Stage(cfg, "export-features")
+    paths = stage.paths
+    records, trace, features = _trace_and_write(
+        stage, jobs, lambda criterion: paths.export_dir / f"features_{criterion}.csv")
     raw_names = [f"{layer_id}.n{i + 1}"
                  for layer_id, width in zip(trace.layer_ids(), trace.widths()) for i in range(width)]
     outputs = [paths.export_dir / "traces.csv", *features]
     write_feature_csv(outputs[0], raw_names, [r.label for r in records], [r.split for r in records],
                       np.concatenate([vals for _, vals in trace.entries], axis=1))
-    _write_audit(paths, "export-features", cfg, inputs=inputs, outputs=outputs,
-                 extra={"rows": len(records)})
+    stage.audit(outputs, rows=len(records))
     return outputs

@@ -22,7 +22,6 @@ from voicetrace.backbone import (
     forward_batch,
     gradient_check,
     init_weights,
-    init_weights_with_rng,
     load_weights,
     reference_spec,
     save_weights,
@@ -511,7 +510,7 @@ def test_forward_and_backward_match_the_references_bitwise(spec, ties):
 def _reference_train_backbone(spec, features, labels, config):
     """train_backbone's loop on the reference layers, with the out-of-place momentum update."""
     rng = np.random.default_rng(config.seed)
-    params = init_weights_with_rng(spec, rng).as_float64()
+    params = init_weights(spec, rng).as_float64()
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     losses = []
     for _ in range(config.epochs):

@@ -154,6 +154,30 @@ def test_audit_files_record_config_digest_and_hashes(chain):
     assert recorded == _sha(out / "eval_report.csv")
 
 
+def test_each_audit_lists_every_input_its_stage_reads(chain):
+    out, _ = chain
+    manifest, backbone, thresholds = out / "corpus/manifest.tsv", out / "backbone.nsw1", out / "thresholds.json"
+    features = [out / "features_acn.csv", out / "features_tkan.csv"]
+    detectors = [out / "detector_acn.nsd1", out / "detector_tkan.nsd1"]
+    noise = sorted((out / "noise").glob("*.wav"))
+    assert len(noise) == 12
+    expected = {
+        "gen-data": [],
+        "train-backbone": [manifest],
+        "calibrate": [manifest, backbone],
+        "extract": [manifest, backbone, thresholds],
+        "train-detector": features,
+        "eval": [*features, *detectors],
+        "sweep": [manifest, backbone, thresholds, *detectors, *noise],
+        "export-features": [manifest, backbone, thresholds],
+    }
+    for stage, inputs in expected.items():
+        audit = json.loads((out / f"audit_{stage.replace('-', '_')}.json").read_text())
+        assert audit["inputs"] == {str(p): _sha(p) for p in inputs}, stage
+    sweep = json.loads((out / "audit_sweep.json").read_text())
+    assert sorted(sweep["frozen_hashes"]) == sorted(str(p) for p in [backbone, thresholds, *detectors])
+
+
 def test_extract_without_thresholds_names_calibrate(chain, tmp_path, capsys):
     out, config_path = chain
     part = tmp_path / "partial"
@@ -421,12 +445,27 @@ def test_unknown_config_field_exits_2(tmp_path, capsys):
     assert "detecto" in err
 
 
-def test_a_config_that_sets_the_removed_normalize_acn_exits_2(tmp_path, capsys):
-    config_path = _write_config(tmp_path, {"coverage.normalize_acn": False})
+# a removed field stays listed: an old config that sets it must be refused by name
+_REMOVED_FIELDS = {"coverage.normalize_acn": False, "coverage.calibration_classes": "real"}
+
+
+@pytest.mark.parametrize("field", _REMOVED_FIELDS)
+def test_a_config_that_sets_a_removed_field_exits_2(tmp_path, capsys, field):
+    config_path = _write_config(tmp_path, {field: _REMOVED_FIELDS[field]})
     rc = main(["gen-data", "--config", str(config_path), "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "unknown field 'coverage.normalize_acn'" in err
+    assert f"unknown field '{field}'" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exits_2_naming_the_flag(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exited:
+        main(["gen-data", "--out", str(tmp_path / "run"), "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert exited.value.code == 2
+    assert "--jobs" in err and f"must be at least 1, got {jobs}" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -492,9 +531,8 @@ def _of_default_type(value, default):
     return isinstance(value, (int, float)) and value == value  # a float field takes any finite number
 
 
-# a removed field stays listed: an old config that sets it must be refused by name
 @pytest.mark.parametrize("value", ["x", 0, -1, float("nan"), [], True, None, 1.5], ids=repr)
-@pytest.mark.parametrize("field", [*_leaves(pipeline.DEFAULT_CONFIG), "coverage.normalize_acn"])
+@pytest.mark.parametrize("field", [*_leaves(pipeline.DEFAULT_CONFIG), *_REMOVED_FIELDS])
 def test_every_config_field_is_loaded_or_refused_by_name(tmp_path, field, value):
     node = doc = {}
     default = pipeline.DEFAULT_CONFIG
@@ -512,6 +550,11 @@ def test_every_config_field_is_loaded_or_refused_by_name(tmp_path, field, value)
     else:
         assert _of_default_type(value, default[parts[-1]]), "a value of the wrong type was accepted"
         assert cfg == pipeline._merge(pipeline.DEFAULT_CONFIG, doc)  # stored as given
+
+
+def test_every_field_limit_names_a_config_leaf():
+    # a removed knob must not leave its bound behind
+    assert set(pipeline._LIMITS) <= set(_leaves(pipeline.DEFAULT_CONFIG))
 
 
 @pytest.mark.parametrize("section, spec", [("corpus", CorpusSpec), ("backbone", BackboneTrainConfig),
