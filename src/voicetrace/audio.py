@@ -21,6 +21,10 @@ FLOAT32 = "float32"
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
 
+# The log-mel frontend's analysis grid: 25 ms windows every 10 ms at 16 kHz.
+WINDOW = 400
+HOP = 160
+
 
 @dataclass(frozen=True)
 class Waveform:
@@ -265,7 +269,7 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def log_mel(waves, frames: int, window_size: int = 400, hop: int = 160, mel_bins: int = 64) -> np.ndarray:
+def log_mel(waves, frames: int, window_size: int = WINDOW, hop: int = HOP, mel_bins: int = 64) -> np.ndarray:
     """Log mel-energy maps of a block of waveforms, shape (len(waves), frames, mel_bins).
 
     Each map is |STFT|^2 -> triangular mel filterbank -> log(x + 1e-6) on the

@@ -406,11 +406,13 @@ def _check_gradients(spec: NetworkSpec, params: dict, batch: np.ndarray, targets
 
 @dataclass(frozen=True)
 class BackboneTrainConfig:
+    """The backbone section of the config plus the seed, and the pipeline's SGD settings."""
+
+    epochs: int
+    seed: int
     lr: float = 0.01
     momentum: float = 0.9
-    epochs: int = 15
     batch_size: int = 32
-    seed: int = 0
 
 
 def train_backbone(spec: NetworkSpec, features: np.ndarray, labels, config: BackboneTrainConfig):

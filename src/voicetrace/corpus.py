@@ -54,12 +54,12 @@ class CorpusSpec:
     """The corpus section of the config plus the seed. It checks no field:
     pipeline.load_config checks every config field before a spec is built."""
 
-    num_speakers: int = 8
-    clips_per_speaker: int = 40
-    clip_seconds: float = 2.0
-    sample_rate: int = 16000
-    seed: int = 42
-    fake_artifact: str = "phase_quantization"
+    num_speakers: int
+    clips_per_speaker: int
+    clip_seconds: float
+    sample_rate: int
+    seed: int
+    fake_artifact: str
 
     @property
     def clip_samples(self) -> int:

@@ -48,12 +48,14 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 1e-4
+    """The detector section of the config plus the seed, and the pipeline's SGD settings."""
+
+    epochs: int
+    seed: int
+    lr: float = 3e-4
     momentum: float = 0.9
     decay: float = 1e-6
-    epochs: int = 100
     batch_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr < 0 or self.decay < 0:

@@ -15,14 +15,13 @@ import csv
 import hashlib
 import json
 import math
-import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, load_wav, log_mel
+from .audio import WINDOW, Waveform, load_wav, log_mel
 from .backbone import (ActivationTrace, BackboneTrainConfig, NetworkSpec, WeightStore,
                        classify, forward_batch, load_weights, reference_spec,
                        save_weights, train_backbone)
@@ -49,10 +48,10 @@ DEFAULT_CONFIG = {
         "sample_rate": 16000,
         "fake_artifact": "phase_quantization",
     },
-    "frontend": {"window": 400, "hop": 160, "mel_bins": 64, "frames": 200},
-    "backbone": {"lr": 0.01, "momentum": 0.9, "epochs": 15, "batch_size": 32},
+    "frontend": {"mel_bins": 64, "frames": 200},
+    "backbone": {"epochs": 15},
     "coverage": {"criterion": "both", "k": 5},
-    "detector": {"lr": 3e-4, "momentum": 0.9, "decay": 1e-6, "epochs": 3000, "batch_size": 32},
+    "detector": {"epochs": 3000},
     "sweep": {
         "resample_offsets": [-400, -200, 0, 200, 400],
         "speed_rates": [0.5, 0.8, 1.0, 1.2, 1.4],
@@ -73,10 +72,7 @@ _LIMITS = {
     # five clips per speaker is the fewest a 60/20/20 split can hold
     "corpus.clips_per_speaker": (5, math.inf),
     "corpus.fake_artifact": ARTIFACTS,
-    "backbone.momentum": (0, 1),
     "coverage.criterion": (ACN, TKAN, "both"),
-    "detector.momentum": (0, 1),
-    "detector.decay": (0, math.inf),
     "sweep.sample_per_class": (0, math.inf),  # 0 samples every test clip
 }
 
@@ -121,7 +117,7 @@ def load_config(path=None, seed=None, out_dir=None) -> dict:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
@@ -145,13 +141,10 @@ def _validate(cfg: dict) -> None:
     if not _is_number(c["clip_seconds"] * c["sample_rate"]):
         raise ConfigError(f"corpus.clip_seconds {c['clip_seconds']!r} gives too many samples to count")
     clip_samples = CorpusSpec(**c, seed=cfg["seed"]).clip_samples
-    if clip_samples < f["window"]:
+    if clip_samples < WINDOW:
         # every stage after gen-data refuses a clip shorter than one analysis window
         raise ConfigError(f"corpus.clip_seconds gives {clip_samples}-sample clips at corpus.sample_rate "
-                          f"{c['sample_rate']}, shorter than one {f['window']}-sample frontend.window")
-    if f["hop"] > f["window"]:
-        raise ConfigError(f"frontend.hop {f['hop']} exceeds frontend.window {f['window']}, "
-                          f"so samples between windows would go unanalysed")
+                          f"{c['sample_rate']}, shorter than one {WINDOW}-sample analysis window")
     try:
         reference_spec(c["num_speakers"], (f["frames"], f["mel_bins"], 1))
     except ValueError as exc:
@@ -174,7 +167,6 @@ class RunPaths:
         self.backbone = self.out / "backbone.nsw1"
         self.thresholds = self.out / "thresholds.json"
         self.eval_report = self.out / "eval_report.csv"
-        self.sweep_dir = self.out / "sweep"
         self.sweep_report = self.out / "sweep_report.csv"
         self.sweep_long = self.out / "sweep_long.csv"
         self.sweep_failures = self.out / "sweep_failures.csv"
@@ -273,18 +265,18 @@ def _network_for(records, cfg: dict) -> NetworkSpec:
     return reference_spec(len(speakers), (fcfg["frames"], fcfg["mel_bins"], 1))
 
 
-def _load_clip(path, fcfg: dict) -> Waveform:
+def _load_clip(path) -> Waveform:
     """A corpus clip, refused when it is shorter than one analysis window."""
     w = load_wav(path)
-    if len(w) < fcfg["window"]:
-        raise AudioFormatError(f"{path}: {len(w)} samples, shorter than one {fcfg['window']}-sample "
+    if len(w) < WINDOW:
+        raise AudioFormatError(f"{path}: {len(w)} samples, shorter than one {WINDOW}-sample "
                                f"analysis window; rerun the gen-data stage or fix the manifest")
     return w
 
 
 def _network_input(waves, fcfg: dict) -> np.ndarray:
     """A block's (clips, frames, mel_bins, 1) network input from one log-mel call."""
-    return log_mel(waves, fcfg["frames"], fcfg["window"], fcfg["hop"], fcfg["mel_bins"])[..., None]
+    return log_mel(waves, fcfg["frames"], mel_bins=fcfg["mel_bins"])[..., None]
 
 
 def _blocks(items, size=_TRACE_BLOCK):
@@ -301,7 +293,7 @@ def _ordered_map(work, items, jobs: int):
 
 def _feature_array(files, fcfg: dict, jobs: int) -> np.ndarray:
     def work(block):
-        return _network_input([_load_clip(f, fcfg) for f in block], fcfg)
+        return _network_input([_load_clip(f) for f in block], fcfg)
 
     parts = _ordered_map(work, _blocks(list(files)), jobs)
     return np.concatenate(parts, axis=0)
@@ -319,7 +311,7 @@ def _trace(netspec: NetworkSpec, weights: WeightStore, items, fcfg: dict, jobs: 
 
 
 def _trace_files(netspec, weights, files, fcfg: dict, jobs: int):
-    return _trace(netspec, weights, files, fcfg, jobs, lambda block: [_load_clip(f, fcfg) for f in block])
+    return _trace(netspec, weights, files, fcfg, jobs, lambda block: [_load_clip(f) for f in block])
 
 
 # --- stages -----------------------------------------------------------
@@ -329,7 +321,10 @@ def cmd_gen_data(cfg: dict, jobs: int = 1):
     """Write the synthetic corpus plus the 12-texture noise bank."""
     stage = _Stage(cfg, "gen-data")
     paths = stage.paths
-    paths.out.mkdir(parents=True, exist_ok=True)
+    try:
+        paths.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a path beneath one
+        raise stage.error(f"cannot create the output directory {paths.out}: {exc.strerror or exc}") from exc
     records = generate_corpus(CorpusSpec(**cfg["corpus"], seed=cfg["seed"]), paths.corpus_dir,
                               map_fn=lambda render, clips: _ordered_map(render, clips, jobs))
     bank = generate_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"], seed=cfg["seed"] + 1)
@@ -481,12 +476,6 @@ def _sample_records(records, per_class: int):
     return [test[i] for i in sorted(picked)]
 
 
-def _atomic_write_report(path: Path, rows) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    write_report(tmp, rows)
-    os.replace(tmp, path)
-
-
 def cmd_sweep(cfg: dict, jobs: int = 1):
     """Run every manipulation cell against frozen models; continue past cell failures."""
     stage = _Stage(cfg, "sweep")
@@ -514,13 +503,12 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     bank = load_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"])
     sample = _sample_records(records, cfg["sweep"]["sample_per_class"])
     stage.require_two("the labels of the sampled test-split clips", [r.label for r in sample])
-    waves = [_load_clip(root / r.path, cfg["frontend"]) for r in sample]
+    waves = [_load_clip(root / r.path) for r in sample]
     for w in waves:
         w.samples.flags.writeable = False  # every cell manipulates these same clips
     y_true = np.asarray([1 if r.label == FAKE else 0 for r in sample])
     formula = cfg["snr_formula"]
     cells = sweep_cells(cfg, bank.ids())
-    paths.sweep_dir.mkdir(parents=True, exist_ok=True)
 
     def evaluate(manipulation):
         waves_of = list if manipulation is None else (
@@ -536,27 +524,18 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
                                                compute_all(y_true, scores)))
         return rows
 
-    baseline_rows = evaluate(None)
-    _atomic_write_report(paths.sweep_dir / "baseline.csv", baseline_rows)
-
-    def run_cell(indexed):
-        index, manipulation = indexed
+    def run_cell(manipulation):
         try:
-            rows = evaluate(manipulation)
+            return evaluate(manipulation), None
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            return index, None, f"{type(exc).__name__}: {exc}"
-        _atomic_write_report(paths.sweep_dir / f"cell_{index:03d}.csv", rows)
-        return index, rows, None
+            return None, f"{type(exc).__name__}: {exc}"
 
-    results = _ordered_map(run_cell, list(enumerate(cells)), jobs)
-
-    merged = list(baseline_rows)
+    merged = evaluate(None)
     failures = []
-    for index, rows, error in sorted(results, key=lambda r: r[0]):
+    for index, (cell, (rows, error)) in enumerate(zip(cells, _ordered_map(run_cell, cells, jobs))):
         if error is None:
             merged.extend(rows)
         else:
-            cell = cells[index]
             failures.append((index, cell.describe(), cell.magnitude, error))
     write_report(paths.sweep_report, merged)
 

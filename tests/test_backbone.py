@@ -233,7 +233,8 @@ def test_train_same_seed_bit_identical():
 def test_train_rejects_single_class():
     feats, _ = _toy_dataset()
     with pytest.raises(ValueError):
-        train_backbone(TINY_SPEC, feats, np.zeros(feats.shape[0], dtype=int), BackboneTrainConfig())
+        train_backbone(TINY_SPEC, feats, np.zeros(feats.shape[0], dtype=int),
+                       BackboneTrainConfig(epochs=15, seed=0))
 
 
 def test_train_loss_decreases_on_toy_task():

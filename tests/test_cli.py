@@ -107,8 +107,7 @@ def test_sweep_identity_cells_match_baseline_exactly(chain):
             assert row[metric] == ref[metric]
     failures = (out / "sweep_failures.csv").read_text().strip().splitlines()
     assert failures == ["cell,manipulation,magnitude,error"]
-    for index in range(3):
-        assert (out / "sweep" / f"cell_{index:03d}.csv").exists()
+    assert not (out / "sweep").exists()
 
 
 def _wav_tree_digest(root):
@@ -305,7 +304,8 @@ def test_detector_trained_at_another_k_exits_2_naming_train_detector(chain, tmp_
     shutil.copytree(out, part)
     # a TKAN detector for 6 layers x k=5 features, left behind for this k=3 run
     feats = np.random.default_rng(0).standard_normal((20, 30))
-    stale = train_detector(feats, np.array([0, 1] * 10), TrainConfig(epochs=1), criterion="tkan", k=5)
+    stale = train_detector(feats, np.array([0, 1] * 10), TrainConfig(epochs=1, seed=0, lr=1e-4),
+                           criterion="tkan", k=5)
     save_detector(stale, part / "detector_tkan.nsd1")
     for stage in ("eval", "sweep"):
         rc = main([stage, "--config", str(config_path), "--out", str(part), "--seed", "7"])
@@ -446,7 +446,10 @@ def test_unknown_config_field_exits_2(tmp_path, capsys):
 
 
 # a removed field stays listed: an old config that sets it must be refused by name
-_REMOVED_FIELDS = {"coverage.normalize_acn": False, "coverage.calibration_classes": "real"}
+_REMOVED_FIELDS = {"coverage.normalize_acn": False, "coverage.calibration_classes": "real",
+                   "frontend.window": 400, "frontend.hop": 160, "backbone.lr": 0.01,
+                   "backbone.momentum": 0.9, "backbone.batch_size": 32, "detector.lr": 3e-4,
+                   "detector.momentum": 0.9, "detector.decay": 1e-6, "detector.batch_size": 32}
 
 
 @pytest.mark.parametrize("field", _REMOVED_FIELDS)
@@ -478,6 +481,31 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000], ids=["not-utf8", "deeply-nested"])
+def test_config_that_is_no_json_text_exits_2_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    rc = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: config error: {path}: invalid JSON")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a-regular-file", "beneath-a-regular-file"])
+def test_gen_data_out_that_cannot_be_a_directory_exits_2_naming_it(tmp_path, capsys, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    out = blocker / below if below else blocker
+    rc = main(["gen-data", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: gen-data: cannot create the output directory {out}: ")
+    assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_bad_criterion_value_exits_2(tmp_path, capsys):
     config_path = _write_config(tmp_path, {"coverage.criterion": "acorn"})
     rc = main(["gen-data", "--config", str(config_path), "--out", str(tmp_path / "run")])
@@ -497,15 +525,14 @@ def test_bad_criterion_value_exits_2(tmp_path, capsys):
     ({}, ["--seed", "-1"], "seed"),
     ({"corpus.clip_seconds": 0}, [], "corpus.clip_seconds"),
     # 0.02 s is 320 samples at 16 kHz, shorter than the 400-sample window
-    ({"corpus.clip_seconds": 0.02}, [], "frontend.window"),
+    ({"corpus.clip_seconds": 0.02}, [], "corpus.clip_seconds"),
     ({"corpus.clip_seconds": 1e305}, [], "corpus.clip_seconds"),
-    # fields that passed gen-data and then crashed a later stage
+    # fields that passed gen-data and then crashed a later stage (the first two are removed now,
+    # and refused as unknown)
     ({"frontend.hop": 0}, [], "frontend.hop"),
     ({"backbone.batch_size": 0}, [], "backbone.batch_size"),
     ({"frontend.frames": 10}, [], "frontend.frames"),
     ({"coverage.k": "5"}, [], "coverage.k"),
-    # a hop past the window leaves 100 samples per hop unanalysed
-    ({"frontend.hop": 500}, [], "frontend.hop"),
 ])
 def test_bad_corpus_config_exits_2_naming_the_field(tmp_path, capsys, overrides, flags, named):
     config_path = _write_config(tmp_path, overrides)
@@ -560,9 +587,10 @@ def test_every_field_limit_names_a_config_leaf():
 @pytest.mark.parametrize("section, spec", [("corpus", CorpusSpec), ("backbone", BackboneTrainConfig),
                                            ("detector", TrainConfig)])
 def test_each_config_section_holds_its_dataclass_fields_but_seed(section, spec):
-    # the stages build each as spec(**cfg[section], seed=cfg["seed"])
-    names = sorted(f.name for f in dataclasses.fields(spec))
-    assert sorted([*pipeline.DEFAULT_CONFIG[section], "seed"]) == names
+    # the stages build each as spec(**cfg[section], seed=cfg["seed"]); a field the config sets
+    # has its default in DEFAULT_CONFIG alone, and every other field keeps the dataclass's
+    required = sorted(f.name for f in dataclasses.fields(spec) if f.default is dataclasses.MISSING)
+    assert sorted([*pipeline.DEFAULT_CONFIG[section], "seed"]) == required
 
 
 @pytest.mark.parametrize("stage", ["extract", "export-features"])

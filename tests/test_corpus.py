@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -22,7 +23,8 @@ from voicetrace.corpus import (
 from voicetrace.errors import ConfigError, ManifestError
 from voicetrace.pipeline import load_config
 
-SMALL = CorpusSpec(num_speakers=3, clips_per_speaker=10, clip_seconds=0.6, seed=11)
+SMALL = CorpusSpec(num_speakers=3, clips_per_speaker=10, clip_seconds=0.6, sample_rate=16000, seed=11,
+                   fake_artifact="phase_quantization")
 
 
 def _tree_digest(root):
@@ -129,7 +131,8 @@ def test_harmonic_jitter_render_is_the_per_harmonic_sum():
 
 @pytest.mark.parametrize("artifact", ["phase_quantization", "band_limit", "harmonic_jitter"])
 def test_corpus_bytes_equal_the_per_harmonic_render(tmp_path, monkeypatch, artifact):
-    spec = CorpusSpec(num_speakers=3, clips_per_speaker=5, clip_seconds=0.5, seed=23, fake_artifact=artifact)
+    spec = CorpusSpec(num_speakers=3, clips_per_speaker=5, clip_seconds=0.5, sample_rate=16000, seed=23,
+                      fake_artifact=artifact)
     generate_corpus(spec, tmp_path / "horner")
     monkeypatch.setattr(corpus, "_render_clip", _reference_render_clip)
     generate_corpus(spec, tmp_path / "reference")
@@ -155,7 +158,7 @@ def test_generation_is_byte_deterministic(tmp_path):
 def test_seed_changes_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     generate_corpus(SMALL, a)
-    generate_corpus(CorpusSpec(num_speakers=3, clips_per_speaker=10, clip_seconds=0.6, seed=12), b)
+    generate_corpus(dataclasses.replace(SMALL, seed=12), b)
     assert _tree_digest(a) != _tree_digest(b)
 
 
@@ -215,7 +218,7 @@ def test_loudness_does_not_separate_classes(tmp_path):
 
 def test_alternative_artifacts_generate(tmp_path):
     for artifact in ("band_limit", "harmonic_jitter"):
-        spec = CorpusSpec(num_speakers=2, clips_per_speaker=5, clip_seconds=0.5,
+        spec = CorpusSpec(num_speakers=2, clips_per_speaker=5, clip_seconds=0.5, sample_rate=16000,
                           seed=9, fake_artifact=artifact)
         out = tmp_path / artifact
         records = generate_corpus(spec, out)
@@ -226,7 +229,7 @@ def test_alternative_artifacts_generate(tmp_path):
 
 
 def test_band_limit_removes_high_band(tmp_path):
-    spec = CorpusSpec(num_speakers=2, clips_per_speaker=5, clip_seconds=0.5,
+    spec = CorpusSpec(num_speakers=2, clips_per_speaker=5, clip_seconds=0.5, sample_rate=16000,
                       seed=9, fake_artifact="band_limit")
     records = generate_corpus(spec, tmp_path)
     fake = next(r for r in records if r.label == "fake")

@@ -42,9 +42,9 @@ def test_spec_requires_four_hidden_layers():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(lr=-1.0)
+        TrainConfig(epochs=1, seed=0, lr=-1.0)
     with pytest.raises(ValueError):
-        TrainConfig(momentum=1.0)
+        TrainConfig(epochs=1, seed=0, momentum=1.0)
 
 
 def test_separable_blobs_reach_full_accuracy():
@@ -87,13 +87,14 @@ def test_loss_non_increasing_early():
 def test_train_rejects_single_class():
     feats, _ = _blobs(n_per_class=5)
     with pytest.raises(ValueError):
-        train_detector(feats, np.ones(feats.shape[0], dtype=int), TrainConfig())
+        train_detector(feats, np.ones(feats.shape[0], dtype=int), TrainConfig(epochs=100, seed=0))
 
 
 def test_train_rejects_width_mismatch():
     feats, labels = _blobs(n_per_class=5)
     with pytest.raises(ValueError):
-        train_detector(feats, labels, TrainConfig(), spec=DetectorSpec(3, hidden=(4, 3, 3, 2)))
+        train_detector(feats, labels, TrainConfig(epochs=100, seed=0),
+                       spec=DetectorSpec(3, hidden=(4, 3, 3, 2)))
 
 
 def _reference_train_detector(x, labels, config, spec):
@@ -193,7 +194,7 @@ def test_forward_matches_matrix_oracle():
 
 def test_predict_rejects_width_mismatch():
     feats, labels = _blobs(n_per_class=5)
-    model = train_detector(feats, labels, TrainConfig(epochs=1), spec=TINY_SPEC)
+    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4), spec=TINY_SPEC)
     with pytest.raises(ValueError):
         predict(model, np.zeros(3))
 
@@ -247,7 +248,7 @@ def test_gradient_check_small_model():
 def test_gradient_check_refuses_big_models():
     feats = np.random.default_rng(0).standard_normal((20, 36))
     labels = np.array([0, 1] * 10)
-    model = train_detector(feats, labels, TrainConfig(epochs=1))
+    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4))
     with pytest.raises(ValueError):
         gradient_check(model, feats[0], label=0)
 
@@ -276,7 +277,7 @@ def test_save_load_round_trip(tmp_path):
 
 def test_load_rejects_corrupt_magic(tmp_path):
     feats, labels = _blobs(n_per_class=5)
-    model = train_detector(feats, labels, TrainConfig(epochs=1), spec=TINY_SPEC)
+    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4), spec=TINY_SPEC)
     p = tmp_path / "d.nsd1"
     save_detector(model, p)
     raw = bytearray(p.read_bytes())
@@ -288,7 +289,8 @@ def test_load_rejects_corrupt_magic(tmp_path):
 
 def test_load_rejects_every_truncation_and_a_non_utf8_criterion(tmp_path):
     feats, labels = _blobs(n_per_class=5)
-    model = train_detector(feats, labels, TrainConfig(epochs=1), spec=TINY_SPEC, criterion="acn")
+    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4), spec=TINY_SPEC,
+                           criterion="acn")
     full = tmp_path / "d.nsd1"
     save_detector(model, full)
     raw = full.read_bytes()
@@ -329,7 +331,7 @@ def test_load_rejects_inconsistent_tensor_shapes(tmp_path, name, bad):
     from voicetrace import nsw1
 
     feats, labels = _blobs(n_per_class=5)
-    model = train_detector(feats, labels, TrainConfig(epochs=1), spec=TINY_SPEC)
+    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4), spec=TINY_SPEC)
     p = tmp_path / "d.nsd1"
     save_detector(model, p)
     raw = p.read_bytes()

@@ -5,6 +5,7 @@ flips of a valid file, and near-valid text built from the format's own
 tokens.
 """
 
+import json
 import math
 import struct
 import tempfile
@@ -17,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from voicetrace import nsw1  # noqa: E402
+from voicetrace import nsw1, pipeline  # noqa: E402
 from voicetrace.audio import FLOAT32, PCM16, Waveform, load_wav, save_wav  # noqa: E402
 from voicetrace.backbone import WeightStore  # noqa: E402
 from voicetrace.corpus import LABELS, SPLITS, ManifestRecord, load_manifest, save_manifest  # noqa: E402
@@ -25,8 +26,9 @@ from voicetrace.coverage import (LayerThresholds, load_thresholds, read_feature_
                                  save_thresholds, write_feature_csv)
 from voicetrace.detector import (DetectorModel, DetectorSpec, Standardizer, load_detector,  # noqa: E402
                                  save_detector)
-from voicetrace.errors import (AudioFormatError, AudioParseError, FeatureFormatError,  # noqa: E402
-                               ManifestError, ThresholdsFormatError, WeightFormatError)
+from voicetrace.errors import (AudioFormatError, AudioParseError, ConfigError,  # noqa: E402
+                               FeatureFormatError, ManifestError, ThresholdsFormatError,
+                               WeightFormatError)
 
 _SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -67,6 +69,7 @@ VALID_DETECTOR = _written_bytes(lambda path: save_detector(DetectorModel(
     _DETECTOR_SPEC,
     {k: np.full(v, 0.25, dtype=np.float32) for k, v in _DETECTOR_SPEC.network().parameter_shapes().items()},
     Standardizer(np.array([0.5, -0.5]), np.array([1.0, 2.0])), "tkan", 3), path))
+VALID_CONFIG = json.dumps(pipeline.DEFAULT_CONFIG).encode()
 VALID_MANIFEST = _written_bytes(lambda path: save_manifest(
     [ManifestRecord(rel, rel.split("/")[1].split("_")[0], rel.split("/")[0], split)
      for rel, split in zip(_CLIPS, ("train", "val", "test"))], path))
@@ -151,6 +154,19 @@ def test_read_feature_csv_returns_a_table_or_feature_format_error(scratch_file, 
 @example(b'{"calibration_size": 4, "thresholds": [["conv1", 1' + b"0" * 400 + b"]]}")
 def test_load_thresholds_returns_thresholds_or_thresholds_format_error(scratch_file, content):
     _parse(scratch_file, content, load_thresholds, ThresholdsFormatError, _check_thresholds)
+
+
+def _check_config(result):
+    assert isinstance(result, dict)
+    assert pipeline._merge(pipeline.DEFAULT_CONFIG, result) == result  # every field passes its check
+
+
+@_SETTINGS
+@given(_damaged(VALID_CONFIG))
+@example(b"\xff\xfe")  # not UTF-8
+@example(b"[" * 100_000)  # nested past the recursion limit
+def test_load_config_returns_a_config_or_config_error(scratch_file, content):
+    _parse(scratch_file, content, pipeline.load_config, ConfigError, _check_config)
 
 
 def _check_waveform(result):
@@ -261,3 +277,5 @@ def test_valid_files_parse(scratch_file):
     _check_detector(load_detector(scratch_file))
     scratch_file.write_bytes(VALID_MANIFEST)
     assert len(load_manifest(scratch_file)) == len(_CLIPS)
+    scratch_file.write_bytes(VALID_CONFIG)
+    _check_config(pipeline.load_config(scratch_file))
