@@ -48,10 +48,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def load_wav(path) -> Waveform:
     """Read a RIFF/WAVE file into a mono Waveform.

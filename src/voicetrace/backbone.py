@@ -220,7 +220,10 @@ def save_weights(weights: WeightStore, path) -> None:
 def load_weights(path, spec: NetworkSpec | None = None) -> WeightStore:
     store = WeightStore(nsw1.read_tensors(path))
     if spec is not None:
-        store.validate(spec)
+        try:
+            store.validate(spec)
+        except WeightFormatError as exc:
+            raise WeightFormatError(f"{path}: {exc}") from exc
     return store
 
 

@@ -6,8 +6,7 @@ import argparse
 import sys
 
 from . import pipeline
-from .errors import (AudioFormatError, AudioParseError, ConfigError, FeatureFormatError, ManifestError,
-                     StageError, ThresholdsFormatError, WeightFormatError)
+from .errors import ConfigError, FormatError, StageError
 
 _STAGES = [
     ("gen-data", pipeline.cmd_gen_data, "write the synthetic corpus and noise bank"),
@@ -53,11 +52,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"voicetrace: config error: {exc}", file=sys.stderr)
         return 2
-    except (StageError, ManifestError) as exc:
+    except StageError as exc:
         print(f"voicetrace: {exc}", file=sys.stderr)
         return 2
-    except (WeightFormatError, ThresholdsFormatError, FeatureFormatError, AudioParseError,
-            AudioFormatError) as exc:
+    except FormatError as exc:  # a corpus clip or noise WAV, read in bulk outside _Stage.need
         print(f"voicetrace: {args.command}: {exc}", file=sys.stderr)
         return 2
     if args.command == "sweep":

@@ -231,7 +231,7 @@ def _is_file(path: Path) -> bool:
 
 
 def load_manifest(path, check_paths: bool = True) -> list:
-    """Parse and validate a manifest; errors carry 1-based line numbers."""
+    """Parse and validate a manifest; each error names the file and its 1-based line."""
     path = Path(path)
     root = path.parent
     records = []
@@ -240,19 +240,23 @@ def load_manifest(path, check_paths: bool = True) -> list:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path} is not UTF-8 text (byte {exc.start})") from exc
+
+    def bad(detail):  # names the line the loop below is at
+        return ManifestError(f"{path} line {lineno}: {detail}")
+
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split("\t")
         if len(fields) != 4:
-            raise ManifestError(f"expected 4 tab-separated fields, got {len(fields)}", line=lineno)
+            raise bad(f"expected 4 tab-separated fields, got {len(fields)}")
         rel, label, speaker_id, split = fields
         if label not in LABELS:
-            raise ManifestError(f"bad label {label!r}", line=lineno)
+            raise bad(f"bad label {label!r}")
         if split not in SPLITS:
-            raise ManifestError(f"bad split {split!r}", line=lineno)
+            raise bad(f"bad split {split!r}")
         if rel in seen:
-            raise ManifestError(f"duplicate path {rel!r}", line=lineno)
+            raise bad(f"duplicate path {rel!r}")
         if check_paths and not _is_file(root / rel):
-            raise ManifestError(f"referenced file missing: {rel}", line=lineno)
+            raise bad(f"referenced file missing: {rel}")
         seen.add(rel)
         records.append(ManifestRecord(rel, label, speaker_id, split))
     return records

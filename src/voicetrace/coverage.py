@@ -129,7 +129,7 @@ def load_thresholds(path) -> LayerThresholds:
     """Inverse of save_thresholds; any other document raises ThresholdsFormatError."""
 
     def bad(detail):
-        return ThresholdsFormatError(f"{path}: {detail}; rerun the calibrate stage")
+        return ThresholdsFormatError(f"{path}: {detail}")
 
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -169,7 +169,7 @@ def read_feature_csv(path):
     """
 
     def bad(detail):
-        return FeatureFormatError(f"{path}: {detail}; rerun the extract stage")
+        return FeatureFormatError(f"{path}: {detail}")
 
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()

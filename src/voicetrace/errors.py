@@ -1,34 +1,32 @@
 """Exception types shared across the package."""
 
 
-class AudioFormatError(ValueError):
+class FormatError(ValueError):
+    """A file that is not in the format its reader expects. The message names the file."""
+
+
+class AudioFormatError(FormatError):
     """Unsupported or malformed audio encoding (codec, bit depth, channels)."""
 
 
-class AudioParseError(ValueError):
+class AudioParseError(FormatError):
     """Structurally broken RIFF/WAVE container (truncation, missing chunks)."""
 
 
-class WeightFormatError(ValueError):
+class WeightFormatError(FormatError):
     """Bad NSW1 container: wrong magic, version, truncation, or shape mismatch."""
 
 
-class ThresholdsFormatError(ValueError):
+class ThresholdsFormatError(FormatError):
     """thresholds.json that is not JSON or not the document calibrate writes."""
 
 
-class FeatureFormatError(ValueError):
+class FeatureFormatError(FormatError):
     """Feature CSV that is not the table extract writes (header, row width, cells)."""
 
 
-class ManifestError(ValueError):
-    """Malformed corpus manifest. Carries the 1-based offending line number."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class ManifestError(FormatError):
+    """Malformed corpus manifest. Names the file and the 1-based offending line."""
 
 
 class ConfigError(ValueError):
@@ -36,7 +34,7 @@ class ConfigError(ValueError):
 
 
 class StageError(RuntimeError):
-    """A pipeline stage is missing a prerequisite artifact. Names the stage."""
+    """A stage met a missing, damaged or stale input, or an output it cannot write. Names the stage."""
 
     def __init__(self, stage, message):
         super().__init__(f"{stage}: {message}")

@@ -4,8 +4,8 @@ Each stage reads artifacts written by earlier stages, writes its own
 under the output directory, and drops an audit JSON holding the config
 digest, the seed, and input/output content hashes. Nothing records wall
 time, so reruns with the same config and seed are byte-identical. A stage
-reads each input through one `_Stage` object, which refuses a missing file
-by naming the stage that writes it and lists the file in the audit.
+reads each input through `_Stage.need`, which refuses a missing or damaged
+file by naming the stage that writes it and lists the file in the audit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .corpus import ARTIFACTS, FAKE, REAL, CorpusSpec, generate_corpus, load_man
 from .coverage import (ACN, TKAN, _is_number, acn_features, calibrate_thresholds, load_thresholds,
                        read_feature_csv, save_thresholds, tkan_features, write_feature_csv)
 from .detector import Standardizer, TrainConfig, load_detector, save_detector, score_batch, train_detector
-from .errors import AudioFormatError, ConfigError, StageError
+from .errors import AudioFormatError, ConfigError, FormatError, StageError
 from .manipulate import Manipulation, apply_manipulation, generate_noise_bank, load_noise_bank
 from .metrics import REPORT_COLUMNS, MetricRow, compute_all, write_report
 
@@ -193,7 +193,7 @@ def _sha256s(files) -> dict:
 
 class _Stage:
     """One run of a named stage. Every input it reads passes through need(), which refuses a
-    missing file by naming the stage that writes it and records the file for the audit."""
+    missing or damaged file by naming the stage that writes it and records the file for the audit."""
 
     def __init__(self, cfg: dict, name: str):
         self.cfg, self.name = cfg, name
@@ -203,12 +203,16 @@ class _Stage:
     def error(self, msg: str) -> StageError:
         return StageError(self.name, msg)
 
-    def need(self, path, producer: str) -> Path:
+    def need(self, path, producer: str, load=Path, *args):
+        """load(path, *args); a missing file, or one whose format load refuses, names producer."""
         path = Path(path)
         if not path.exists():
             raise self.error(f"missing {path}; run the {producer} stage first")
         self.inputs.append(path)
-        return path
+        try:
+            return load(path, *args)
+        except FormatError as exc:
+            raise self.error(f"{exc}; rerun the {producer} stage") from exc
 
     def require_two(self, what: str, found) -> None:
         """Refuse clips that hold fewer than two distinct labels or speakers, naming the manifest."""
@@ -219,35 +223,32 @@ class _Stage:
 
     def records(self):
         """The manifest's records and the directory their paths are relative to."""
-        manifest = self.need(self.paths.manifest, "gen-data")
-        return load_manifest(manifest), manifest.parent
+        return self.need(self.paths.manifest, "gen-data", load_manifest), self.paths.manifest.parent
 
     def thresholds(self, netspec: NetworkSpec):
         """The calibrated thresholds, refused unless they name the backbone's monitored layers."""
-        path = self.need(self.paths.thresholds, "calibrate")
-        thresholds = load_thresholds(path)
+        thresholds = self.need(self.paths.thresholds, "calibrate", load_thresholds)
         layers = [name for _, name, _ in netspec.monitored_layers()]
         if thresholds.layer_ids() != layers:
-            raise self.error(f"{path} holds thresholds for layers {thresholds.layer_ids()}, "
+            raise self.error(f"{self.paths.thresholds} holds thresholds for layers {thresholds.layer_ids()}, "
                              f"but the backbone monitors {layers}; rerun the calibrate stage")
         return thresholds
 
     def split(self, criterion: str, split: str):
         """One split's rows of the criterion's feature CSV and their labels, fake as 1."""
-        _, labels, splits, matrix = read_feature_csv(self.need(self.paths.features(criterion), "extract"))
+        _, labels, splits, matrix = self.need(self.paths.features(criterion), "extract", read_feature_csv)
         keep = [i for i, s in enumerate(splits) if s == split]
         self.require_two(f"the labels of the {split}-split clips", [labels[i] for i in keep])
         return matrix[keep], np.asarray([1 if labels[i] == FAKE else 0 for i in keep])
 
     def detector(self, criterion: str, width: int):
         """The criterion's detector, refused when trained under another k or feature width."""
-        path = self.need(self.paths.detector(criterion), "train-detector")
-        model = load_detector(path)
+        model = self.need(self.paths.detector(criterion), "train-detector", load_detector)
         k = self.cfg["coverage"]["k"] if criterion == TKAN else 0
         if (model.criterion, model.k, model.spec.input_width) != (criterion, k, width):
-            raise self.error(f"{path} was trained for {model.criterion!r} k={model.k} on "
-                             f"{model.spec.input_width} features, but this run needs {criterion!r} "
-                             f"k={k} on {width}; rerun the train-detector stage")
+            raise self.error(f"{self.paths.detector(criterion)} was trained for {model.criterion!r} "
+                             f"k={model.k} on {model.spec.input_width} features, but this run needs "
+                             f"{criterion!r} k={k} on {width}; rerun the train-detector stage")
         return model
 
     def audit(self, outputs, **extra) -> None:
@@ -260,9 +261,8 @@ class _Stage:
 
 
 def _network_for(records, cfg: dict) -> NetworkSpec:
-    speakers = sorted({r.speaker_id for r in records})
     fcfg = cfg["frontend"]
-    return reference_spec(len(speakers), (fcfg["frames"], fcfg["mel_bins"], 1))
+    return reference_spec(len({r.speaker_id for r in records}), (fcfg["frames"], fcfg["mel_bins"], 1))
 
 
 def _load_clip(path) -> Waveform:
@@ -325,9 +325,12 @@ def cmd_gen_data(cfg: dict, jobs: int = 1):
         paths.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # --out names a file, or a path beneath one
         raise stage.error(f"cannot create the output directory {paths.out}: {exc.strerror or exc}") from exc
-    records = generate_corpus(CorpusSpec(**cfg["corpus"], seed=cfg["seed"]), paths.corpus_dir,
-                              map_fn=lambda render, clips: _ordered_map(render, clips, jobs))
-    bank = generate_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"], seed=cfg["seed"] + 1)
+    try:
+        records = generate_corpus(CorpusSpec(**cfg["corpus"], seed=cfg["seed"]), paths.corpus_dir,
+                                  map_fn=lambda render, clips: _ordered_map(render, clips, jobs))
+        bank = generate_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"], seed=cfg["seed"] + 1)
+    except OSError as exc:  # e.g. a regular file where the corpus or noise bank needs a directory
+        raise stage.error(f"cannot write {exc.filename or paths.out}: {exc.strerror or exc}") from exc
     stage.audit([paths.manifest, *sorted(paths.noise_dir.glob("*.wav"))],
                 clips=len(records), noise_classes=bank.ids())
     return records
@@ -364,9 +367,8 @@ def cmd_calibrate(cfg: dict, jobs: int = 1):
     """Average train-split activations of both classes into per-layer thresholds."""
     stage = _Stage(cfg, "calibrate")
     records, root = stage.records()
-    backbone = stage.need(stage.paths.backbone, "train-backbone")
     netspec = _network_for(records, cfg)
-    weights = load_weights(backbone, netspec)
+    weights = stage.need(stage.paths.backbone, "train-backbone", load_weights, netspec)
 
     cal = [r for r in records if r.split == "train"]
     if not cal:
@@ -383,15 +385,14 @@ def _trace_and_write(stage: _Stage, jobs: int, feature_path):
     and return (records, trace, written CSVs)."""
     cfg = stage.cfg
     records, root = stage.records()
-    backbone = stage.need(stage.paths.backbone, "train-backbone")
-    criteria, k = _criteria(cfg), cfg["coverage"]["k"]
     netspec = _network_for(records, cfg)
+    weights = stage.need(stage.paths.backbone, "train-backbone", load_weights, netspec)
+    criteria, k = _criteria(cfg), cfg["coverage"]["k"]
     narrowest = min(width for _, _, width in netspec.monitored_layers())
     if TKAN in criteria and k > narrowest:
         raise ConfigError(f"coverage.k {k} exceeds the {narrowest} neurons of the "
                           f"narrowest monitored layer; lower coverage.k or use more speakers")
     thresholds = stage.thresholds(netspec) if ACN in criteria else None
-    weights = load_weights(backbone, netspec)
     trace = _trace_files(netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs)
 
     outputs = []
@@ -481,9 +482,9 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     stage = _Stage(cfg, "sweep")
     paths = stage.paths
     records, root = stage.records()
-    stage.need(paths.backbone, "train-backbone")
-    criteria, k = _criteria(cfg), cfg["coverage"]["k"]
     netspec = _network_for(records, cfg)
+    weights = stage.need(paths.backbone, "train-backbone", load_weights, netspec)
+    criteria, k = _criteria(cfg), cfg["coverage"]["k"]
     n_layers = len(netspec.monitored_layers())
     detectors = {c: stage.detector(c, n_layers * (k if c == TKAN else 1)) for c in criteria}
     thresholds = stage.thresholds(netspec) if ACN in criteria else None
@@ -499,7 +500,6 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
         frozen.append(paths.thresholds)
     hashes_before = _sha256s(frozen)
 
-    weights = load_weights(paths.backbone, netspec)
     bank = load_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"])
     sample = _sample_records(records, cfg["sweep"]["sample_per_class"])
     stage.require_two("the labels of the sampled test-split clips", [r.label for r in sample])

@@ -366,7 +366,7 @@ def test_load_rejects_wrong_shape(tmp_path):
     save_weights(init_weights(other, 2), p)
     with pytest.raises(WeightFormatError) as exc:
         load_weights(p, TINY_SPEC)
-    assert "conv1" in str(exc.value)
+    assert str(exc.value).startswith(f"{p}: ") and "conv1" in str(exc.value)
 
 
 def test_batch_forward_matches_single():

@@ -207,7 +207,39 @@ def test_truncated_backbone_exits_2_naming_the_stage(chain, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("voicetrace: calibrate: ")
-    assert "truncated" in err
+    assert str(part / "backbone.nsw1") in err and "truncated" in err
+    assert "rerun the train-backbone stage" in err
+
+
+@pytest.mark.parametrize("stage", ["eval", "sweep"])
+def test_truncated_detector_exits_2_naming_train_detector(chain, tmp_path, capsys, stage):
+    out, config_path = chain
+    part = tmp_path / "truncated"
+    shutil.copytree(out, part)
+    detector = part / "detector_acn.nsd1"
+    detector.write_bytes(detector.read_bytes()[:38])
+    rc = main([stage, "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: {stage}: {detector}: truncated at byte ")
+    assert err.rstrip().endswith("; rerun the train-detector stage")
+
+
+def test_malformed_manifest_line_exits_2_naming_gen_data(chain, tmp_path, capsys):
+    out, config_path = chain
+    part = tmp_path / "bad_manifest"
+    shutil.copytree(out, part)
+    manifest = part / "corpus" / "manifest.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    manifest.write_text("".join(f"{line}\n" for line in lines) + "spk00/real_000.wav\treal\n",
+                        encoding="utf-8")
+    for stage in ("train-backbone", "calibrate", "extract", "sweep", "export-features"):
+        rc = main([stage, "--config", str(config_path), "--out", str(part), "--seed", "7"])
+        err = capsys.readouterr().err
+        assert rc == 2, stage
+        assert err.startswith(f"voicetrace: {stage}: {manifest} line {len(lines) + 1}: "
+                              f"expected 4 tab-separated fields, got 2; rerun the gen-data stage")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("content", [
@@ -502,6 +534,20 @@ def test_gen_data_out_that_cannot_be_a_directory_exits_2_naming_it(tmp_path, cap
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"voicetrace: gen-data: cannot create the output directory {out}: ")
+    assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+
+@pytest.mark.parametrize("name", ["corpus", "noise"])
+def test_gen_data_into_a_regular_file_named_corpus_or_noise_exits_2_naming_it(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    out.mkdir()
+    blocker = out / name
+    blocker.write_text("not a directory", encoding="utf-8")
+    rc = main(["gen-data", "--config", str(_write_config(tmp_path)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: gen-data: cannot write {blocker}: ")
     assert "Traceback" not in err
     assert blocker.read_text(encoding="utf-8") == "not a directory"
 

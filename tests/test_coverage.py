@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -277,7 +279,7 @@ def test_feature_csv_round_trip(tmp_path):
 def test_read_feature_csv_rejects_malformed_tables(tmp_path, content):
     p = tmp_path / "f.csv"
     p.write_bytes(content)
-    with pytest.raises(FeatureFormatError, match="rerun the extract stage"):
+    with pytest.raises(FeatureFormatError, match=re.escape(str(p))):
         read_feature_csv(p)
 
 
