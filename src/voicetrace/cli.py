@@ -11,8 +11,8 @@ from .errors import ConfigError, FormatError, StageError
 _STAGES = [
     ("gen-data", pipeline.cmd_gen_data, "write the synthetic corpus and noise bank"),
     ("train-backbone", pipeline.cmd_train_backbone, "train the instrumented speaker network"),
-    ("calibrate", pipeline.cmd_calibrate, "compute per-layer activation thresholds"),
-    ("extract", pipeline.cmd_extract, "trace all clips and write feature CSVs"),
+    ("calibrate", pipeline.cmd_calibrate, "trace all clips and compute per-layer activation thresholds"),
+    ("extract", pipeline.cmd_extract, "write feature CSVs from the calibrated traces"),
     ("train-detector", pipeline.cmd_train_detector, "train the real/fake classifiers"),
     ("eval", pipeline.cmd_eval, "score the test split and write the report"),
     ("sweep", pipeline.cmd_sweep, "run the 75-cell manipulation robustness grid"),

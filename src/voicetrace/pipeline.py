@@ -6,6 +6,8 @@ digest, the seed, and input/output content hashes. Nothing records wall
 time, so reruns with the same config and seed are byte-identical. A stage
 reads each input through `_Stage.need`, which refuses a missing or damaged
 file by naming the stage that writes it and lists the file in the audit.
+The corpus is traced once per chain: calibrate writes every clip's layer
+activations to traces.csv, and extract and export-features read them there.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import shutil
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -166,6 +169,7 @@ class RunPaths:
         self.noise_dir = Path(cfg["noise_bank"]) if cfg["noise_bank"] else self.out / "noise"
         self.backbone = self.out / "backbone.nsw1"
         self.thresholds = self.out / "thresholds.json"
+        self.traces = self.out / "traces.csv"
         self.eval_report = self.out / "eval_report.csv"
         self.sweep_report = self.out / "sweep_report.csv"
         self.sweep_long = self.out / "sweep_long.csv"
@@ -204,10 +208,13 @@ class _Stage:
         return StageError(self.name, msg)
 
     def need(self, path, producer: str, load=Path, *args):
-        """load(path, *args); a missing file, or one whose format load refuses, names producer."""
+        """load(path, *args); a missing file, a directory, or a file whose format load refuses
+        names producer."""
         path = Path(path)
         if not path.exists():
             raise self.error(f"missing {path}; run the {producer} stage first")
+        if not path.is_file():
+            raise self.error(f"{path} is not a file; rerun the {producer} stage")
         self.inputs.append(path)
         try:
             return load(path, *args)
@@ -222,8 +229,13 @@ class _Stage:
                              f"at least two; fix the manifest")
 
     def records(self):
-        """The manifest's records and the directory their paths are relative to."""
-        return self.need(self.paths.manifest, "gen-data", load_manifest), self.paths.manifest.parent
+        """The manifest's records, refused when it lists no clip, and the directory their paths
+        are relative to."""
+        records = self.need(self.paths.manifest, "gen-data", load_manifest)
+        if not records:
+            raise self.error(f"{self.paths.manifest} lists no clips; rerun the gen-data stage "
+                             f"or fix the manifest")
+        return records, self.paths.manifest.parent
 
     def thresholds(self, netspec: NetworkSpec):
         """The calibrated thresholds, refused unless they name the backbone's monitored layers."""
@@ -233,6 +245,21 @@ class _Stage:
             raise self.error(f"{self.paths.thresholds} holds thresholds for layers {thresholds.layer_ids()}, "
                              f"but the backbone monitors {layers}; rerun the calibrate stage")
         return thresholds
+
+    def trace(self, netspec: NetworkSpec, records) -> ActivationTrace:
+        """Every manifest clip's activations from traces.csv, refused unless its columns are the
+        backbone's monitored neurons and its rows the manifest's clips, in manifest order."""
+        path = self.paths.traces
+        columns, labels, splits, matrix = self.need(path, "calibrate", read_feature_csv)
+        layers = [(name, width) for _, name, width in netspec.monitored_layers()]
+        if columns != _trace_columns(layers):
+            raise self.error(f"the columns of {path} are not the neurons of the monitored layers "
+                             f"{layers}; rerun the calibrate stage")
+        if (labels, splits) != ([r.label for r in records], [r.split for r in records]):
+            raise self.error(f"{path} holds {len(labels)} clips that are not the {len(records)} clips "
+                             f"of {self.paths.manifest}; rerun the calibrate stage")
+        edges = np.cumsum([width for _, width in layers])[:-1]
+        return ActivationTrace(tuple(zip([name for name, _ in layers], np.split(matrix, edges, axis=1))))
 
     def split(self, criterion: str, split: str):
         """One split's rows of the criterion's feature CSV and their labels, fake as 1."""
@@ -258,6 +285,11 @@ class _Stage:
                  "inputs": _sha256s(self.inputs), "outputs": _sha256s(outputs), **extra}
         self.paths.audit(self.name).write_text(json.dumps(audit, sort_keys=True, indent=2) + "\n",
                                                encoding="utf-8")
+
+
+def _trace_columns(layers):
+    """traces.csv's column names, {layer}.n{i} for each neuron of each (layer, width)."""
+    return [f"{name}.n{i + 1}" for name, width in layers for i in range(width)]
 
 
 def _network_for(records, cfg: dict) -> NetworkSpec:
@@ -310,10 +342,6 @@ def _trace(netspec: NetworkSpec, weights: WeightStore, items, fcfg: dict, jobs: 
                                  for pairs in zip(*parts)))
 
 
-def _trace_files(netspec, weights, files, fcfg: dict, jobs: int):
-    return _trace(netspec, weights, files, fcfg, jobs, lambda block: [_load_clip(f) for f in block])
-
-
 # --- stages -----------------------------------------------------------
 
 
@@ -364,36 +392,43 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
 
 
 def cmd_calibrate(cfg: dict, jobs: int = 1):
-    """Average train-split activations of both classes into per-layer thresholds."""
+    """Trace every manifest clip once into traces.csv, and average the train-split activations
+    of both classes into per-layer thresholds."""
     stage = _Stage(cfg, "calibrate")
+    paths = stage.paths
     records, root = stage.records()
     netspec = _network_for(records, cfg)
-    weights = stage.need(stage.paths.backbone, "train-backbone", load_weights, netspec)
+    weights = stage.need(paths.backbone, "train-backbone", load_weights, netspec)
 
-    cal = [r for r in records if r.split == "train"]
+    cal = [i for i, r in enumerate(records) if r.split == "train"]
     if not cal:
         raise stage.error("no train-split clips to calibrate on")
-    trace = _trace_files(netspec, weights, [root / r.path for r in cal], cfg["frontend"], jobs)
-    thresholds = calibrate_thresholds([trace])
-    save_thresholds(thresholds, stage.paths.thresholds)
-    stage.audit([stage.paths.thresholds], calibration_clips=len(cal))
+    trace = _trace(netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs,
+                   lambda block: [_load_clip(f) for f in block])
+    write_feature_csv(paths.traces, _trace_columns(zip(trace.layer_ids(), trace.widths())),
+                      [r.label for r in records], [r.split for r in records],
+                      np.concatenate([vals for _, vals in trace.entries], axis=1))
+    # a clip's row holds the same bits in any block, so these are the train clips' own thresholds
+    train = ActivationTrace(tuple((name, vals[cal]) for name, vals in trace.entries))
+    thresholds = calibrate_thresholds([train])
+    save_thresholds(thresholds, paths.thresholds)
+    stage.audit([paths.thresholds, paths.traces], calibration_clips=len(cal))
     return thresholds
 
 
-def _trace_and_write(stage: _Stage, jobs: int, feature_path):
-    """Trace every manifest clip, write each criterion's feature CSV to feature_path(criterion),
-    and return (records, trace, written CSVs)."""
+def _write_features(stage: _Stage, feature_path):
+    """Compute each criterion's features from calibrate's traces.csv, write each CSV to
+    feature_path(criterion), and return (records, written CSVs)."""
     cfg = stage.cfg
-    records, root = stage.records()
+    records, _ = stage.records()
     netspec = _network_for(records, cfg)
-    weights = stage.need(stage.paths.backbone, "train-backbone", load_weights, netspec)
     criteria, k = _criteria(cfg), cfg["coverage"]["k"]
     narrowest = min(width for _, _, width in netspec.monitored_layers())
     if TKAN in criteria and k > narrowest:
         raise ConfigError(f"coverage.k {k} exceeds the {narrowest} neurons of the "
                           f"narrowest monitored layer; lower coverage.k or use more speakers")
     thresholds = stage.thresholds(netspec) if ACN in criteria else None
-    trace = _trace_files(netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs)
+    trace = stage.trace(netspec, records)
 
     outputs = []
     for criterion in criteria:
@@ -403,13 +438,13 @@ def _trace_and_write(stage: _Stage, jobs: int, feature_path):
         write_feature_csv(out, feats.column_names(criterion), [r.label for r in records],
                           [r.split for r in records], feats.values)
         outputs.append(out)
-    return records, trace, outputs
+    return records, outputs
 
 
 def cmd_extract(cfg: dict, jobs: int = 1):
-    """Trace every manifest clip and write per-criterion feature CSVs."""
+    """Write per-criterion feature CSVs from calibrate's traces.csv; nothing is traced here."""
     stage = _Stage(cfg, "extract")
-    records, _, outputs = _trace_and_write(stage, jobs, stage.paths.features)
+    records, outputs = _write_features(stage, stage.paths.features)
     stage.audit(outputs, rows=len(records), criteria=_criteria(cfg))
     return outputs
 
@@ -559,15 +594,13 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
 
 
 def cmd_export_features(cfg: dict, jobs: int = 1):
-    """Raw traces plus per-criterion features as labeled CSVs for plotting."""
+    """calibrate's traces.csv, copied byte for byte, plus per-criterion features as labeled
+    CSVs for plotting."""
     stage = _Stage(cfg, "export-features")
     paths = stage.paths
-    records, trace, features = _trace_and_write(
-        stage, jobs, lambda criterion: paths.export_dir / f"features_{criterion}.csv")
-    raw_names = [f"{layer_id}.n{i + 1}"
-                 for layer_id, width in zip(trace.layer_ids(), trace.widths()) for i in range(width)]
+    records, features = _write_features(stage,
+                                        lambda criterion: paths.export_dir / f"features_{criterion}.csv")
     outputs = [paths.export_dir / "traces.csv", *features]
-    write_feature_csv(outputs[0], raw_names, [r.label for r in records], [r.split for r in records],
-                      np.concatenate([vals for _, vals in trace.entries], axis=1))
+    shutil.copyfile(paths.traces, outputs[0])
     stage.audit(outputs, rows=len(records))
     return outputs

@@ -9,9 +9,10 @@ import pytest
 
 from voicetrace import pipeline
 from voicetrace.audio import Waveform, load_wav, save_wav
-from voicetrace.backbone import BackboneTrainConfig
+from voicetrace.backbone import BackboneTrainConfig, load_weights
 from voicetrace.cli import main
 from voicetrace.corpus import FAKE, REAL, CorpusSpec, ManifestRecord, load_manifest
+from voicetrace.coverage import calibrate_thresholds, save_thresholds
 from voicetrace.detector import TrainConfig, save_detector, train_detector
 from voicetrace.errors import ConfigError
 from voicetrace.pipeline import config_digest, load_config
@@ -34,7 +35,7 @@ TINY = {
 STAGES = ("gen-data", "train-backbone", "calibrate", "extract",
           "train-detector", "eval", "sweep", "export-features")
 
-ARTIFACTS = ("eval_report.csv", "backbone.nsw1", "thresholds.json",
+ARTIFACTS = ("eval_report.csv", "backbone.nsw1", "thresholds.json", "traces.csv",
              "features_acn.csv", "features_tkan.csv",
              "detector_acn.nsd1", "detector_tkan.nsd1",
              "sweep_report.csv", "sweep_long.csv", "sweep_failures.csv",
@@ -136,6 +137,84 @@ def test_export_features_match_extract_output(chain):
     assert len(open(out / "export/traces.csv").readlines()) == 61
 
 
+def test_extract_and_export_read_the_calibrated_traces_without_tracing(chain, tmp_path, monkeypatch):
+    out, config_path = chain
+    assert (out / "export/traces.csv").read_bytes() == (out / "traces.csv").read_bytes()
+    part = tmp_path / "from_traces"
+    shutil.copytree(out, part)
+    shutil.rmtree(part / "export")
+    for rel in ("features_acn.csv", "features_tkan.csv", "backbone.nsw1"):
+        (part / rel).unlink()
+
+    def no_tracing(*args, **kwargs):
+        raise AssertionError("a clip was decoded or traced")
+
+    monkeypatch.setattr(pipeline, "load_wav", no_tracing)
+    monkeypatch.setattr(pipeline, "forward_batch", no_tracing)
+    for stage in ("extract", "export-features"):
+        assert main([stage, "--config", str(config_path), "--out", str(part), "--seed", "7"]) == 0, stage
+    for rel in ("features_acn.csv", "features_tkan.csv", "export/traces.csv",
+                "export/features_acn.csv", "export/features_tkan.csv"):
+        assert _sha(part / rel) == _sha(out / rel), rel
+
+
+def test_calibrated_thresholds_equal_those_of_the_train_clips_traced_alone(chain, tmp_path):
+    # calibrate traces the whole manifest in blocks; a clip's row must not depend on its block
+    out, config_path = chain
+    cfg = load_config(config_path, seed=7, out_dir=str(out))
+    records = load_manifest(out / "corpus/manifest.tsv")
+    netspec = pipeline._network_for(records, cfg)
+    weights = load_weights(out / "backbone.nsw1", netspec)
+    train = [out / "corpus" / r.path for r in records if r.split == "train"]
+    assert len(train) < len(records)
+    trace = pipeline._trace(netspec, weights, train, cfg["frontend"], 1,
+                            lambda block: [load_wav(f) for f in block])
+    save_thresholds(calibrate_thresholds([trace]), tmp_path / "thresholds.json")
+    assert (tmp_path / "thresholds.json").read_bytes() == (out / "thresholds.json").read_bytes()
+
+
+def _drop_last_clip(part, traces):
+    """A user manifest without the manifest's last clip; traces.csv still holds that clip."""
+    lines = (part / "corpus/manifest.tsv").read_text(encoding="utf-8").splitlines()
+    manifest = part / "corpus/user_manifest.tsv"
+    manifest.write_text("".join(f"{line}\n" for line in lines[:-1]), encoding="utf-8")
+    return {"manifest": str(manifest)}
+
+
+def _truncate_last_row(part, traces):
+    text = traces.read_text(encoding="utf-8")
+    last = text.splitlines()[-1]
+    traces.write_text(text[: len(text) - 1 - len(last) // 2], encoding="utf-8")
+    return {}
+
+
+def _non_numeric_trace_cell(part, traces):
+    traces.write_text(_non_numeric_cell(traces.read_text(encoding="utf-8")), encoding="utf-8")
+    return {}
+
+
+def _rename_a_layer(part, traces):
+    traces.write_text(traces.read_text(encoding="utf-8").replace(",conv1.n", ",convX.n"), encoding="utf-8")
+    return {}
+
+
+@pytest.mark.parametrize("damage", [_drop_last_clip, _truncate_last_row, _non_numeric_trace_cell,
+                                    _rename_a_layer],
+                         ids=["manifest-without-a-clip", "truncated-row", "non-numeric-cell", "other-layers"])
+def test_traces_that_do_not_match_the_run_exit_2_naming_calibrate(chain, tmp_path, capsys, damage):
+    out, _ = chain
+    part = tmp_path / "bad_traces"
+    shutil.copytree(out, part)
+    cfg = _write_config(tmp_path, damage(part, part / "traces.csv"))
+    for stage in ("extract", "export-features"):
+        rc = main([stage, "--config", str(cfg), "--out", str(part), "--seed", "7"])
+        err = capsys.readouterr().err
+        assert rc == 2, stage
+        assert err.startswith(f"voicetrace: {stage}: ")
+        assert str(part / "traces.csv") in err and "rerun the calibrate stage" in err
+        assert "Traceback" not in err
+
+
 def test_audit_files_record_config_digest_and_hashes(chain):
     out, config_path = chain
     cfg = load_config(config_path, seed=7, out_dir=str(out))
@@ -156,6 +235,7 @@ def test_audit_files_record_config_digest_and_hashes(chain):
 def test_each_audit_lists_every_input_its_stage_reads(chain):
     out, _ = chain
     manifest, backbone, thresholds = out / "corpus/manifest.tsv", out / "backbone.nsw1", out / "thresholds.json"
+    traces = out / "traces.csv"
     features = [out / "features_acn.csv", out / "features_tkan.csv"]
     detectors = [out / "detector_acn.nsd1", out / "detector_tkan.nsd1"]
     noise = sorted((out / "noise").glob("*.wav"))
@@ -164,11 +244,11 @@ def test_each_audit_lists_every_input_its_stage_reads(chain):
         "gen-data": [],
         "train-backbone": [manifest],
         "calibrate": [manifest, backbone],
-        "extract": [manifest, backbone, thresholds],
+        "extract": [manifest, thresholds, traces],
         "train-detector": features,
         "eval": [*features, *detectors],
         "sweep": [manifest, backbone, thresholds, *detectors, *noise],
-        "export-features": [manifest, backbone, thresholds],
+        "export-features": [manifest, thresholds, traces],
     }
     for stage, inputs in expected.items():
         audit = json.loads((out / f"audit_{stage.replace('-', '_')}.json").read_text())
@@ -188,7 +268,8 @@ def test_extract_without_thresholds_names_calibrate(chain, tmp_path, capsys):
     assert rc == 2
     assert "calibrate" in err
 
-    # the top-k criterion needs no thresholds, so it runs from the same state
+    # the top-k criterion needs no thresholds, so it runs from the same state once the traces are there
+    shutil.copy(out / "traces.csv", part / "traces.csv")
     tkan_cfg = _write_config(tmp_path, {"coverage.criterion": "tkan"})
     rc = main(["extract", "--config", str(tkan_cfg), "--out", str(part), "--seed", "7"])
     assert rc == 0
@@ -209,6 +290,37 @@ def test_truncated_backbone_exits_2_naming_the_stage(chain, tmp_path, capsys):
     assert err.startswith("voicetrace: calibrate: ")
     assert str(part / "backbone.nsw1") in err and "truncated" in err
     assert "rerun the train-backbone stage" in err
+
+
+@pytest.mark.parametrize("stage, name, producer", [("calibrate", "backbone.nsw1", "train-backbone"),
+                                                   ("extract", "traces.csv", "calibrate")])
+def test_a_directory_where_an_input_belongs_exits_2_naming_its_producer(chain, tmp_path, capsys,
+                                                                        stage, name, producer):
+    out, config_path = chain
+    part = tmp_path / "run"
+    shutil.copytree(out, part)
+    (part / name).unlink()
+    (part / name).mkdir()
+    rc = main([stage, "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: {stage}: {part / name} is not a file; rerun the {producer} stage")
+    assert "Traceback" not in err
+
+
+def test_empty_manifest_exits_2_naming_gen_data(chain, tmp_path, capsys):
+    out, config_path = chain
+    part = tmp_path / "empty_manifest"
+    part.mkdir()
+    shutil.copytree(out / "corpus", part / "corpus")
+    shutil.copy(out / "backbone.nsw1", part / "backbone.nsw1")
+    manifest = part / "corpus" / "manifest.tsv"
+    manifest.write_bytes(b"")
+    rc = main(["calibrate", "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: calibrate: {manifest} lists no clips; rerun the gen-data stage")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("stage", ["eval", "sweep"])
@@ -280,7 +392,7 @@ def test_thresholds_for_other_layers_exit_2_naming_calibrate(chain, tmp_path, ca
     assert not (part / "features_acn.csv").exists()
 
 
-@pytest.mark.parametrize("stage", ["extract", "train-backbone", "sweep"])
+@pytest.mark.parametrize("stage", ["calibrate", "train-backbone", "sweep"])
 def test_clip_shorter_than_one_window_exits_2_naming_the_file(chain, tmp_path, capsys, stage):
     out, config_path = chain
     part = tmp_path / "short_clip"
@@ -415,8 +527,9 @@ def _run_with_manifest_without(chain, tmp_path, drop):
 ], ids=["no-fake-test-clips", "no-fake-train-clips", "one-train-speaker"])
 def test_a_split_that_lacks_a_class_exits_2_naming_the_manifest(chain, tmp_path, capsys, drop, stages):
     part, manifest, cfg = _run_with_manifest_without(chain, tmp_path, drop)
-    # the feature CSVs that train-detector and eval read follow the manifest
-    assert main(["extract", "--config", str(cfg), "--out", str(part), "--seed", "7"]) == 0
+    # the traces, and the feature CSVs that train-detector and eval read, follow the manifest
+    for stage in ("calibrate", "extract"):
+        assert main([stage, "--config", str(cfg), "--out", str(part), "--seed", "7"]) == 0
     capsys.readouterr()
     for stage in stages:
         rc = main([stage, "--config", str(cfg), "--out", str(part), "--seed", "7"])
@@ -451,6 +564,7 @@ def test_single_criterion_run_reports_only_that_criterion(chain, tmp_path):
     shutil.copytree(out / "corpus", part / "corpus")
     shutil.copy(out / "backbone.nsw1", part / "backbone.nsw1")
     shutil.copy(out / "thresholds.json", part / "thresholds.json")
+    shutil.copy(out / "traces.csv", part / "traces.csv")
     cfg = _write_config(tmp_path, {"coverage.criterion": "acn"})
     for stage in ("extract", "train-detector", "eval"):
         assert main([stage, "--config", str(cfg), "--out", str(part), "--seed", "7"]) == 0
@@ -647,15 +761,18 @@ def test_k_above_the_narrowest_layer_exits_2_before_tracing(chain, tmp_path, cap
     shutil.copytree(out / "corpus", part / "corpus")
     shutil.copy(out / "backbone.nsw1", part / "backbone.nsw1")
     shutil.copy(out / "thresholds.json", part / "thresholds.json")
+    shutil.copy(out / "traces.csv", part / "traces.csv")
     # three speakers give the logit layer three neurons, fewer than k=5
     cfg = _write_config(tmp_path, {"coverage.k": 5})
     monkeypatch.setattr(pipeline, "load_wav", None)  # any traced clip would raise
+    monkeypatch.setattr(pipeline, "read_feature_csv", None)  # so would reading traces.csv
     rc = main([stage, "--config", str(cfg), "--out", str(part), "--seed", "7"])
     err = capsys.readouterr().err
     assert rc == 2
     assert "coverage.k" in err
     assert "Traceback" not in err
-    assert sorted(p.name for p in part.iterdir()) == ["backbone.nsw1", "corpus", "thresholds.json"]
+    assert sorted(p.name for p in part.iterdir()) == ["backbone.nsw1", "corpus", "thresholds.json",
+                                                      "traces.csv"]
 
     acn_only = _write_config(tmp_path, {"coverage.k": 5, "coverage.criterion": "acn"})
     monkeypatch.undo()
