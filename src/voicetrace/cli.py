@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, metavar="N", help="override the config seed")
         p.add_argument("--out", metavar="DIR", help="override the output directory")
         p.add_argument("--jobs", type=positive_int, default=1, metavar="N",
-                       help="worker threads (never changes output bytes)")
+                       help="worker threads; train-detector fits each criterion in a "
+                            "forked child process (never changes output bytes)")
         p.set_defaults(func=func)
     return parser
 

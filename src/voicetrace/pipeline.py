@@ -17,7 +17,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import pickle
 import shutil
+import signal
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -449,8 +452,72 @@ def cmd_extract(cfg: dict, jobs: int = 1):
     return outputs
 
 
+def _fork_fit(fit, criterion, inherited):
+    """Fork a child that pickles (True, fit(criterion)) or (False, "ExcType: message") into a
+    pipe and exits; return (pid, the pipe's read end as a file). inherited lists the read ends
+    of earlier children, which the child closes."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)  # a later child must not hold it, or this pipe never ends
+        return pid, open(read_end, "rb")
+    status = 1
+    try:
+        for fd in (read_end, *(pipe.fileno() for pipe in inherited)):
+            os.close(fd)
+        try:
+            result = (True, fit(criterion))
+        except Exception as exc:  # noqa: BLE001 - the parent raises it as a StageError
+            result = (False, f"{type(exc).__name__}: {exc}")
+        with open(write_end, "wb") as pipe:
+            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)  # never return into the caller's stack or flush its stdio
+
+
+def _forked_fits(stage: _Stage, fit, criteria) -> list:
+    """fit(criterion) for each criterion, each in a forked child, in criteria order. Every child
+    is reaped; when an exception leaves, the children still running are killed first."""
+    children = []  # (criterion, pid, read end) of each child not yet reaped
+    try:
+        for criterion in criteria:
+            children.append((criterion, *_fork_fit(fit, criterion, [c[2] for c in children])))
+        models = []
+        while children:
+            criterion, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code != 0:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise stage.error(f"the {criterion} fit {how} before sending its detector")
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise stage.error(f"the {criterion} fit failed: {result}")
+            models.append(result)
+        return models
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_train_detector(cfg: dict, jobs: int = 1):
-    """Fit one detector per criterion on the train split; the criteria share the pool."""
+    """Fit one detector per criterion on the train split, then save the detectors and the audit.
+
+    At jobs >= 2 with two criteria each fit runs in a forked child, which inherits the loaded
+    interpreter and the splits read here; threads would serialize the fits' small numpy calls on
+    the interpreter lock. Otherwise the fits run here in turn. Both paths call the same
+    train_detector, so the bytes agree, and nothing is written unless every fit succeeded.
+    """
     stage = _Stage(cfg, "train-detector")
     criteria = _criteria(cfg)
     train = {c: stage.split(c, "train") for c in criteria}
@@ -458,12 +525,16 @@ def cmd_train_detector(cfg: dict, jobs: int = 1):
 
     def fit(criterion):
         x_train, y_train = train[criterion]
-        model = train_detector(x_train, y_train, config, standardizer=Standardizer.fit(x_train),
-                               criterion=criterion, k=cfg["coverage"]["k"] if criterion == TKAN else 0)
-        save_detector(model, stage.paths.detector(criterion))
-        return model
+        return train_detector(x_train, y_train, config, standardizer=Standardizer.fit(x_train),
+                              criterion=criterion, k=cfg["coverage"]["k"] if criterion == TKAN else 0)
 
-    models = dict(zip(criteria, _ordered_map(fit, criteria, jobs)))
+    if jobs >= 2 and len(criteria) >= 2 and hasattr(os, "fork"):
+        fitted = _forked_fits(stage, fit, criteria)
+    else:
+        fitted = [fit(c) for c in criteria]
+    models = dict(zip(criteria, fitted))
+    for criterion, model in models.items():
+        save_detector(model, stage.paths.detector(criterion))
     stage.audit([stage.paths.detector(c) for c in criteria],
                 epoch_losses={c: m.loss_log for c, m in models.items()})
     return models

@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+import signal
 
 import numpy as np
 import pytest
@@ -126,6 +129,141 @@ def test_rerun_with_more_jobs_is_byte_identical(chain, tmp_path):
     for rel in (*ARTIFACTS, "corpus/manifest.tsv"):
         assert _sha(out / rel) == _sha(again / rel), rel
     assert _wav_tree_digest(out / "corpus") == _wav_tree_digest(again / "corpus")
+
+
+DETECTOR_FILES = ("detector_acn.nsd1", "detector_tkan.nsd1", "audit_train_detector.json")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block if it runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_train_detector_writes_the_same_bytes_at_one_and_two_jobs(chain, tmp_path):
+    out, config_path = chain
+    part = tmp_path / "run"
+    shutil.copytree(out, part)
+    written = {}
+    for jobs in ("1", "2"):
+        assert main(["train-detector", "--config", str(config_path), "--out", str(part),
+                     "--seed", "7", "--jobs", jobs]) == 0
+        written[jobs] = {rel: (part / rel).read_bytes() for rel in DETECTOR_FILES}
+    assert written["1"] == written["2"]
+    for rel in DETECTOR_FILES[:2]:
+        assert written["2"][rel] == (out / rel).read_bytes(), rel
+
+
+def _fit_pids(chain, tmp_path, monkeypatch, jobs, criterion="both"):
+    """Run cmd_train_detector at jobs on a copy of the chain; return the pid each fit ran in."""
+    out, config_path = chain
+    part = tmp_path / "run"
+    shutil.copytree(out, part)
+    pids = tmp_path / "pids"
+    real = pipeline.train_detector
+
+    def recording(*args, **kwargs):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_detector", recording)
+    cfg = load_config(config_path, seed=7, out_dir=str(part))
+    cfg["coverage"]["criterion"] = criterion
+    with _within(120):
+        models = pipeline.cmd_train_detector(cfg, jobs)
+    _assert_no_child_left()
+    assert sorted(models) == (["acn", "tkan"] if criterion == "both" else [criterion])
+    return [int(line) for line in pids.read_text(encoding="utf-8").split()]
+
+
+def test_train_detector_fits_in_children_that_are_gone_when_it_returns(chain, tmp_path, monkeypatch):
+    children = _fit_pids(chain, tmp_path, monkeypatch, 2)
+    assert len(set(children)) == 2 and os.getpid() not in children
+    for pid in children:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+@pytest.mark.parametrize("jobs, criterion, fork", [(1, "both", True), (2, "acn", True), (2, "both", False)],
+                         ids=["one-job", "one-criterion", "no-fork"])
+def test_train_detector_fits_in_its_own_process_at_one_job_one_criterion_or_without_fork(
+        chain, tmp_path, monkeypatch, jobs, criterion, fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    fits = 2 if criterion == "both" else 1
+    assert _fit_pids(chain, tmp_path, monkeypatch, jobs, criterion) == [os.getpid()] * fits
+
+
+def _train_detector_in_a_changed_run(chain, tmp_path, monkeypatch, fake, jobs):
+    """Run train-detector at jobs with train_detector replaced by fake, on a copy of the chain
+    whose config trains other detectors; return (rc, the copy). No child may be left."""
+    out, _ = chain
+    part = tmp_path / "run"
+    shutil.copytree(out, part)
+    cfg = _write_config(tmp_path, {"detector.epochs": 3})
+    monkeypatch.setattr(pipeline, "train_detector", fake)
+    with _within(120):
+        rc = main(["train-detector", "--config", str(cfg), "--out", str(part), "--seed", "7",
+                   "--jobs", str(jobs)])
+    _assert_no_child_left()
+    return rc, part
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failed_fit_writes_no_detector_and_no_audit(chain, tmp_path, capsys, monkeypatch, jobs):
+    out, _ = chain
+    real = pipeline.train_detector
+
+    def tkan_fails(*args, criterion="", **kwargs):
+        if criterion == "tkan":
+            raise ValueError("boom")
+        return real(*args, criterion=criterion, **kwargs)
+
+    if jobs == 1:  # the in-process fit lets the error through
+        with pytest.raises(ValueError, match="boom"):
+            _train_detector_in_a_changed_run(chain, tmp_path, monkeypatch, tkan_fails, jobs)
+        part = tmp_path / "run"
+    else:
+        rc, part = _train_detector_in_a_changed_run(chain, tmp_path, monkeypatch, tkan_fails, jobs)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("voicetrace: train-detector: the tkan fit failed: ValueError: boom")
+        assert "Traceback" not in err
+    for rel in DETECTOR_FILES:
+        assert (part / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+
+def test_a_fit_killed_by_a_signal_exits_2_naming_train_detector(chain, tmp_path, capsys, monkeypatch):
+    out, _ = chain
+    me = os.getpid()
+
+    def killed_in_a_child(*args, **kwargs):
+        if os.getpid() != me:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("the fit ran in the test's own process")
+
+    rc, part = _train_detector_in_a_changed_run(chain, tmp_path, monkeypatch, killed_in_a_child, 2)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("voicetrace: train-detector: the acn fit was killed by signal 9 ")
+    assert "Traceback" not in err
+    for rel in DETECTOR_FILES:
+        assert (part / rel).read_bytes() == (out / rel).read_bytes(), rel
 
 
 def test_export_features_match_extract_output(chain):
