@@ -20,6 +20,8 @@ FLOAT32 = "float32"
 
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
+# The most data bytes a WAV can hold: its byte rate, data size and RIFF size (36 + data) are u32.
+WAV_MAX_DATA = 0xFFFFFFFF - 36
 
 # The log-mel frontend's analysis grid: 25 ms windows every 10 ms at 16 kHz.
 WINDOW = 400

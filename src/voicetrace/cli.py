@@ -39,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, metavar="N", help="override the config seed")
         p.add_argument("--out", metavar="DIR", help="override the output directory")
         p.add_argument("--jobs", type=positive_int, default=1, metavar="N",
-                       help="worker threads; train-detector fits each criterion in a "
-                            "forked child process (never changes output bytes)")
+                       help="worker threads; train-detector fits the last criterion in a "
+                            "forked child process beside the first (never changes output bytes)")
         p.set_defaults(func=func)
     return parser
 
@@ -58,6 +58,10 @@ def main(argv=None) -> int:
         return 2
     except FormatError as exc:  # a corpus clip or noise WAV, read in bulk outside _Stage.need
         print(f"voicetrace: {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # e.g. a directory where an output file belongs
+        named = f"{exc.filename}: " if exc.filename else ""
+        print(f"voicetrace: {args.command}: {named}{exc.strerror or exc}", file=sys.stderr)
         return 2
     if args.command == "sweep":
         _, failures = result

@@ -33,6 +33,8 @@ _PHASES = 1024
 # Output positions per kernel block.
 _BLOCK = 512
 
+NOISE_SECONDS = 3.0  # the length of each noise-bank texture
+
 NOISE_CLASSES = (
     ("indoor", "breathing"),
     ("indoor", "footsteps"),
@@ -361,7 +363,7 @@ def _synth_noise(tag: str, rng: np.random.Generator, n: int, sr: int) -> np.ndar
     raise ValueError(f"unknown noise class {tag!r}")
 
 
-def generate_noise_bank(directory, sample_rate: int = 16000, seconds: float = 3.0,
+def generate_noise_bank(directory, sample_rate: int = 16000, seconds: float = NOISE_SECONDS,
                         seed: int = 7) -> NoiseBank:
     """Write 12 deterministic synthetic stand-in textures as <taxonomy>_<class>.wav."""
     directory = Path(directory)

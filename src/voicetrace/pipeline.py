@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import WINDOW, Waveform, load_wav, log_mel
+from .audio import WAV_MAX_DATA, WINDOW, Waveform, load_wav, log_mel
 from .backbone import (ActivationTrace, BackboneTrainConfig, NetworkSpec, WeightStore,
                        classify, forward_batch, load_weights, reference_spec,
                        save_weights, train_backbone)
@@ -36,7 +36,7 @@ from .coverage import (ACN, TKAN, _is_number, acn_features, calibrate_thresholds
                        read_feature_csv, save_thresholds, tkan_features, write_feature_csv)
 from .detector import Standardizer, TrainConfig, load_detector, save_detector, score_batch, train_detector
 from .errors import AudioFormatError, ConfigError, FormatError, StageError
-from .manipulate import Manipulation, apply_manipulation, generate_noise_bank, load_noise_bank
+from .manipulate import NOISE_SECONDS, Manipulation, apply_manipulation, generate_noise_bank, load_noise_bank
 from .metrics import REPORT_COLUMNS, MetricRow, compute_all, write_report
 
 _TRACE_BLOCK = 16
@@ -146,11 +146,15 @@ def _validate(cfg: dict) -> None:
     c, f = cfg["corpus"], cfg["frontend"]
     if not _is_number(c["clip_seconds"] * c["sample_rate"]):
         raise ConfigError(f"corpus.clip_seconds {c['clip_seconds']!r} gives too many samples to count")
+    if 4 * max(c["sample_rate"], round(NOISE_SECONDS * c["sample_rate"])) > WAV_MAX_DATA:
+        raise ConfigError(f"corpus.sample_rate {c['sample_rate']} overflows the noise-bank WAVs' u32 sizes")
     clip_samples = CorpusSpec(**c, seed=cfg["seed"]).clip_samples
     if clip_samples < WINDOW:
         # every stage after gen-data refuses a clip shorter than one analysis window
         raise ConfigError(f"corpus.clip_seconds gives {clip_samples}-sample clips at corpus.sample_rate "
                           f"{c['sample_rate']}, shorter than one {WINDOW}-sample analysis window")
+    if 2 * clip_samples > WAV_MAX_DATA:
+        raise ConfigError(f"corpus.clip_seconds gives {clip_samples}-sample clips, too long for a WAV")
     try:
         reference_spec(c["num_speakers"], (f["frames"], f["mel_bins"], 1))
     except ValueError as exc:
@@ -452,10 +456,10 @@ def cmd_extract(cfg: dict, jobs: int = 1):
     return outputs
 
 
-def _fork_fit(fit, criterion, inherited):
-    """Fork a child that pickles (True, fit(criterion)) or (False, "ExcType: message") into a
-    pipe and exits; return (pid, the pipe's read end as a file). inherited lists the read ends
-    of earlier children, which the child closes."""
+def _fit_beside_a_child(stage: _Stage, fit, criteria) -> list:
+    """fit(criterion) for each criterion, in criteria order: the last in a forked child that
+    pickles (True, model) or (False, "ExcType: message") into a pipe, the rest here meanwhile.
+    The child is reaped, and killed first if an exception leaves, the fits' own included."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -463,60 +467,46 @@ def _fork_fit(fit, criterion, inherited):
         os.close(read_end)
         os.close(write_end)
         raise
-    if pid:
-        os.close(write_end)  # a later child must not hold it, or this pipe never ends
-        return pid, open(read_end, "rb")
-    status = 1
-    try:
-        for fd in (read_end, *(pipe.fileno() for pipe in inherited)):
-            os.close(fd)
+    if pid == 0:
+        status = 1
         try:
-            result = (True, fit(criterion))
-        except Exception as exc:  # noqa: BLE001 - the parent raises it as a StageError
-            result = (False, f"{type(exc).__name__}: {exc}")
-        with open(write_end, "wb") as pipe:
-            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)  # never return into the caller's stack or flush its stdio
-
-
-def _forked_fits(stage: _Stage, fit, criteria) -> list:
-    """fit(criterion) for each criterion, each in a forked child, in criteria order. Every child
-    is reaped; when an exception leaves, the children still running are killed first."""
-    children = []  # (criterion, pid, read end) of each child not yet reaped
+            os.close(read_end)
+            try:
+                result = (True, fit(criteria[-1]))
+            except Exception as exc:  # noqa: BLE001 - the parent raises it as a StageError
+                result = (False, f"{type(exc).__name__}: {exc}")
+            with open(write_end, "wb") as pipe:
+                pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)  # never return into the caller's stack or flush its stdio
     try:
-        for criterion in criteria:
-            children.append((criterion, *_fork_fit(fit, criterion, [c[2] for c in children])))
-        models = []
-        while children:
-            criterion, pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code != 0:
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise stage.error(f"the {criterion} fit {how} before sending its detector")
-            ok, result = pickle.loads(data)
-            if not ok:
-                raise stage.error(f"the {criterion} fit failed: {result}")
-            models.append(result)
-        return models
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            models = [fit(c) for c in criteria[:-1]]
+            data = pipe.read()
+        code, pid = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), 0
     finally:
-        for _, pid, pipe in children:
-            pipe.close()
+        if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    if code != 0:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise stage.error(f"the {criteria[-1]} fit {how} before sending its detector")
+    ok, result = pickle.loads(data)
+    if not ok:
+        raise stage.error(f"the {criteria[-1]} fit failed: {result}")
+    return [*models, result]
 
 
 def cmd_train_detector(cfg: dict, jobs: int = 1):
     """Fit one detector per criterion on the train split, then save the detectors and the audit.
 
-    At jobs >= 2 with two criteria each fit runs in a forked child, which inherits the loaded
-    interpreter and the splits read here; threads would serialize the fits' small numpy calls on
-    the interpreter lock. Otherwise the fits run here in turn. Both paths call the same
-    train_detector, so the bytes agree, and nothing is written unless every fit succeeded.
+    At jobs >= 2 with two criteria the last criterion's fit runs in a forked child, which inherits
+    the loaded interpreter and the splits read here, while the first fits here; threads would
+    serialize the fits' small numpy calls on the interpreter lock. Otherwise the fits run here in
+    turn. Both paths call the same train_detector, so the bytes agree, and nothing is written
+    unless every fit succeeded.
     """
     stage = _Stage(cfg, "train-detector")
     criteria = _criteria(cfg)
@@ -529,7 +519,7 @@ def cmd_train_detector(cfg: dict, jobs: int = 1):
                               criterion=criterion, k=cfg["coverage"]["k"] if criterion == TKAN else 0)
 
     if jobs >= 2 and len(criteria) >= 2 and hasattr(os, "fork"):
-        fitted = _forked_fits(stage, fit, criteria)
+        fitted = _fit_beside_a_child(stage, fit, criteria)
     else:
         fitted = [fit(c) for c in criteria]
     models = dict(zip(criteria, fitted))

@@ -169,17 +169,18 @@ def test_train_detector_writes_the_same_bytes_at_one_and_two_jobs(chain, tmp_pat
 
 
 def _fit_pids(chain, tmp_path, monkeypatch, jobs, criterion="both"):
-    """Run cmd_train_detector at jobs on a copy of the chain; return the pid each fit ran in."""
+    """Run cmd_train_detector at jobs on a copy of the chain; return {criterion: the pid its fit
+    ran in}."""
     out, config_path = chain
     part = tmp_path / "run"
     shutil.copytree(out, part)
     pids = tmp_path / "pids"
     real = pipeline.train_detector
 
-    def recording(*args, **kwargs):
+    def recording(*args, criterion="", **kwargs):
         with open(pids, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(*args, **kwargs)
+            fh.write(f"{criterion} {os.getpid()}\n")
+        return real(*args, criterion=criterion, **kwargs)
 
     monkeypatch.setattr(pipeline, "train_detector", recording)
     cfg = load_config(config_path, seed=7, out_dir=str(part))
@@ -188,15 +189,17 @@ def _fit_pids(chain, tmp_path, monkeypatch, jobs, criterion="both"):
         models = pipeline.cmd_train_detector(cfg, jobs)
     _assert_no_child_left()
     assert sorted(models) == (["acn", "tkan"] if criterion == "both" else [criterion])
-    return [int(line) for line in pids.read_text(encoding="utf-8").split()]
+    lines = [line.split() for line in pids.read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == len(models)  # one fit per criterion
+    return {fitted: int(pid) for fitted, pid in lines}
 
 
 def test_train_detector_fits_in_children_that_are_gone_when_it_returns(chain, tmp_path, monkeypatch):
-    children = _fit_pids(chain, tmp_path, monkeypatch, 2)
-    assert len(set(children)) == 2 and os.getpid() not in children
-    for pid in children:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
+    # the stage fits acn itself while one forked child fits tkan
+    pids = _fit_pids(chain, tmp_path, monkeypatch, 2)
+    assert pids["acn"] == os.getpid() != pids["tkan"]
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids["tkan"], 0)
 
 
 @pytest.mark.parametrize("jobs, criterion, fork", [(1, "both", True), (2, "acn", True), (2, "both", False)],
@@ -205,8 +208,8 @@ def test_train_detector_fits_in_its_own_process_at_one_job_one_criterion_or_with
         chain, tmp_path, monkeypatch, jobs, criterion, fork):
     if not fork:
         monkeypatch.delattr(os, "fork")
-    fits = 2 if criterion == "both" else 1
-    assert _fit_pids(chain, tmp_path, monkeypatch, jobs, criterion) == [os.getpid()] * fits
+    criteria = ["acn", "tkan"] if criterion == "both" else [criterion]
+    assert _fit_pids(chain, tmp_path, monkeypatch, jobs, criterion) == dict.fromkeys(criteria, os.getpid())
 
 
 def _train_detector_in_a_changed_run(chain, tmp_path, monkeypatch, fake, jobs):
@@ -248,19 +251,35 @@ def test_a_failed_fit_writes_no_detector_and_no_audit(chain, tmp_path, capsys, m
         assert (part / rel).read_bytes() == (out / rel).read_bytes(), rel
 
 
+def test_a_fit_that_fails_in_the_stage_process_raises_as_at_one_job(chain, tmp_path, monkeypatch):
+    out, _ = chain
+    real = pipeline.train_detector
+
+    def acn_fails(*args, criterion="", **kwargs):
+        if criterion == "acn":
+            raise ValueError("boom")
+        return real(*args, criterion=criterion, **kwargs)
+
+    with pytest.raises(ValueError, match="boom"):
+        _train_detector_in_a_changed_run(chain, tmp_path, monkeypatch, acn_fails, 2)
+    _assert_no_child_left()  # the tkan child was killed and reaped
+    for rel in DETECTOR_FILES:
+        assert (tmp_path / "run" / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+
 def test_a_fit_killed_by_a_signal_exits_2_naming_train_detector(chain, tmp_path, capsys, monkeypatch):
     out, _ = chain
-    me = os.getpid()
+    me, real = os.getpid(), pipeline.train_detector
 
     def killed_in_a_child(*args, **kwargs):
         if os.getpid() != me:
             os.kill(os.getpid(), signal.SIGKILL)
-        raise AssertionError("the fit ran in the test's own process")
+        return real(*args, **kwargs)
 
     rc, part = _train_detector_in_a_changed_run(chain, tmp_path, monkeypatch, killed_in_a_child, 2)
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("voicetrace: train-detector: the acn fit was killed by signal 9 ")
+    assert err.startswith("voicetrace: train-detector: the tkan fit was killed by signal 9 ")
     assert "Traceback" not in err
     for rel in DETECTOR_FILES:
         assert (part / rel).read_bytes() == (out / rel).read_bytes(), rel
@@ -831,8 +850,18 @@ def test_bad_criterion_value_exits_2(tmp_path, capsys):
     ({"backbone.batch_size": 0}, [], "backbone.batch_size"),
     ({"frontend.frames": 10}, [], "frontend.frames"),
     ({"coverage.k": "5"}, [], "coverage.k"),
+    # a WAV's byte rate and sizes are u32: a 3 s float32 noise texture takes 12 bytes per Hz, and
+    # 2,147,483,630 16-bit samples are 36 bytes too many
+    ({"corpus.sample_rate": 2_500_000_000, "corpus.clip_seconds": 1e-6}, [], "corpus.sample_rate"),
+    ({"corpus.sample_rate": 357_913_939}, [], "corpus.sample_rate"),
+    ({"corpus.clip_seconds": 1e6}, [], "corpus.clip_seconds"),
+    ({"corpus.clip_seconds": 134_217.726875}, [], "corpus.clip_seconds"),
 ])
-def test_bad_corpus_config_exits_2_naming_the_field(tmp_path, capsys, overrides, flags, named):
+def test_bad_corpus_config_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, overrides, flags, named):
+    def rendering(*args, **kwargs):
+        raise AssertionError("gen-data ran on a config that load_config should refuse")
+
+    monkeypatch.setattr(pipeline, "generate_corpus", rendering)  # some of these values would exhaust memory
     config_path = _write_config(tmp_path, overrides)
     rc = main(["gen-data", "--config", str(config_path), "--out", str(tmp_path / "run"), *flags])
     err = capsys.readouterr().err
@@ -840,6 +869,35 @@ def test_bad_corpus_config_exits_2_naming_the_field(tmp_path, capsys, overrides,
     assert named in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("corpus", [{"sample_rate": 357_913_938}, {"clip_seconds": 134_217.7268125}],
+                         ids=["noise-bank-wavs", "clips"])
+def test_a_config_at_the_largest_wav_size_loads(tmp_path, corpus):
+    # 12 bytes per Hz, or 2,147,483,629 16-bit samples, leave exactly the 36 header bytes
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"corpus": corpus}), encoding="utf-8")
+    assert load_config(path)["corpus"] == {**pipeline.DEFAULT_CONFIG["corpus"], **corpus}
+
+
+@pytest.mark.parametrize("stage, blocked", [("export-features", "export"), ("eval", "eval_report.csv"),
+                                            ("extract", "features_acn.csv")])
+def test_an_output_that_cannot_be_written_exits_2_naming_it(chain, tmp_path, capsys, stage, blocked):
+    out, config_path = chain
+    part = tmp_path / "run"
+    shutil.copytree(out, part)
+    target = part / blocked
+    if target.is_dir():  # a regular file where a directory belongs
+        shutil.rmtree(target)
+        target.write_text("not a directory", encoding="utf-8")
+    else:  # a directory where a file belongs
+        target.unlink()
+        target.mkdir()
+    rc = main([stage, "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: {stage}: {target}: ")
+    assert "Traceback" not in err
 
 
 def _leaves(node, trail=""):
