@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from . import pipeline
-from .errors import ConfigError, FormatError, StageError
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads; --jobs fills the cores instead
+from . import pipeline  # noqa: E402
+from .errors import ConfigError, FormatError, StageError  # noqa: E402
 
 _STAGES = [
     ("gen-data", pipeline.cmd_gen_data, "write the synthetic corpus and noise bank"),

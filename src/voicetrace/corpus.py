@@ -194,17 +194,18 @@ def _split_of(clip: int, clips_per_speaker: int) -> str:
 
 
 def generate_corpus(spec: CorpusSpec, out_dir, map_fn=map) -> list:
-    """Write WAVs plus manifest.tsv under out_dir; returns the records.
+    """Write the train and test WAVs plus manifest.tsv under out_dir; returns the records.
 
-    Each clip is rendered and saved as one task of map_fn(task, clips),
-    which must return results in input order (a pool may run the tasks).
-    """
+    The indexes _split_of puts in val, which no stage reads, are skipped; every other clip keeps
+    its index, file name and seed. Each clip is rendered and saved as one task of
+    map_fn(task, clips), which must return results in input order (a pool may run the tasks)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    kept = [c for c in range(spec.clips_per_speaker) if _split_of(c, spec.clips_per_speaker) != "val"]
     clips = []
     for speaker in range(spec.num_speakers):
         (out_dir / f"spk{speaker:02d}").mkdir(exist_ok=True)
-        clips += [(speaker, label, clip) for label in LABELS for clip in range(spec.clips_per_speaker)]
+        clips += [(speaker, label, clip) for label in LABELS for clip in kept]
 
     def render(item):
         speaker, label, clip = item

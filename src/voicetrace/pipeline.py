@@ -7,7 +7,7 @@ time, so reruns with the same config and seed are byte-identical. A stage
 reads each input through `_Stage.need`, which refuses a missing or damaged
 file by naming the stage that writes it and lists the file in the audit.
 The corpus is traced once per chain: calibrate writes every clip's layer
-activations to traces.csv, and extract and export-features read them there.
+activations to traces.csv; extract reads them there, and export-features copies them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .corpus import ARTIFACTS, FAKE, REAL, CorpusSpec, generate_corpus, load_man
 from .coverage import (ACN, TKAN, _is_number, acn_features, calibrate_thresholds, load_thresholds,
                        read_feature_csv, save_thresholds, tkan_features, write_feature_csv)
 from .detector import Standardizer, TrainConfig, load_detector, save_detector, score_batch, train_detector
-from .errors import AudioFormatError, ConfigError, FormatError, StageError
+from .errors import AudioFormatError, ConfigError, FeatureFormatError, FormatError, StageError
 from .manipulate import NOISE_SECONDS, Manipulation, apply_manipulation, generate_noise_bank, load_noise_bank
 from .metrics import REPORT_COLUMNS, MetricRow, compute_all, write_report
 
@@ -75,7 +75,7 @@ _LIMITS = {
     "seed": (0, math.inf),
     "snr_formula": ("paper", "standard"),
     "corpus.num_speakers": (2, math.inf),
-    # five clips per speaker is the fewest a 60/20/20 split can hold
+    # five clips per speaker is the fewest the 60/20/20 numbering can hold; the val block is not rendered
     "corpus.clips_per_speaker": (5, math.inf),
     "corpus.fake_artifact": ARTIFACTS,
     "coverage.criterion": (ACN, TKAN, "both"),
@@ -253,18 +253,24 @@ class _Stage:
                              f"but the backbone monitors {layers}; rerun the calibrate stage")
         return thresholds
 
+    def manifest_rows(self, path, records):
+        """A feature-format CSV's columns and matrix, refused unless its rows are the manifest's
+        clips, in manifest order; a loader for need."""
+        columns, labels, splits, matrix = read_feature_csv(path)
+        if (labels, splits) != ([r.label for r in records], [r.split for r in records]):
+            raise FeatureFormatError(f"{path} holds {len(labels)} clips that are not the {len(records)} "
+                                     f"clips of {self.paths.manifest}")
+        return columns, matrix
+
     def trace(self, netspec: NetworkSpec, records) -> ActivationTrace:
         """Every manifest clip's activations from traces.csv, refused unless its columns are the
         backbone's monitored neurons and its rows the manifest's clips, in manifest order."""
         path = self.paths.traces
-        columns, labels, splits, matrix = self.need(path, "calibrate", read_feature_csv)
+        columns, matrix = self.need(path, "calibrate", self.manifest_rows, records)
         layers = [(name, width) for _, name, width in netspec.monitored_layers()]
         if columns != _trace_columns(layers):
             raise self.error(f"the columns of {path} are not the neurons of the monitored layers "
                              f"{layers}; rerun the calibrate stage")
-        if (labels, splits) != ([r.label for r in records], [r.split for r in records]):
-            raise self.error(f"{path} holds {len(labels)} clips that are not the {len(records)} clips "
-                             f"of {self.paths.manifest}; rerun the calibrate stage")
         edges = np.cumsum([width for _, width in layers])[:-1]
         return ActivationTrace(tuple(zip([name for name, _ in layers], np.split(matrix, edges, axis=1))))
 
@@ -423,10 +429,9 @@ def cmd_calibrate(cfg: dict, jobs: int = 1):
     return thresholds
 
 
-def _write_features(stage: _Stage, feature_path):
-    """Compute each criterion's features from calibrate's traces.csv, write each CSV to
-    feature_path(criterion), and return (records, written CSVs)."""
-    cfg = stage.cfg
+def cmd_extract(cfg: dict, jobs: int = 1):
+    """Write per-criterion feature CSVs from calibrate's traces.csv; nothing is traced here."""
+    stage = _Stage(cfg, "extract")
     records, _ = stage.records()
     netspec = _network_for(records, cfg)
     criteria, k = _criteria(cfg), cfg["coverage"]["k"]
@@ -437,22 +442,12 @@ def _write_features(stage: _Stage, feature_path):
     thresholds = stage.thresholds(netspec) if ACN in criteria else None
     trace = stage.trace(netspec, records)
 
-    outputs = []
-    for criterion in criteria:
+    outputs = [stage.paths.features(criterion) for criterion in criteria]
+    for criterion, out in zip(criteria, outputs):
         feats = acn_features(trace, thresholds) if criterion == ACN else tkan_features(trace, k)
-        out = feature_path(criterion)
-        out.parent.mkdir(parents=True, exist_ok=True)
         write_feature_csv(out, feats.column_names(criterion), [r.label for r in records],
                           [r.split for r in records], feats.values)
-        outputs.append(out)
-    return records, outputs
-
-
-def cmd_extract(cfg: dict, jobs: int = 1):
-    """Write per-criterion feature CSVs from calibrate's traces.csv; nothing is traced here."""
-    stage = _Stage(cfg, "extract")
-    records, outputs = _write_features(stage, stage.paths.features)
-    stage.audit(outputs, rows=len(records), criteria=_criteria(cfg))
+    stage.audit(outputs, rows=len(records), criteria=criteria)
     return outputs
 
 
@@ -655,13 +650,15 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
 
 
 def cmd_export_features(cfg: dict, jobs: int = 1):
-    """calibrate's traces.csv, copied byte for byte, plus per-criterion features as labeled
-    CSVs for plotting."""
+    """Copy calibrate's traces.csv and extract's feature CSVs to export/ once each matches the manifest."""
     stage = _Stage(cfg, "export-features")
     paths = stage.paths
-    records, features = _write_features(stage,
-                                        lambda criterion: paths.export_dir / f"features_{criterion}.csv")
-    outputs = [paths.export_dir / "traces.csv", *features]
-    shutil.copyfile(paths.traces, outputs[0])
+    records, _ = stage.records()
+    stage.trace(_network_for(records, cfg), records)
+    features = [paths.features(criterion) for criterion in _criteria(cfg)]
+    for path in features:
+        stage.need(path, "extract", stage.manifest_rows, records)
+    paths.export_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [shutil.copyfile(path, paths.export_dir / path.name) for path in [paths.traces, *features]]
     stage.audit(outputs, rows=len(records))
     return outputs

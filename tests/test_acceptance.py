@@ -335,7 +335,7 @@ def test_criterion_8_determinism(full_run, verdict, tmp_path):
         runs.append(run_dir)
 
     ok = True
-    for rel in ("eval_report.csv", "backbone.nsw1", "thresholds.json",
+    for rel in ("eval_report.csv", "backbone.nsw1", "thresholds.json", "traces.csv",
                 "features_acn.csv", "features_tkan.csv",
                 "detector_acn.nsd1", "detector_tkan.nsd1",
                 "sweep_report.csv", "sweep_long.csv", "sweep_failures.csv"):

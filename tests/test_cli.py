@@ -6,6 +6,9 @@ import json
 import os
 import shutil
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,7 +85,8 @@ def test_chain_writes_all_artifacts(chain):
     out, _ = chain
     for rel in ARTIFACTS:
         assert (out / rel).exists(), rel
-    assert len(list((out / "corpus").rglob("*.wav"))) == 60
+    # 3 speakers x 2 classes x 10 clips, less the 2 of each 10 in the unrendered val block
+    assert len(list((out / "corpus").rglob("*.wav"))) == 48
     assert len(list((out / "noise").glob("*.wav"))) == 12
 
 
@@ -291,7 +295,7 @@ def test_export_features_match_extract_output(chain):
     assert (out / "export/features_tkan.csv").read_bytes() == (out / "features_tkan.csv").read_bytes()
     header = open(out / "export/traces.csv").readline().strip().split(",")
     assert header[:2] == ["label", "split"]
-    assert len(open(out / "export/traces.csv").readlines()) == 61
+    assert len(open(out / "export/traces.csv").readlines()) == 49
 
 
 def test_extract_and_export_read_the_calibrated_traces_without_tracing(chain, tmp_path, monkeypatch):
@@ -313,6 +317,36 @@ def test_extract_and_export_read_the_calibrated_traces_without_tracing(chain, tm
     for rel in ("features_acn.csv", "features_tkan.csv", "export/traces.csv",
                 "export/features_acn.csv", "export/features_tkan.csv"):
         assert _sha(part / rel) == _sha(out / rel), rel
+
+
+def _drop_last_row(text):
+    return "".join(text.splitlines(keepends=True)[:-1])
+
+
+def _swap_two_labels(text):
+    lines = text.splitlines(keepends=True)
+    real = next(i for i, line in enumerate(lines) if line.startswith("real,"))
+    fake = next(i for i, line in enumerate(lines) if line.startswith("fake,"))
+    lines[real], lines[fake] = "fake," + lines[real][5:], "real," + lines[fake][5:]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("damage", [_drop_last_row, _swap_two_labels], ids=["missing-row", "swapped-labels"])
+def test_feature_csv_whose_rows_are_not_the_manifests_makes_export_exit_2_naming_extract(chain, tmp_path,
+                                                                                       capsys, damage):
+    out, config_path = chain
+    part = tmp_path / "stale_features"
+    shutil.copytree(out, part)
+    shutil.rmtree(part / "export")
+    csv_path = part / "features_tkan.csv"
+    csv_path.write_text(damage(csv_path.read_text(encoding="utf-8")), encoding="utf-8")
+    rc = main(["export-features", "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: export-features: {csv_path} holds ")
+    assert err.rstrip().endswith("; rerun the extract stage")
+    assert "Traceback" not in err
+    assert not (part / "export").exists()
 
 
 def test_calibrated_thresholds_equal_those_of_the_train_clips_traced_alone(chain, tmp_path):
@@ -405,7 +439,7 @@ def test_each_audit_lists_every_input_its_stage_reads(chain):
         "train-detector": features,
         "eval": [*features, *detectors],
         "sweep": [manifest, backbone, thresholds, *detectors, *noise],
-        "export-features": [manifest, thresholds, traces],
+        "export-features": [manifest, traces, *features],
     }
     for stage, inputs in expected.items():
         audit = json.loads((out / f"audit_{stage.replace('-', '_')}.json").read_text())
@@ -765,6 +799,19 @@ def test_a_config_that_sets_a_removed_field_exits_2(tmp_path, capsys, field):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("user_value", [None, "2"], ids=["unset", "set-by-the-user"])
+def test_the_cli_pins_blas_to_one_thread_unless_the_user_set_a_count(user_value):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(pipeline.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    shown = subprocess.run([sys.executable, "-c", "import voicetrace.cli, os; "
+                            "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                           env=env, capture_output=True, text=True, check=True, timeout=120).stdout
+    assert shown == f"{user_value or 1}\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_exits_2_naming_the_flag(tmp_path, capsys, jobs):
     with pytest.raises(SystemExit) as exited:
@@ -961,18 +1008,24 @@ def test_k_above_the_narrowest_layer_exits_2_before_tracing(chain, tmp_path, cap
     # three speakers give the logit layer three neurons, fewer than k=5
     cfg = _write_config(tmp_path, {"coverage.k": 5})
     monkeypatch.setattr(pipeline, "load_wav", None)  # any traced clip would raise
-    monkeypatch.setattr(pipeline, "read_feature_csv", None)  # so would reading traces.csv
+    if stage == "extract":
+        monkeypatch.setattr(pipeline, "read_feature_csv", None)  # so would reading traces.csv
     rc = main([stage, "--config", str(cfg), "--out", str(part), "--seed", "7"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "coverage.k" in err
+    if stage == "extract":
+        assert "coverage.k" in err
+    else:  # export-features computes no features: it copies extract's, and there are none yet
+        assert err.startswith(f"voicetrace: {stage}: missing {part / 'features_acn.csv'}; "
+                              f"run the extract stage first")
     assert "Traceback" not in err
     assert sorted(p.name for p in part.iterdir()) == ["backbone.nsw1", "corpus", "thresholds.json",
                                                       "traces.csv"]
 
     acn_only = _write_config(tmp_path, {"coverage.k": 5, "coverage.criterion": "acn"})
     monkeypatch.undo()
-    assert main([stage, "--config", str(acn_only), "--out", str(part), "--seed", "7"]) == 0
+    for run in dict.fromkeys(["extract", stage]):
+        assert main([run, "--config", str(acn_only), "--out", str(part), "--seed", "7"]) == 0, run
 
 
 @pytest.mark.parametrize("per_class", [1, 2, 3, 4, 5])

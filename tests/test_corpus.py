@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from voicetrace import corpus
-from voicetrace.audio import load_wav, rms
+from voicetrace.audio import Waveform, load_wav, rms, save_wav
 from voicetrace.corpus import (
     _EDGE_MARGIN,
     _NOISE_FLOOR,
@@ -164,13 +164,13 @@ def test_seed_changes_bytes(tmp_path):
 
 def test_counts_and_split_arithmetic(tmp_path):
     records = generate_corpus(SMALL, tmp_path)
-    # 3 speakers x 10 clips x 2 classes
-    assert len(records) == 60
-    assert len(list(tmp_path.rglob("*.wav"))) == 60
+    # 3 speakers x 2 classes x 10 clips, of which the 2 in the val block are not rendered
+    assert len(records) == 48
+    assert len(list(tmp_path.rglob("*.wav"))) == 48
     by_split = {"train": 0, "val": 0, "test": 0}
     for r in records:
         by_split[r.split] += 1
-    assert by_split == {"train": 36, "val": 12, "test": 12}
+    assert by_split == {"train": 36, "val": 0, "test": 12}
 
 
 def test_splits_stratified_per_speaker_and_class(tmp_path):
@@ -180,8 +180,28 @@ def test_splits_stratified_per_speaker_and_class(tmp_path):
         cells.setdefault((r.speaker_id, r.label), []).append(r.split)
     for splits in cells.values():
         assert splits.count("train") == 6
-        assert splits.count("val") == 2
+        assert splits.count("val") == 0
         assert splits.count("test") == 2
+
+
+def test_no_clip_of_the_val_block_is_written_or_listed(tmp_path):
+    generate_corpus(SMALL, tmp_path)
+    listed = load_manifest(tmp_path / "manifest.tsv")
+    # 10 clips per speaker: indexes 0-5 are train, 6-7 the val block, 8-9 test
+    val_block = {f"{label}_{clip:03d}.wav" for label in ("real", "fake") for clip in (6, 7)}
+    assert {p.name for p in tmp_path.rglob("*.wav")}.isdisjoint(val_block)
+    assert {r.path.split("/")[1] for r in listed}.isdisjoint(val_block)
+    assert {int(r.path[-7:-4]) for r in listed} == {0, 1, 2, 3, 4, 5, 8, 9}
+
+
+def test_every_listed_clip_is_the_render_at_its_own_index(tmp_path):
+    # skipping the val block renumbers nothing: each clip keeps the generator of its index
+    records = generate_corpus(SMALL, tmp_path / "corpus")
+    for rec in records:
+        speaker, clip = int(rec.speaker_id[3:]), int(rec.path[-7:-4])
+        alone = tmp_path / "alone.wav"
+        save_wav(Waveform(corpus._synth_clip(SMALL, speaker, rec.label, clip), SMALL.sample_rate), alone)
+        assert (tmp_path / "corpus" / rec.path).read_bytes() == alone.read_bytes(), rec.path
 
 
 def test_fakes_differ_but_match_loudness(tmp_path):
@@ -204,7 +224,7 @@ def test_fakes_differ_but_match_loudness(tmp_path):
         # PCM16 quantization is the only slack left after the exact rescale
         assert rms(fake) == pytest.approx(float(np.sqrt(np.mean(clean**2))), rel=1e-3)
         checked += 1
-    assert checked == 30
+    assert checked == 24
 
 
 def test_loudness_does_not_separate_classes(tmp_path):
@@ -222,7 +242,7 @@ def test_alternative_artifacts_generate(tmp_path):
                           seed=9, fake_artifact=artifact)
         out = tmp_path / artifact
         records = generate_corpus(spec, out)
-        assert len(records) == 20
+        assert len(records) == 16
         fakes = [r for r in records if r.label == "fake"]
         w = load_wav(out / fakes[0].path)
         assert np.all(np.isfinite(w.samples))
