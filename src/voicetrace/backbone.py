@@ -14,7 +14,9 @@ kinds; a conv "neuron" is one output channel summarized by the spatial
 mean of its post-ReLU feature map, an FC neuron is one post-ReLU unit,
 and the final logit layer is recorded pre-softmax.
 
-Everything computes in float64; stored weights are float32.
+The engine computes in its inputs' dtype: float64 for the backbone, for
+inference and for both gradient checks, float32 for detector training.
+Stored weights are float32.
 """
 
 from __future__ import annotations
@@ -249,8 +251,9 @@ def _window_cells(kernel: int, stride: int, oh: int, ow: int):
                            slice(kj, kj + stride * ow, stride))
 
 
-def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray):
-    """Forward a batch (N, *input_shape); returns each layer's output in order."""
+def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray, keep: dict | None = None):
+    """Forward a batch (N, *input_shape); returns each layer's output in order. When keep
+    is a dict, each conv's im2col patches go into it by layer index, for _backward."""
     outputs = []
     cur = x
     for idx, layer in enumerate(spec.layers):
@@ -259,6 +262,8 @@ def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray):
             w = params[f"{name}.weight"]
             b = params[f"{name}.bias"]
             patches = _conv_patches(cur, layer.kernel, layer.stride)
+            if keep is not None:
+                keep[idx] = patches
             cur = patches @ w.reshape(-1, layer.out_channels)
             cur += b
         elif isinstance(layer, Relu):
@@ -333,10 +338,12 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray):
     return loss, dlogits / n
 
 
-def _backward(spec: NetworkSpec, params: dict, x: np.ndarray, outputs, dout: np.ndarray):
-    """Gradients of the loss w.r.t. every parameter tensor.
+def _backward(spec: NetworkSpec, params: dict, x: np.ndarray, outputs, dout: np.ndarray, patches: dict):
+    """Gradients of the loss w.r.t. every parameter tensor, from the conv patches _run_layers kept.
 
     The gradient w.r.t. the network input is never formed: nothing reads it.
+    dout, outputs and patches are only read; ReLU masks dcur in place once it
+    is neither dout nor a view of it.
     """
     grads = {}
     dcur = dout
@@ -351,7 +358,7 @@ def _backward(spec: NetworkSpec, params: dict, x: np.ndarray, outputs, dout: np.
                 break
             dcur = dcur @ params[f"{name}.weight"].T
         elif isinstance(layer, Relu):
-            dcur = dcur * (outputs[idx] > 0)
+            dcur = np.multiply(dcur, outputs[idx] > 0, out=None if np.may_share_memory(dcur, dout) else dcur)
         elif isinstance(layer, Flatten):
             dcur = dcur.reshape(layer_in.shape)
         elif isinstance(layer, MaxPool):
@@ -369,10 +376,9 @@ def _backward(spec: NetworkSpec, params: dict, x: np.ndarray, outputs, dout: np.
         elif isinstance(layer, Conv2d):
             name = spec.layer_names[idx]
             k, s, oc = layer.kernel, layer.stride, layer.out_channels
-            patches = _conv_patches(layer_in, k, s)
-            n, oh, ow, pw = patches.shape
+            n, oh, ow, pw = patches[idx].shape
             dflat = dcur.reshape(-1, oc)
-            grads[f"{name}.weight"] = (patches.reshape(-1, pw).T @ dflat).reshape(
+            grads[f"{name}.weight"] = (patches[idx].reshape(-1, pw).T @ dflat).reshape(
                 k, k, layer_in.shape[3], oc
             )
             grads[f"{name}.bias"] = dcur.sum(axis=(0, 1, 2))
@@ -391,9 +397,10 @@ def _backward(spec: NetworkSpec, params: dict, x: np.ndarray, outputs, dout: np.
 def _loss_and_grads(spec: NetworkSpec, params: dict, batch: np.ndarray, targets: np.ndarray,
                     head=_softmax_xent):
     """head(logits, targets) -> (mean loss, d loss / d logits); softmax cross-entropy by default."""
-    outputs = _run_layers(spec, params, batch)
+    patches = {}
+    outputs = _run_layers(spec, params, batch, patches)
     loss, dlogits = head(outputs[-1], targets)
-    return loss, _backward(spec, params, batch, outputs, dlogits)
+    return loss, _backward(spec, params, batch, outputs, dlogits, patches)
 
 
 def _check_gradients(spec: NetworkSpec, params: dict, batch: np.ndarray, targets: np.ndarray,

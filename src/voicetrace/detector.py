@@ -5,7 +5,8 @@ as a flat-input NetworkSpec and run by the backbone's network engine.
 This module adds only what is specific to the detector: the sigmoid /
 binary cross-entropy head, a training config with inverse-time
 learning-rate decay, the feature Standardizer and the NSD1 file format.
-Fake is the positive class.
+Fake is the positive class. Training runs in float32, the dtype NSD1
+stores; scoring and the gradient check run in float64.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class DetectorModel:
 
 def _bce_loss(logits: np.ndarray, targets: np.ndarray):
     z = logits.ravel()
-    y = targets.astype(np.float64)
+    y = targets.astype(logits.dtype)
     # softplus(z) - y*z, computed overflow-free
     loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z))
     dlogits = (sigmoid(z) - y)[:, None] / z.size
@@ -145,16 +146,16 @@ def train_detector(
         raise ValueError(f"feature width {features.shape[1]} does not match spec {spec.input_width}")
     if standardizer is None:
         standardizer = Standardizer.identity(spec.input_width)
-    x_all = standardizer.transform(features)
+    x_all = standardizer.transform(features).astype(np.float32)
 
     net = spec.network()
     rng = np.random.default_rng(config.seed)
-    params = init_weights(net, rng).as_float64()
+    params = init_weights(net, rng).tensors
     epoch_losses = momentum_sgd(
         params, lambda take: _loss_and_grads(net, params, x_all[take], labels[take], _bce_loss),
         features.shape[0], rng, lr=config.lr, momentum=config.momentum,
         epochs=config.epochs, batch_size=config.batch_size, decay=config.decay)
-    return DetectorModel(spec, WeightStore(params).tensors, standardizer, criterion, k, epoch_losses)
+    return DetectorModel(spec, params, standardizer, criterion, k, epoch_losses)
 
 
 def score_batch(model: DetectorModel, features: np.ndarray) -> np.ndarray:

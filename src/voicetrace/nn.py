@@ -22,11 +22,12 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign to stay overflow-free
-    out = np.empty_like(x, dtype=np.float64)
+    # in x's float dtype; split by sign so exp never overflows, and its underflow to 0 is correct
+    out = np.empty_like(x, dtype=np.result_type(x, np.float32))
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
+    with np.errstate(under="ignore"):
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
 

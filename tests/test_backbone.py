@@ -499,7 +499,9 @@ def test_forward_and_backward_match_the_references_bitwise(spec, ties):
         assert got.tobytes() == want.tobytes()
 
     _, dlogits = _softmax_xent(outputs[-1], np.arange(x.shape[0]) % spec.output_width)
-    grads = _backward(spec, params, x, outputs, dlogits)
+    kept = {}
+    _run_layers(spec, params, x, kept)
+    grads = _backward(spec, params, x, outputs, dlogits, kept)
     ref_grads = _reference_backward(spec, params, x, ref_outputs, dlogits)
     assert list(grads) == list(ref_grads)
     assert all(np.any(g != 0) for g in grads.values())  # gradient reaches every tensor
@@ -543,3 +545,51 @@ def test_train_backbone_matches_the_reference_loop_bitwise(spec):
     assert list(store.tensors) == list(tensors)
     for name, tensor in tensors.items():
         assert store.tensors[name].tobytes() == tensor.tobytes(), name
+
+
+RELU_LAST_SPEC = NetworkSpec([Conv2d(3, 3, 2), Relu(), Flatten(), FullyConnected(5), Relu()],
+                             input_shape=(9, 8, 1))
+FLATTEN_LAST_SPEC = NetworkSpec([Conv2d(3, 3, 2), Relu(), Conv2d(2, 2, 1), Relu(), Flatten()],
+                                input_shape=(9, 8, 1))
+
+
+@pytest.mark.parametrize("spec", [SMALL_REFERENCE_SPEC, RELU_LAST_SPEC, FLATTEN_LAST_SPEC],
+                         ids=["reference", "relu-last", "flatten-last"])
+def test_backward_reuses_the_kept_patches_and_writes_into_none_of_its_inputs(spec):
+    rng = np.random.default_rng(61)
+    params = init_weights(spec, 61).as_float64()
+    x = rng.standard_normal((5, *spec.input_shape))
+    kept = {}
+    outputs = _run_layers(spec, params, x, kept)
+    assert [o.tobytes() for o in outputs] == [o.tobytes() for o in _run_layers(spec, params, x)]
+    convs = [idx for idx, layer in enumerate(spec.layers) if isinstance(layer, Conv2d)]
+    assert sorted(kept) == convs
+    for idx in convs:
+        layer = spec.layers[idx]
+        layer_in = x if idx == 0 else outputs[idx - 1]
+        assert kept[idx].tobytes() == _conv_patches(layer_in, layer.kernel, layer.stride).tobytes()
+
+    dout = rng.standard_normal(outputs[-1].shape)  # a mask written into dout would zero some of it
+    inputs = [x, dout, *outputs, *kept.values()]
+    before = [a.tobytes() for a in inputs]
+    grads = _backward(spec, params, x, outputs, dout, kept)
+    assert [a.tobytes() for a in inputs] == before
+    want = _reference_backward(spec, params, x, outputs, dout)
+    assert list(grads) == list(want)
+    for name, tensor in want.items():
+        assert grads[name].tobytes() == tensor.tobytes(), name
+
+
+def test_the_trace_path_keeps_no_patches(monkeypatch):
+    from voicetrace import backbone
+
+    calls = []
+
+    def spy(spec, params, x, keep=None):
+        calls.append(keep)
+        return real(spec, params, x, keep)
+
+    real = backbone._run_layers
+    monkeypatch.setattr(backbone, "_run_layers", spy)
+    forward_batch(TINY_SPEC, init_weights(TINY_SPEC, 5), np.zeros((2, *TINY_SPEC.input_shape)))
+    assert calls == [None]

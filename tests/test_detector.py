@@ -97,15 +97,17 @@ def test_train_rejects_width_mismatch():
                        spec=DetectorSpec(3, hidden=(4, 3, 3, 2)))
 
 
-def _reference_train_detector(x, labels, config, spec):
-    """The detector's own five-layer FC loop, from before it ran on the backbone's engine."""
+def _reference_train_detector(x, labels, config, spec, dtype):
+    """The detector's own five-layer FC loop, from before it ran on the backbone's engine,
+    with inputs, parameters, velocity and gradients all in dtype."""
     rng = np.random.default_rng(config.seed)
     widths = _layer_widths(spec)
+    x = x.astype(dtype)
     params = {}
     for i in range(5):
         w = glorot_uniform(rng, (widths[i], widths[i + 1]), widths[i], widths[i + 1])
-        params[f"fc{i + 1}.weight"] = w.astype(np.float32).astype(np.float64)
-        params[f"fc{i + 1}.bias"] = np.zeros(widths[i + 1])
+        params[f"fc{i + 1}.weight"] = w.astype(np.float32).astype(dtype)
+        params[f"fc{i + 1}.bias"] = np.zeros(widths[i + 1], dtype=dtype)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     step = 0
     losses = []
@@ -147,12 +149,77 @@ def test_train_detector_matches_the_hand_rolled_reference(spec):
     std = Standardizer.fit(feats)
     cfg = TrainConfig(lr=0.02, momentum=0.9, decay=0.05, epochs=6, batch_size=16, seed=43)
     model = train_detector(feats, labels, cfg, spec=spec, standardizer=std)
-    tensors, losses = _reference_train_detector(std.transform(feats), labels, cfg, spec)
+    tensors, losses = _reference_train_detector(std.transform(feats), labels, cfg, spec, np.float32)
     assert model.loss_log == losses
     assert list(model.tensors) == list(tensors)
     for name, tensor in tensors.items():
         assert model.tensors[name].dtype == np.float32
         assert np.array_equal(model.tensors[name], tensor), name
+    # the float64 loop is the oracle: float32 training must not move the loss curve visibly
+    _, losses64 = _reference_train_detector(std.transform(feats), labels, cfg, spec, np.float64)
+    np.testing.assert_allclose(losses, losses64, rtol=1e-6, atol=0)
+
+
+def test_fit_runs_in_float32_and_the_gradient_check_in_float64(monkeypatch, tmp_path):
+    import sys
+
+    from voicetrace import backbone, detector
+
+    seen = []
+
+    def spy(net, params, batch, targets, head):
+        loss, grads = real(net, params, batch, targets, head)
+        velocity = sys._getframe(2).f_locals["velocity"]  # momentum_sgd's, via train_detector's lambda
+        seen.append({batch.dtype, *(t.dtype for t in (*params.values(), *grads.values(),
+                                                     *velocity.values()))})
+        return loss, grads
+
+    real = detector._loss_and_grads
+    monkeypatch.setattr(detector, "_loss_and_grads", spy)
+    feats, labels = _blobs(n_per_class=12)
+    model = train_detector(feats, labels, TrainConfig(lr=0.05, epochs=3, batch_size=8, seed=3),
+                           spec=TINY_SPEC, standardizer=Standardizer.fit(feats))
+    assert len(seen) == 9 and all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
+    assert {t.dtype for t in model.tensors.values()} == {np.dtype(np.float32)}
+    save_detector(model, tmp_path / "d.nsd")
+    loaded = load_detector(tmp_path / "d.nsd")
+    assert all(loaded.tensors[k].tobytes() == t.tobytes() for k, t in model.tensors.items())
+
+    checked = []
+    real_check = backbone._loss_and_grads
+
+    def check_spy(net, params, batch, targets, head):
+        checked.append({batch.dtype, *(t.dtype for t in params.values())})
+        return real_check(net, params, batch, targets, head)
+
+    monkeypatch.setattr(backbone, "_loss_and_grads", check_spy)
+    assert gradient_check(model, feats[0], int(labels[0])) < 1e-4
+    assert checked == [{np.dtype(np.float64)}]
+
+
+def _reference_sigmoid(x):
+    """nn.sigmoid as it was when every caller passed float64."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_keeps_float32_and_its_float64_bytes():
+    x32 = np.array([-1e4, -100.0, -1.0, -0.0, 0.0, 1.0, 100.0, 1e4], dtype=np.float32)
+    with np.errstate(all="raise"):
+        out = sigmoid(x32)
+    assert out.dtype == np.float32
+    assert out[0] == 0.0 and out[-1] == 1.0 and np.all(np.diff(out) >= 0)
+    np.testing.assert_allclose(out, _reference_sigmoid(x32.astype(np.float64)), rtol=1e-6, atol=1e-30)
+
+    x64 = np.concatenate([np.linspace(-800.0, 800.0, 4001), [-1e300, -0.0, 1e-300, np.inf, -np.inf]])
+    with np.errstate(under="ignore"):
+        want = _reference_sigmoid(x64)
+    assert sigmoid(x64).dtype == np.float64
+    assert sigmoid(x64).tobytes() == want.tobytes()
 
 
 def test_zero_model_scores_half():
