@@ -193,11 +193,13 @@ def stft(w, window_size: int, hop: int) -> np.ndarray:
     return _windowed_rfft(samples, hann_window(window_size), hop, window_size)
 
 
-def _windowed_rfft(samples: np.ndarray, window: np.ndarray, hop: int, fft_size: int) -> np.ndarray:
+def _windowed_rfft(samples: np.ndarray, window: np.ndarray, hop: int, fft_size: int,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
+    """rfft of the windowed frames, zero-padded to fft_size in scratch's rows when given."""
     frames = np.lib.stride_tricks.sliding_window_view(samples, window.size)[::hop]
     if fft_size == window.size:
         return np.fft.rfft(frames * window, axis=1)
-    padded = np.zeros((frames.shape[0], fft_size))
+    padded = np.zeros((frames.shape[0], fft_size)) if scratch is None else scratch[: frames.shape[0]]
     np.multiply(frames, window, out=padded[:, : window.size])
     return np.fft.rfft(padded, axis=1)
 
@@ -274,7 +276,8 @@ def log_mel(waves, frames: int, window_size: int = WINDOW, hop: int = HOP, mel_b
     window_size/hop grid, every windowed frame zero-padded to the next power
     of two for the FFT. A clip with n = 1 + (len - window_size) // hop frames
     is center-cropped to `frames` rows (first kept frame (n - frames) // 2) or
-    zero-padded ((frames - n) // 2 rows before it).
+    zero-padded ((frames - n) // 2 rows before it). The block's clips share one frame, power and
+    energy buffer, and each multiplies only its own min(n, frames) rows by the filterbank.
     """
     if frames <= 0:
         raise ValueError("frames must be positive")
@@ -284,6 +287,9 @@ def log_mel(waves, frames: int, window_size: int = WINDOW, hop: int = HOP, mel_b
     window = hann_window(window_size)
     banks = {}
     out = np.zeros((len(waves), frames, mel_bins))
+    padded = np.zeros((frames, fft_size))
+    power = np.empty((frames, fft_size // 2 + 1))
+    energies = np.empty((frames, mel_bins))
     for row, w in zip(out, waves):
         samples = w.samples
         if samples.size < window_size:
@@ -294,14 +300,15 @@ def log_mel(waves, frames: int, window_size: int = WINDOW, hop: int = HOP, mel_b
         if n > frames:
             start = (n - frames) // 2 * hop
             samples = samples[start : start + (frames - 1) * hop + window_size]
-        first = max(frames - n, 0) // 2
+        m = min(n, frames)
+        first = (frames - m) // 2
         if w.sample_rate not in banks:
             banks[w.sample_rate] = mel_filterbank(w.sample_rate, fft_size, mel_bins).T
-        power = np.abs(_windowed_rfft(samples, window, hop, fft_size))
-        np.square(power, out=power)
-        energies = power @ banks[w.sample_rate]
-        energies += 1e-6
-        np.log(energies, out=row[first : first + energies.shape[0]])
+        np.abs(_windowed_rfft(samples, window, hop, fft_size, padded), out=power[:m])
+        np.square(power[:m], out=power[:m])
+        np.matmul(power[:m], banks[w.sample_rate], out=energies[:m])
+        energies[:m] += 1e-6
+        np.log(energies[:m], out=row[first : first + m])
     if not np.all(np.isfinite(out)):
         raise ValueError("feature map contains non-finite values")
     return out

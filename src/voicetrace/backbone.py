@@ -16,7 +16,8 @@ and the final logit layer is recorded pre-softmax.
 
 The engine computes in its inputs' dtype: float64 for the backbone, for
 inference and for both gradient checks, float32 for detector training.
-Stored weights are float32.
+Stored weights are float32; a WeightStore converts them for inference once.
+The forward pass applies each ReLU in place, over the layer output before it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import nsw1
 from .errors import WeightFormatError
-from .nn import central_difference_check, glorot_uniform, momentum_sgd, relu
+from .nn import central_difference_check, glorot_uniform, momentum_sgd
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,18 @@ def reference_spec(num_speakers: int, input_shape=(200, 64, 1)) -> NetworkSpec:
 
 
 class WeightStore:
-    """Named float32 tensors matching a NetworkSpec's parameter shapes."""
+    """Named float32 tensors matching a NetworkSpec's parameter shapes, plus float64 copies made
+    once for inference. Both are read-only copies, so neither goes stale and the caller's
+    arrays keep their flags."""
 
     def __init__(self, tensors: dict):
-        self.tensors = {k: np.asarray(v, dtype=np.float32) for k, v in tensors.items()}
+        self.tensors = {k: np.array(v, dtype=np.float32) for k, v in tensors.items()}
+        self._params64 = {k: v.astype(np.float64) for k, v in self.tensors.items()}
+        for tensor in (*self.tensors.values(), *self._params64.values()):
+            tensor.flags.writeable = False
+
+    def params64(self) -> dict:
+        return self._params64
 
     def validate(self, spec: NetworkSpec) -> None:
         expected = spec.parameter_shapes()
@@ -195,6 +204,7 @@ class WeightStore:
                 raise WeightFormatError(f"unexpected tensor {name!r} not in spec")
 
     def as_float64(self) -> dict:
+        """Fresh writable float64 copies, for training and the gradient check to update."""
         return {k: v.astype(np.float64) for k, v in self.tensors.items()}
 
 
@@ -253,7 +263,12 @@ def _window_cells(kernel: int, stride: int, oh: int, ow: int):
 
 def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray, keep: dict | None = None):
     """Forward a batch (N, *input_shape); returns each layer's output in order. When keep
-    is a dict, each conv's im2col patches go into it by layer index, for _backward."""
+    is a dict, each conv's im2col patches go into it by layer index, for _backward.
+
+    ReLU works in place, except on x or a view of it, which stay unwritten: the entry of a
+    layer that a ReLU follows is the ReLU's own entry and holds its output. _batch_trace
+    reads it there; _backward reads only the ReLU's output, never its input.
+    """
     outputs = []
     cur = x
     for idx, layer in enumerate(spec.layers):
@@ -267,7 +282,7 @@ def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray, keep: dict | Non
             cur = patches @ w.reshape(-1, layer.out_channels)
             cur += b
         elif isinstance(layer, Relu):
-            cur = relu(cur)
+            cur = np.maximum(cur, 0.0, out=None if np.may_share_memory(cur, x) else cur)
         elif isinstance(layer, MaxPool):
             oh, ow = spec.layer_shapes[idx][:2]
             cells = (cur[at] for _, _, at in _window_cells(layer.kernel, layer.stride, oh, ow))
@@ -288,19 +303,12 @@ def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray, keep: dict | Non
 def _batch_trace(spec: NetworkSpec, outputs) -> list:
     """[(layer_id, (N, width) post-activation values)] for monitored layers.
 
-    Uses the ReLU that immediately follows a layer when present; the final
-    logit layer has none and is recorded raw.
+    A layer's entry holds the output of the ReLU that follows it, applied in place by
+    _run_layers; the final logit layer has none and is recorded raw. A conv map is
+    summarized by its spatial mean per channel.
     """
-    entries = []
-    for idx, name, _ in spec.monitored_layers():
-        use = outputs[idx]
-        if idx + 1 < len(spec.layers) and isinstance(spec.layers[idx + 1], Relu):
-            use = outputs[idx + 1]
-        if use.ndim == 4:  # conv map -> spatial mean per channel
-            entries.append((name, use.mean(axis=(1, 2))))
-        else:
-            entries.append((name, use))
-    return entries
+    return [(name, outputs[idx].mean(axis=(1, 2)) if outputs[idx].ndim == 4 else outputs[idx])
+            for idx, name, _ in spec.monitored_layers()]
 
 
 def _coerce_input(spec: NetworkSpec, inp) -> np.ndarray:
@@ -315,7 +323,7 @@ def forward_batch(spec: NetworkSpec, weights: WeightStore, batch: np.ndarray):
     batch = np.asarray(batch, dtype=np.float64)
     if batch.shape[1:] != spec.input_shape:
         raise ValueError(f"batch shape {batch.shape[1:]} does not match spec {spec.input_shape}")
-    outputs = _run_layers(spec, weights.as_float64(), batch)
+    outputs = _run_layers(spec, weights.params64(), batch)
     return outputs[-1], _batch_trace(spec, outputs)
 
 

@@ -12,7 +12,7 @@ stores; scoring and the gradient check run in float64.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,9 @@ class Prediction:
 
 @dataclass
 class DetectorModel:
+    """tensors and params64() are its WeightStore's read-only float32 and float64 copies of the
+    given tensors; unpickling rebuilds a model from its fields."""
+
     spec: DetectorSpec
     tensors: dict  # fcN.weight / fcN.bias, float32
     standardizer: Standardizer
@@ -104,8 +107,15 @@ class DetectorModel:
     k: int = 0
     loss_log: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self.weights = WeightStore(self.tensors)
+        self.tensors = self.weights.tensors
+
+    def __reduce__(self):
+        return DetectorModel, tuple(getattr(self, f.name) for f in fields(self))
+
     def params64(self) -> dict:
-        return {k: v.astype(np.float64) for k, v in self.tensors.items()}
+        return self.weights.params64()
 
 
 def _bce_loss(logits: np.ndarray, targets: np.ndarray):
@@ -150,7 +160,7 @@ def train_detector(
 
     net = spec.network()
     rng = np.random.default_rng(config.seed)
-    params = init_weights(net, rng).tensors
+    params = {name: t.copy() for name, t in init_weights(net, rng).tensors.items()}
     epoch_losses = momentum_sgd(
         params, lambda take: _loss_and_grads(net, params, x_all[take], labels[take], _bce_loss),
         features.shape[0], rng, lr=config.lr, momentum=config.momentum,
@@ -184,7 +194,7 @@ def gradient_check(model: DetectorModel, feature, label: int, eps: float = 1e-3)
     """
     x = model.standardizer.transform(np.asarray(feature, dtype=np.float64)[None])
     y = np.asarray([label], dtype=np.int64)
-    return _check_gradients(model.spec.network(), model.params64(), x, y, _bce_loss, eps)
+    return _check_gradients(model.spec.network(), model.weights.as_float64(), x, y, _bce_loss, eps)
 
 
 def save_detector(model: DetectorModel, path) -> None:

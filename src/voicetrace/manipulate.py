@@ -81,25 +81,28 @@ def _resample_by_ratio(samples: np.ndarray, ratio: float) -> np.ndarray:
     table[: grid.size] = (cutoff * np.sinc(cutoff * grid)
                           * np.i0(_KAISER_BETA * np.sqrt(1.0 - (grid / _TAPS) ** 2)) / np.i0(_KAISER_BETA))
     slope = np.diff(table)
-    offsets = np.arange(-_TAPS, _TAPS + 2)
-    # floor(pos) lies in [0, n_in - 1], so taps reach from -_TAPS to n_in + _TAPS
+    scaled_offsets = np.arange(-_TAPS, _TAPS + 2) * float(_PHASES)
+    # floor(pos) lies in [0, n_in - 1], so taps reach from -_TAPS to n_in + _TAPS; window j of a
+    # padded row holds the taps of every position with floor(pos) == j
     padded = np.zeros((rows.shape[0], n_in + 2 * _TAPS + 1))
     padded[:, _TAPS : _TAPS + n_in] = rows
+    windows = np.lib.stride_tricks.sliding_window_view(padded, scaled_offsets.size, axis=1)
     out = np.empty((rows.shape[0], n_out), dtype=np.float64)
     for start in range(0, n_out, _BLOCK):
         stop = min(start + _BLOCK, n_out)
         pos = np.arange(start, stop, dtype=np.float64) / ratio
-        idx = np.floor(pos).astype(np.int64)[:, None] + offsets
-        # table position |t| * _PHASES, split into its step and the fraction past it
-        phase = np.abs(idx - pos[:, None])
-        phase *= _PHASES
+        first = np.floor(pos)
+        # table position |t| * _PHASES, split into its step and the fraction past it; frac(pos) is
+        # exact and _PHASES a power of two, so this rounds as |floor(pos) + offset - pos| * _PHASES
+        phase = np.subtract.outer((pos - first) * _PHASES, scaled_offsets)
+        np.abs(phase, out=phase)
         step = phase.astype(np.intp)
         phase -= step
         kernel = table[step]
         kernel += phase * slope[step]
-        idx += _TAPS  # into padded's columns
-        for row, dest in zip(padded, out):
-            np.einsum("bk,bk->b", row[idx], kernel, out=dest[start:stop])
+        first = first.astype(np.intp)
+        for row, dest in zip(windows, out):
+            np.einsum("bk,bk->b", row[first], kernel, out=dest[start:stop])
     return out if samples.ndim == 2 else out[0]
 
 

@@ -1,6 +1,6 @@
 """Numeric helpers for the one network engine in `backbone.py`.
 
-Activations, Glorot init, the momentum-SGD loop that trains both the
+The sigmoid, Glorot init, the momentum-SGD loop that trains both the
 speaker network and the detector, and the central-difference gradient
 checker that tests both.
 """
@@ -15,10 +15,6 @@ MAX_CHECK_PARAMETERS = 5000
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -601,10 +601,13 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     formula = cfg["snr_formula"]
     cells = sweep_cells(cfg, bank.ids())
 
+    baseline = _trace(netspec, weights, waves, cfg["frontend"], 1, list)
+
     def evaluate(manipulation):
-        waves_of = list if manipulation is None else (
-            lambda block: apply_manipulation(block, manipulation, bank, formula))
-        trace = _trace(netspec, weights, waves, cfg["frontend"], 1, waves_of)
+        trace = baseline  # an identity cell returns its clips bit for bit, so it reuses this trace
+        if manipulation is not None and not manipulation.is_identity():
+            trace = _trace(netspec, weights, waves, cfg["frontend"], 1,
+                           lambda block: apply_manipulation(block, manipulation, bank, formula))
         rows = []
         for criterion in criteria:
             feats = acn_features(trace, thresholds) if criterion == ACN else tkan_features(trace, k)

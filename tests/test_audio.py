@@ -262,6 +262,15 @@ def test_log_mel_block_matches_reference(size):
         assert np.array_equal(row, _reference_log_mel(w, 200))
 
 
+def test_log_mel_block_reuses_its_buffers_for_a_crop_then_a_shorter_padded_clip():
+    # the second clip fills fewer rows of the shared buffers than the first left written
+    rng = np.random.default_rng(37)
+    block = [_clip(rng, 400 + 53 * 160 + 159), _clip(rng, 4000), _clip(rng, 400 + 49 * 160)]
+    out = log_mel(block, 50)
+    for row, w in zip(out, block):
+        assert row.tobytes() == _reference_log_mel(w, 50).tobytes()
+
+
 def test_log_mel_rejects_a_clip_shorter_than_one_window():
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError, match="shorter than one window"):

@@ -28,7 +28,11 @@ from voicetrace.backbone import (
     train_backbone,
 )
 from voicetrace.errors import WeightFormatError
-from voicetrace.nn import relu
+
+
+def relu(x):
+    return np.maximum(x, 0.0)
+
 
 TINY_SPEC = NetworkSpec(
     [
@@ -494,7 +498,13 @@ def test_forward_and_backward_match_the_references_bitwise(spec, ties):
     ref_outputs = _reference_run_layers(spec, params, x)
     pooled = [out for layer, out in zip(spec.layers, outputs) if isinstance(layer, MaxPool)]
     assert any(np.any(p == 0.0) for p in pooled)  # the case holds post-ReLU zero maxima
-    for got, want in zip(outputs, ref_outputs, strict=True):
+    assert len(outputs) == len(ref_outputs)
+    for idx, got in enumerate(outputs):
+        want = ref_outputs[idx]
+        if idx + 1 < len(spec.layers) and isinstance(spec.layers[idx + 1], Relu):
+            # the in-place ReLU overwrote this entry: it is the ReLU's entry, holding its output
+            assert got is outputs[idx + 1]
+            want = ref_outputs[idx + 1]
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -593,3 +603,52 @@ def test_the_trace_path_keeps_no_patches(monkeypatch):
     monkeypatch.setattr(backbone, "_run_layers", spy)
     forward_batch(TINY_SPEC, init_weights(TINY_SPEC, 5), np.zeros((2, *TINY_SPEC.input_shape)))
     assert calls == [None]
+
+
+def test_forward_batch_converts_the_weights_once_across_calls(monkeypatch):
+    from voicetrace import backbone
+
+    seen = []
+
+    def spy(spec, params, x, keep=None):
+        seen.append(params)
+        return real(spec, params, x, keep)
+
+    real = backbone._run_layers
+    monkeypatch.setattr(backbone, "_run_layers", spy)
+    weights = init_weights(TINY_SPEC, 5)
+    batch = np.random.default_rng(5).standard_normal((2, *TINY_SPEC.input_shape))
+    first = forward_batch(TINY_SPEC, weights, batch)
+    second = forward_batch(TINY_SPEC, weights, batch)
+    assert len(seen) == 2 and seen[0] is seen[1] is weights.params64()
+    assert first[0].tobytes() == second[0].tobytes()
+    for name, tensor in weights.tensors.items():
+        assert seen[0][name].dtype == np.float64
+        assert seen[0][name].tobytes() == tensor.astype(np.float64).tobytes()
+
+
+def test_a_store_tensors_are_read_only_copies_of_the_callers_arrays():
+    given = {k: np.ones(s, dtype=np.float32) for k, s in TINY_SPEC.parameter_shapes().items()}
+    weights = WeightStore(given)
+    for store in (weights.tensors, weights.params64()):
+        with pytest.raises(ValueError, match="read-only"):
+            store["conv1.weight"][0, 0, 0, 0] = 2.0
+    assert all(a.flags.writeable for a in given.values())
+    given["conv1.weight"][0, 0, 0, 0] = 2.0  # the store copied, so it does not see this
+    assert weights.tensors["conv1.weight"][0, 0, 0, 0] == weights.params64()["conv1.weight"][0, 0, 0, 0] == 1.0
+    fresh = weights.as_float64()
+    fresh["conv1.weight"] += 1.0  # training and the gradient check update their own copies
+    assert weights.params64()["conv1.weight"][0, 0, 0, 0] == 1.0
+
+
+@pytest.mark.parametrize("layers", [[Relu(), FullyConnected(3)], [Flatten(), Relu(), FullyConnected(3)]],
+                         ids=["relu-first", "flatten-then-relu"])
+def test_the_in_place_relu_never_writes_the_input(layers):
+    spec = NetworkSpec(layers, input_shape=(2, 2, 1) if isinstance(layers[0], Flatten) else (4,))
+    params = init_weights(spec, 3).as_float64()
+    x = np.random.default_rng(3).standard_normal((5, *spec.input_shape))
+    before = x.tobytes()
+    outputs = _run_layers(spec, params, x)
+    assert x.tobytes() == before
+    relu_at = [type(layer) for layer in layers].index(Relu)
+    assert outputs[relu_at].tobytes() == relu(x.reshape(5, -1)).tobytes()

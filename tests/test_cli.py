@@ -652,9 +652,10 @@ def test_detector_trained_at_another_k_exits_2_naming_train_detector(chain, tmp_
 
 
 def test_sweep_failure_with_comma_stays_one_csv_field(chain, tmp_path, monkeypatch):
-    out, config_path = chain
+    out, _ = chain
     part = tmp_path / "failing"
     shutil.copytree(out, part)
+    config_path = _write_config(tmp_path, {"sweep.speed_rates": [1.1]})  # an identity cell calls nothing
     real = pipeline.apply_manipulation
 
     def failing(waves, m, *args, **kwargs):
@@ -668,13 +669,14 @@ def test_sweep_failure_with_comma_stays_one_csv_field(chain, tmp_path, monkeypat
     with open(part / "sweep_failures.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["cell", "manipulation", "magnitude", "error"],
-                    ["1", "speed", "1.0", "ValueError: a, b"]]
+                    ["1", "speed", "1.1", "ValueError: a, b"]]
 
 
 def test_sweep_decodes_each_sampled_clip_once_and_shares_it_read_only(chain, tmp_path, monkeypatch):
-    out, config_path = chain
+    out, _ = chain
     part = tmp_path / "shared"
     shutil.copytree(out, part)
+    config_path = _write_config(tmp_path, {"sweep.speed_rates": [0.9, 1.0, 1.1]})
     loaded, manipulated = [], []
     real_load, real_apply = pipeline.load_wav, pipeline.apply_manipulation
 
@@ -692,11 +694,28 @@ def test_sweep_decodes_each_sampled_clip_once_and_shares_it_read_only(chain, tmp
     assert rc == 0
     sampled = 2 * TINY["sweep"]["sample_per_class"]
     assert len(loaded) == len(set(loaded)) == sampled
-    assert len(manipulated) == 3  # one call per cell, each on the same arrays
+    assert len(manipulated) == 2  # one call per non-identity cell, each on the same arrays
     for samples in manipulated:
         assert len(samples) == sampled and all(a is b for a, b in zip(samples, manipulated[0]))
     with pytest.raises(ValueError, match="read-only"):
         manipulated[0][0][0] = 0.0
+
+
+def test_sweep_identity_cells_reuse_the_baseline_rows_without_manipulating(chain, tmp_path, monkeypatch):
+    out, config_path = chain
+    part = tmp_path / "identity"
+    shutil.copytree(out, part)
+    calls = []
+    monkeypatch.setattr(pipeline, "apply_manipulation", lambda *args, **kwargs: calls.append(args))
+    rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    assert rc == 0 and calls == []
+    rows = list(csv.reader(open(part / "sweep_report.csv", encoding="utf-8")))[1:]
+    baseline = {r[1]: r[4:] for r in rows if r[2] == "none"}
+    cells = [r for r in rows if r[2] != "none"]
+    assert sorted((r[2], r[3]) for r in cells) == sorted(2 * [("resample", "0.0"), ("speed", "1.0"),
+                                                              ("pitch", "0.0")])
+    assert len(baseline) == 2 and all(r[4:] == baseline[r[1]] for r in cells)
+    assert (part / "sweep_report.csv").read_bytes() == (out / "sweep_report.csv").read_bytes()
 
 
 def _run_with_manifest_without(chain, tmp_path, drop):

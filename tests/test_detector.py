@@ -15,7 +15,12 @@ from voicetrace.detector import (
     train_detector,
 )
 from voicetrace.errors import WeightFormatError
-from voicetrace.nn import glorot_uniform, relu, sigmoid
+from voicetrace.nn import glorot_uniform, sigmoid
+
+
+def relu(x):
+    return np.maximum(x, 0.0)
+
 
 TINY_SPEC = DetectorSpec(2, hidden=(4, 3, 3, 2))  # 50 parameters
 
@@ -195,6 +200,39 @@ def test_fit_runs_in_float32_and_the_gradient_check_in_float64(monkeypatch, tmp_
     monkeypatch.setattr(backbone, "_loss_and_grads", check_spy)
     assert gradient_check(model, feats[0], int(labels[0])) < 1e-4
     assert checked == [{np.dtype(np.float64)}]
+
+
+def test_scoring_converts_the_weights_once_and_no_copy_can_go_stale(monkeypatch):
+    import pickle
+
+    from voicetrace import detector
+
+    seen = []
+
+    def spy(net, params, x, keep=None):
+        seen.append(params)
+        return real(net, params, x, keep)
+
+    real = detector._run_layers
+    monkeypatch.setattr(detector, "_run_layers", spy)
+    feats, labels = _blobs(n_per_class=6)
+    model = train_detector(feats, labels, TrainConfig(lr=0.05, epochs=2, seed=3), spec=TINY_SPEC)
+    first, second = score_batch(model, feats), score_batch(model, feats)
+    assert len(seen) == 2 and seen[0] is seen[1] is model.params64()
+    assert first.tobytes() == second.tobytes()
+    for name, tensor in model.tensors.items():
+        assert seen[0][name].tobytes() == tensor.astype(np.float64).tobytes()
+    given = {k: t.copy() for k, t in model.tensors.items()}
+    rebuilt = DetectorModel(TINY_SPEC, given, model.standardizer)
+    assert all(t.flags.writeable for t in given.values())  # the model copied the caller's arrays
+    for protocol in (2, pickle.HIGHEST_PROTOCOL):
+        back = pickle.loads(pickle.dumps(model, protocol=protocol))
+        assert back.loss_log == model.loss_log and back.params64() is not model.params64()
+        for each in (model, rebuilt, back):
+            for store in (each.tensors, each.params64()):
+                with pytest.raises(ValueError, match="read-only"):
+                    store["fc1.weight"][0, 0] = 1.0
+        assert score_batch(back, feats).tobytes() == first.tobytes()
 
 
 def _reference_sigmoid(x):

@@ -5,6 +5,7 @@ from voicetrace.audio import Waveform, load_wav, rms, stft
 from voicetrace.manipulate import (
     _BLOCK,
     _KAISER_BETA,
+    _PHASES,
     _TAPS,
     NOISE_CLASSES,
     PAPER,
@@ -112,6 +113,53 @@ def test_resample_block_edges_and_noise_bank_ratio_match_reference(ratio, n_out)
     out = _resample_by_ratio(samples, ratio)
     assert out.shape == (n_out,)
     assert np.max(np.abs(out - _reference_resample(samples, ratio))) <= 2e-5
+
+
+def _reference_blocked_resample(samples, ratio):
+    """The blocked resampler before it formed |t| from frac(pos) and gathered taps through
+    sliding windows: its output is the byte-exact reference for the one in use."""
+    rows = np.atleast_2d(samples)
+    n_in = rows.shape[1]
+    n_out = int(round(n_in * ratio))
+    cutoff = min(1.0, ratio)
+    grid = np.arange(_TAPS * _PHASES + 1) / _PHASES
+    table = np.zeros((_TAPS + 1) * _PHASES + 2)
+    table[: grid.size] = (cutoff * np.sinc(cutoff * grid)
+                          * np.i0(_KAISER_BETA * np.sqrt(1.0 - (grid / _TAPS) ** 2)) / np.i0(_KAISER_BETA))
+    slope = np.diff(table)
+    offsets = np.arange(-_TAPS, _TAPS + 2)
+    padded = np.zeros((rows.shape[0], n_in + 2 * _TAPS + 1))
+    padded[:, _TAPS : _TAPS + n_in] = rows
+    out = np.empty((rows.shape[0], n_out), dtype=np.float64)
+    for start in range(0, n_out, _BLOCK):
+        stop = min(start + _BLOCK, n_out)
+        pos = np.arange(start, stop, dtype=np.float64) / ratio
+        idx = np.floor(pos).astype(np.int64)[:, None] + offsets
+        phase = np.abs(idx - pos[:, None])
+        phase *= _PHASES
+        step = phase.astype(np.intp)
+        phase -= step
+        kernel = table[step]
+        kernel += phase * slope[step]
+        idx += _TAPS
+        for row, dest in zip(padded, out):
+            np.einsum("bk,bk->b", row[idx], kernel, out=dest[start:stop])
+    return out if samples.ndim == 2 else out[0]
+
+
+# the sweep's ratios on a block of clips, every block edge of the output, the noise-bank
+# loader's 22050 -> 16000 on one clip, and a halving and a tripling
+@pytest.mark.parametrize("ratio, rows, n_out", [(r, 3, 10500) for r in SWEEP_RATIOS]
+                         + [(15600 / 16000, 1, n) for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)]
+                         + [(16000 / 22050, 0, 16000), (0.5, 2, 2000), (3.0, 2, 3000)])
+def test_resample_matches_the_blocked_reference_byte_for_byte(ratio, rows, n_out):
+    n_in = next(n for n in range(1, 2 * n_out + 2) if round(n * ratio) == n_out)
+    rng = np.random.default_rng(n_out)
+    samples = rng.uniform(-0.5, 0.5, (rows, n_in) if rows else n_in)
+    out = _resample_by_ratio(samples, ratio)
+    want = _reference_blocked_resample(samples, ratio)
+    assert out.shape == want.shape and out.shape[-1] == n_out
+    assert out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", [Manipulation("resample", 200), Manipulation("pitch", 2)],
