@@ -62,8 +62,8 @@ class FullyConnected:
 
 @dataclass(frozen=True)
 class ActivationTrace:
-    """Ordered (layer_id, neuron values) pairs, one per monitored layer; the values
-    are (width,) for one clip, or (clips, width) with one row per clip."""
+    """Ordered (layer_id, neuron values) pairs, one per monitored layer; the values are
+    (clips, width), one row per clip."""
 
     entries: tuple
 
@@ -180,13 +180,16 @@ def reference_spec(num_speakers: int, input_shape=(200, 64, 1)) -> NetworkSpec:
 class WeightStore:
     """Named float32 tensors matching a NetworkSpec's parameter shapes, plus float64 copies made
     once for inference. Both are read-only copies, so neither goes stale and the caller's
-    arrays keep their flags."""
+    arrays keep their flags; unpickling rebuilds the store from its float32 tensors."""
 
     def __init__(self, tensors: dict):
         self.tensors = {k: np.array(v, dtype=np.float32) for k, v in tensors.items()}
         self._params64 = {k: v.astype(np.float64) for k, v in self.tensors.items()}
         for tensor in (*self.tensors.values(), *self._params64.values()):
             tensor.flags.writeable = False
+
+    def __reduce__(self):
+        return WeightStore, (self.tensors,)
 
     def params64(self) -> dict:
         return self._params64
@@ -300,39 +303,25 @@ def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray, keep: dict | Non
     return outputs
 
 
-def _batch_trace(spec: NetworkSpec, outputs) -> list:
-    """[(layer_id, (N, width) post-activation values)] for monitored layers.
+def _batch_trace(spec: NetworkSpec, outputs) -> ActivationTrace:
+    """The monitored layers' (N, width) post-activation values.
 
     A layer's entry holds the output of the ReLU that follows it, applied in place by
     _run_layers; the final logit layer has none and is recorded raw. A conv map is
     summarized by its spatial mean per channel.
     """
-    return [(name, outputs[idx].mean(axis=(1, 2)) if outputs[idx].ndim == 4 else outputs[idx])
-            for idx, name, _ in spec.monitored_layers()]
-
-
-def _coerce_input(spec: NetworkSpec, inp) -> np.ndarray:
-    arr = np.asarray(inp, dtype=np.float64)
-    if arr.shape != spec.input_shape:
-        raise ValueError(f"input shape {arr.shape} does not match spec {spec.input_shape}")
-    return arr
+    return ActivationTrace(tuple(
+        (name, outputs[idx].mean(axis=(1, 2)) if outputs[idx].ndim == 4 else outputs[idx])
+        for idx, name, _ in spec.monitored_layers()))
 
 
 def forward_batch(spec: NetworkSpec, weights: WeightStore, batch: np.ndarray):
-    """Batched inference: (logits (N, K), [(layer_id, (N, width))])."""
+    """Batched inference: (logits (N, K), ActivationTrace of (N, width) entries)."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.shape[1:] != spec.input_shape:
         raise ValueError(f"batch shape {batch.shape[1:]} does not match spec {spec.input_shape}")
     outputs = _run_layers(spec, weights.params64(), batch)
     return outputs[-1], _batch_trace(spec, outputs)
-
-
-def forward(spec: NetworkSpec, weights: WeightStore, inp):
-    """Single-input inference: (logits vector, ActivationTrace)."""
-    arr = _coerce_input(spec, inp)[None]
-    logits, entries = forward_batch(spec, weights, arr)
-    trace = ActivationTrace(tuple((name, values[0]) for name, values in entries))
-    return logits[0], trace
 
 
 def _softmax_xent(logits: np.ndarray, labels: np.ndarray):
@@ -470,6 +459,8 @@ def gradient_check(spec: NetworkSpec, weights: WeightStore, inp, label: int, eps
 
     Only meaningful on small nets; refuses above 5000 parameters.
     """
-    batch = _coerce_input(spec, inp)[None]
+    batch = np.asarray(inp, dtype=np.float64)[None]
+    if batch.shape[1:] != spec.input_shape:
+        raise ValueError(f"input shape {batch.shape[1:]} does not match spec {spec.input_shape}")
     labels = np.asarray([label], dtype=np.int64)
     return _check_gradients(spec, weights.as_float64(), batch, labels, eps=eps)

@@ -1,9 +1,10 @@
-"""Activation-coverage features over traces.
+"""Activation-coverage features over block traces, one (clips, width) array per layer.
 
 Three pieces: per-layer threshold calibration (the grand mean of a
-layer's neuron outputs over a calibration set), activated-neuron counts
+layer's neuron outputs over a calibration block), activated-neuron counts
 against those thresholds (ACN), and the top-k raw neuron outputs per
-layer (TKAN). These vectors are what the detector consumes.
+layer (TKAN), one feature row per clip. These rows are what the detector
+consumes.
 """
 
 from __future__ import annotations
@@ -57,29 +58,18 @@ class FeatureVector:
         return names
 
 
-def calibrate_thresholds(traces) -> LayerThresholds:
-    """Per layer: mean of every neuron output over every calibration clip.
+def calibrate_thresholds(trace: ActivationTrace) -> LayerThresholds:
+    """Per layer: mean of every neuron output over every calibration clip of the block trace.
 
-    A trace holds one clip or a block of clips on a leading axis. Each
-    clip's layer sum is added in clip order, as a loop over single-clip
-    traces would add it, so thresholds.json is byte-identical however the
-    clips are blocked (np.cumsum adds left to right).
+    Each clip's layer sum is added in clip order (np.cumsum adds left to right), as a loop
+    over the clips one at a time would add it, so a clip's row gives the same threshold
+    bits in any block.
     """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("calibration needs at least one trace")
-    first = traces[0]
-    sums = [[] for _ in first.entries]  # per layer: each clip's sum, in clip order
-    for trace in traces:
-        if trace.layer_ids() != first.layer_ids() or trace.widths() != first.widths():
-            raise ValueError(f"trace layout {trace.layer_ids()}/{trace.widths()} "
-                             f"does not match calibration layout")
-        for layer, (_, values) in zip(sums, trace.entries):
-            layer.append(np.atleast_1d(np.sum(values, axis=-1)))
-    sums = [np.concatenate(layer) for layer in sums]
-    n = len(sums[0])
-    deltas = tuple((name, float(np.cumsum(layer)[-1] / (n * width)))
-                   for name, width, layer in zip(first.layer_ids(), first.widths(), sums))
+    n = len(trace.entries[0][1]) if trace.entries else 0
+    if n == 0:
+        raise ValueError("calibration needs at least one clip")
+    deltas = tuple((name, float(np.cumsum(np.sum(values, axis=-1))[-1] / values.size))
+                   for name, values in trace.entries)
     return LayerThresholds(deltas, n)
 
 

@@ -12,7 +12,7 @@ stores; scoring and the gradient check run in float64.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -97,25 +97,14 @@ class Prediction:
 
 @dataclass
 class DetectorModel:
-    """tensors and params64() are its WeightStore's read-only float32 and float64 copies of the
-    given tensors; unpickling rebuilds a model from its fields."""
+    """A trained detector: its network, weights and standardizer, and the criterion and k it reads."""
 
     spec: DetectorSpec
-    tensors: dict  # fcN.weight / fcN.bias, float32
+    weights: WeightStore  # fcN.weight / fcN.bias
     standardizer: Standardizer
     criterion: str = ""
     k: int = 0
     loss_log: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.weights = WeightStore(self.tensors)
-        self.tensors = self.weights.tensors
-
-    def __reduce__(self):
-        return DetectorModel, tuple(getattr(self, f.name) for f in fields(self))
-
-    def params64(self) -> dict:
-        return self.weights.params64()
 
 
 def _bce_loss(logits: np.ndarray, targets: np.ndarray):
@@ -165,7 +154,7 @@ def train_detector(
         params, lambda take: _loss_and_grads(net, params, x_all[take], labels[take], _bce_loss),
         features.shape[0], rng, lr=config.lr, momentum=config.momentum,
         epochs=config.epochs, batch_size=config.batch_size, decay=config.decay)
-    return DetectorModel(spec, params, standardizer, criterion, k, epoch_losses)
+    return DetectorModel(spec, WeightStore(params), standardizer, criterion, k, epoch_losses)
 
 
 def score_batch(model: DetectorModel, features: np.ndarray) -> np.ndarray:
@@ -178,7 +167,7 @@ def score_batch(model: DetectorModel, features: np.ndarray) -> np.ndarray:
             f"feature width {features.shape[1]} does not match model input {model.spec.input_width}"
         )
     x = model.standardizer.transform(features)
-    logits = _run_layers(model.spec.network(), model.params64(), x)[-1]
+    logits = _run_layers(model.spec.network(), model.weights.params64(), x)[-1]
     return sigmoid(logits.ravel())
 
 
@@ -202,7 +191,7 @@ def save_detector(model: DetectorModel, path) -> None:
     header = _MAGIC + struct.pack("<I", _VERSION)
     enc = model.criterion.encode("utf-8")
     header += struct.pack("<I", len(enc)) + enc + struct.pack("<I", model.k)
-    tensors = dict(model.tensors)
+    tensors = dict(model.weights.tensors)
     tensors["standardize.mean"] = model.standardizer.mean.astype(np.float32)
     tensors["standardize.std"] = model.standardizer.std.astype(np.float32)
     Path(path).write_bytes(header + nsw1.pack_tensors(tensors))
@@ -234,11 +223,12 @@ def load_detector(path) -> DetectorModel:
     try:
         hidden = tuple(tensors[f"fc{i}.weight"].shape[1] for i in range(1, 5))
         spec = DetectorSpec(tensors["fc1.weight"].shape[0], hidden)
-        WeightStore(tensors).validate(spec.network())
+        store = WeightStore(tensors)
+        store.validate(spec.network())
         if mean.shape != (spec.input_width,) or std.shape != mean.shape:
             raise ValueError(f"standardization tensors do not match input width {spec.input_width}")
         if not all(np.all(np.isfinite(t)) for t in (*tensors.values(), mean, std)) or np.any(std <= 0):
             raise ValueError("weights and standardization must be finite, with every std above 0")
     except ValueError as exc:  # WeightFormatError is one
         raise WeightFormatError(f"{path}: {exc}") from exc
-    return DetectorModel(spec, tensors, Standardizer(mean, std), criterion, k)
+    return DetectorModel(spec, store, Standardizer(mean, std), criterion, k)

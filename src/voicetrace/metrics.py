@@ -137,7 +137,7 @@ REPORT_COLUMNS = tuple(f.name for f in fields(MetricRow))
 
 def write_report(path, rows) -> None:
     """CSV with repr-formatted floats so values round-trip exactly."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
@@ -149,7 +149,7 @@ def write_report(path, rows) -> None:
 
 def read_report(path) -> list:
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != REPORT_COLUMNS:

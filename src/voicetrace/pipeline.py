@@ -350,9 +350,9 @@ def _trace(netspec: NetworkSpec, weights: WeightStore, items, fcfg: dict, jobs: 
     def work(block):
         return forward_batch(netspec, weights, _network_input(waves_of(block), fcfg))[1]
 
-    parts = _ordered_map(work, _blocks(list(items)), jobs)  # per block: [(layer_id, (block, width))]
+    parts = _ordered_map(work, _blocks(list(items)), jobs)
     return ActivationTrace(tuple((pairs[0][0], np.concatenate([vals for _, vals in pairs]))
-                                 for pairs in zip(*parts)))
+                                 for pairs in zip(*(part.entries for part in parts))))
 
 
 # --- stages -----------------------------------------------------------
@@ -423,7 +423,7 @@ def cmd_calibrate(cfg: dict, jobs: int = 1):
                       np.concatenate([vals for _, vals in trace.entries], axis=1))
     # a clip's row holds the same bits in any block, so these are the train clips' own thresholds
     train = ActivationTrace(tuple((name, vals[cal]) for name, vals in trace.entries))
-    thresholds = calibrate_thresholds([train])
+    thresholds = calibrate_thresholds(train)
     save_thresholds(thresholds, paths.thresholds)
     stage.audit([paths.thresholds, paths.traces], calibration_clips=len(cal))
     return thresholds

@@ -103,42 +103,42 @@ def test_criterion_1_coverage_oracles(verdict):
     started = time.perf_counter()
     rng = np.random.default_rng(401)
     layout = (("conv1", 16), ("conv2", 32), ("fc1", 24), ("fc2", 8))
-    traces = [
-        ActivationTrace(tuple((name, rng.random(width)) for name, width in layout))
-        for _ in range(50)
-    ]
+    block = ActivationTrace(tuple((name, rng.random((50, width))) for name, width in layout))
 
     ok = True
-    thresholds = calibrate_thresholds(traces)
+    thresholds = calibrate_thresholds(block)
+    ok &= thresholds.calibration_size == 50
     for index, (_, width) in enumerate(layout):
         total, count = 0.0, 0
-        for trace in traces:
-            for value in trace.entries[index][1]:
+        for row in block.entries[index][1]:
+            for value in row:
                 total += float(value)
                 count += 1
         mean = total / count
         ok &= abs(thresholds.deltas[index][1] - mean) <= 1e-9 * abs(mean)
 
-    for trace in traces:
-        got = acn_features(trace, thresholds).values
-        expected = np.asarray(
-            [
-                float(sum(1 for v in trace.entries[i][1] if float(v) > thresholds.deltas[i][1]))
-                for i in range(len(layout))
-            ]
-        )
-        ok &= np.array_equal(got, expected)
+    got = acn_features(block, thresholds).values
+    expected = np.asarray(
+        [
+            [float(sum(1 for v in values[clip] if float(v) > delta))
+             for (_, values), (_, delta) in zip(block.entries, thresholds.deltas)]
+            for clip in range(50)
+        ]
+    )
+    ok &= np.array_equal(got, expected)
 
-    for trace in traces:
-        got = tkan_features(trace, k=5).values
-        expected = np.concatenate(
-            [np.asarray(sorted(values, reverse=True)[:5]) for _, values in trace.entries]
-        )
-        ok &= np.array_equal(got, expected)
+    got = tkan_features(block, k=5).values
+    expected = np.asarray(
+        [
+            np.concatenate([sorted(values[clip], reverse=True)[:5] for _, values in block.entries])
+            for clip in range(50)
+        ]
+    )
+    ok &= np.array_equal(got, expected)
 
     elapsed = time.perf_counter() - started
     ok &= elapsed < 5.0
-    verdict(1, "coverage oracles", ok, f"50 traces, elapsed={elapsed:.2f}s")
+    verdict(1, "coverage oracles", ok, f"50-clip block trace, elapsed={elapsed:.2f}s")
 
 
 def test_criterion_2_gradient_checks(verdict):
@@ -285,7 +285,7 @@ def test_criterion_5_metric_oracles(verdict):
 
 def test_criterion_6_end_to_end_ordering(full_run, verdict):
     out, elapsed = full_run
-    rows = {r["criterion"]: r for r in csv.DictReader(open(out / "eval_report.csv"))}
+    rows = {r["criterion"]: r for r in csv.DictReader((out / "eval_report.csv").read_text(encoding="utf-8").splitlines())}
     acn_auc = float(rows["acn"]["auc"])
     tkan_auc = float(rows["tkan"]["auc"])
     ok = tkan_auc >= 0.95 and acn_auc >= 0.85 and tkan_auc > acn_auc and elapsed <= 600.0
@@ -296,7 +296,7 @@ def test_criterion_6_end_to_end_ordering(full_run, verdict):
 def test_criterion_7_sweep_completeness_and_identity(full_run, verdict):
     out, _ = full_run
     assert main(["sweep", "--out", str(out), "--seed", "42", "--jobs", "4"]) == 0
-    rows = list(csv.DictReader(open(out / "sweep_report.csv")))
+    rows = list(csv.DictReader((out / "sweep_report.csv").read_text(encoding="utf-8").splitlines()))
     ok = len(rows) == 152
 
     identity = (("resample", 0.0), ("speed", 1.0), ("pitch", 0.0))

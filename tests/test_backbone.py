@@ -18,7 +18,6 @@ from voicetrace.backbone import (
     _loss_and_grads,
     _run_layers,
     _softmax_xent,
-    forward,
     forward_batch,
     gradient_check,
     init_weights,
@@ -122,7 +121,7 @@ def _naive_forward(spec, tensors, x):
 def test_forward_zero_weights():
     tensors = {k: np.zeros(s) for k, s in TINY_SPEC.parameter_shapes().items()}
     rng = np.random.default_rng(0)
-    logits, trace = forward(TINY_SPEC, WeightStore(tensors), rng.standard_normal((8, 6, 1)))
+    logits, trace = forward_batch(TINY_SPEC, WeightStore(tensors), rng.standard_normal((1, 8, 6, 1)))
     assert np.all(logits == 0)
     for _, values in trace.entries:
         assert np.all(values == 0)
@@ -136,8 +135,8 @@ def test_forward_identity_conv_constant_input():
     tensors = {k: np.zeros(s) for k, s in spec.parameter_shapes().items()}
     tensors["conv1.weight"][0, 0, 0, 0] = 1.0
     c = 0.73
-    _, trace = forward(spec, WeightStore(tensors), np.full((2, 2, 1), c))
-    assert trace.values("conv1")[0] == pytest.approx(c)
+    _, trace = forward_batch(spec, WeightStore(tensors), np.full((1, 2, 2, 1), c))
+    assert trace.values("conv1")[0, 0] == pytest.approx(c)
 
 
 def test_forward_matches_naive_loop_oracle():
@@ -145,12 +144,12 @@ def test_forward_matches_naive_loop_oracle():
     weights = init_weights(TINY_SPEC, 21)
     for _ in range(5):
         x = rng.standard_normal((8, 6, 1))
-        logits, trace = forward(TINY_SPEC, weights, x)
+        logits, trace = forward_batch(TINY_SPEC, weights, x[None])
         ref_logits, ref_trace = _naive_forward(TINY_SPEC, weights.tensors, x)
-        np.testing.assert_allclose(logits, ref_logits, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(logits[0], ref_logits, rtol=1e-5, atol=1e-8)
         assert trace.layer_ids() == [name for name, _ in ref_trace]
         for (_, got), (_, want) in zip(trace.entries, ref_trace):
-            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(got[0], want, rtol=1e-5, atol=1e-8)
 
 
 def test_forward_with_maxpool_matches_oracle():
@@ -161,11 +160,11 @@ def test_forward_with_maxpool_matches_oracle():
     rng = np.random.default_rng(33)
     weights = init_weights(spec, 33)
     x = rng.standard_normal((9, 7, 1))
-    logits, trace = forward(spec, weights, x)
+    logits, trace = forward_batch(spec, weights, x[None])
     ref_logits, ref_trace = _naive_forward(spec, weights.tensors, x)
-    np.testing.assert_allclose(logits, ref_logits, rtol=1e-5, atol=1e-8)
+    np.testing.assert_allclose(logits[0], ref_logits, rtol=1e-5, atol=1e-8)
     for (_, got), (_, want) in zip(trace.entries, ref_trace):
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(got[0], want, rtol=1e-5, atol=1e-8)
 
 
 def test_trace_layout_independent_of_content():
@@ -173,7 +172,7 @@ def test_trace_layout_independent_of_content():
     weights = init_weights(TINY_SPEC, 7)
     seen = set()
     for _ in range(10):
-        _, trace = forward(TINY_SPEC, weights, rng.standard_normal((8, 6, 1)))
+        _, trace = forward_batch(TINY_SPEC, weights, rng.standard_normal((1, 8, 6, 1)))
         seen.add((tuple(trace.layer_ids()), tuple(trace.widths())))
         for _, values in trace.entries[:-1]:  # all but the raw logit layer
             assert np.all(values >= 0)
@@ -190,8 +189,8 @@ def test_forward_deterministic():
     rng = np.random.default_rng(13)
     weights = init_weights(TINY_SPEC, 13)
     x = rng.standard_normal((8, 6, 1))
-    la, ta = forward(TINY_SPEC, weights, x)
-    lb, tb = forward(TINY_SPEC, weights, x.copy())
+    la, ta = forward_batch(TINY_SPEC, weights, x[None])
+    lb, tb = forward_batch(TINY_SPEC, weights, x.copy()[None])
     assert np.array_equal(la, lb)
     for (_, va), (_, vb) in zip(ta.entries, tb.entries):
         assert np.array_equal(va, vb)
@@ -200,7 +199,7 @@ def test_forward_deterministic():
 def test_forward_rejects_shape_mismatch():
     weights = init_weights(TINY_SPEC, 1)
     with pytest.raises(ValueError):
-        forward(TINY_SPEC, weights, np.zeros((6, 8, 1)))
+        forward_batch(TINY_SPEC, weights, np.zeros((1, 6, 8, 1)))
 
 
 def _toy_dataset(n_per_class=6, seed=5):
@@ -261,6 +260,11 @@ def test_gradient_check_flat_fc_net_without_convs():
     rng = np.random.default_rng(41)
     err = gradient_check(spec, init_weights(spec, 41), rng.standard_normal(6), label=2)
     assert err < 1e-4
+
+
+def test_gradient_check_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="does not match spec"):
+        gradient_check(TINY_SPEC, init_weights(TINY_SPEC, 1), np.zeros((6, 8, 1)), label=0)
 
 
 def test_gradient_check_refuses_big_nets():
@@ -377,14 +381,14 @@ def test_batch_forward_matches_single():
     rng = np.random.default_rng(29)
     weights = init_weights(TINY_SPEC, 29)
     batch = rng.standard_normal((4, 8, 6, 1))
-    logits, entries = forward_batch(TINY_SPEC, weights, batch)
+    logits, trace = forward_batch(TINY_SPEC, weights, batch)
     for i in range(4):
-        single_logits, single_trace = forward(TINY_SPEC, weights, batch[i])
+        single_logits, single_trace = forward_batch(TINY_SPEC, weights, batch[i][None])
         # batched matmuls may sum in a different order; allow rounding noise
-        np.testing.assert_allclose(logits[i], single_logits, atol=1e-12)
-        for (name, block), (s_name, s_vals) in zip(entries, single_trace.entries):
+        np.testing.assert_allclose(logits[i], single_logits[0], atol=1e-12)
+        for (name, block), (s_name, s_vals) in zip(trace.entries, single_trace.entries):
             assert name == s_name
-            np.testing.assert_allclose(block[i], s_vals, atol=1e-12)
+            np.testing.assert_allclose(block[i], s_vals[0], atol=1e-12)
 
 
 def _reference_run_layers(spec, params, x):

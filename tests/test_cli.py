@@ -15,7 +15,7 @@ import pytest
 
 from voicetrace import pipeline
 from voicetrace.audio import Waveform, load_wav, save_wav
-from voicetrace.backbone import BackboneTrainConfig, load_weights
+from voicetrace.backbone import BackboneTrainConfig, load_weights, reference_spec
 from voicetrace.cli import main
 from voicetrace.corpus import FAKE, REAL, CorpusSpec, ManifestRecord, load_manifest
 from voicetrace.coverage import calibrate_thresholds, save_thresholds
@@ -92,7 +92,7 @@ def test_chain_writes_all_artifacts(chain):
 
 def test_eval_report_covers_both_criteria(chain):
     out, _ = chain
-    rows = list(csv.DictReader(open(out / "eval_report.csv")))
+    rows = list(csv.DictReader((out / "eval_report.csv").read_text(encoding="utf-8").splitlines()))
     assert [r["criterion"] for r in rows] == ["acn", "tkan"]
     for row in rows:
         assert row["dataset"] == "test"
@@ -103,7 +103,7 @@ def test_eval_report_covers_both_criteria(chain):
 
 def test_sweep_identity_cells_match_baseline_exactly(chain):
     out, _ = chain
-    rows = list(csv.DictReader(open(out / "sweep_report.csv")))
+    rows = list(csv.DictReader((out / "sweep_report.csv").read_text(encoding="utf-8").splitlines()))
     # 2 baseline rows plus 3 identity cells for each criterion
     assert len(rows) == 8
     baseline = {r["criterion"]: r for r in rows if r["manipulation"] == "none"}
@@ -293,9 +293,9 @@ def test_export_features_match_extract_output(chain):
     out, _ = chain
     assert (out / "export/features_acn.csv").read_bytes() == (out / "features_acn.csv").read_bytes()
     assert (out / "export/features_tkan.csv").read_bytes() == (out / "features_tkan.csv").read_bytes()
-    header = open(out / "export/traces.csv").readline().strip().split(",")
+    header = (out / "export/traces.csv").read_text(encoding="utf-8").splitlines()[0].split(",")
     assert header[:2] == ["label", "split"]
-    assert len(open(out / "export/traces.csv").readlines()) == 49
+    assert len((out / "export/traces.csv").read_text(encoding="utf-8").splitlines()) == 49
 
 
 def test_extract_and_export_read_the_calibrated_traces_without_tracing(chain, tmp_path, monkeypatch):
@@ -360,7 +360,7 @@ def test_calibrated_thresholds_equal_those_of_the_train_clips_traced_alone(chain
     assert len(train) < len(records)
     trace = pipeline._trace(netspec, weights, train, cfg["frontend"], 1,
                             lambda block: [load_wav(f) for f in block])
-    save_thresholds(calibrate_thresholds([trace]), tmp_path / "thresholds.json")
+    save_thresholds(calibrate_thresholds(trace), tmp_path / "thresholds.json")
     assert (tmp_path / "thresholds.json").read_bytes() == (out / "thresholds.json").read_bytes()
 
 
@@ -709,7 +709,7 @@ def test_sweep_identity_cells_reuse_the_baseline_rows_without_manipulating(chain
     monkeypatch.setattr(pipeline, "apply_manipulation", lambda *args, **kwargs: calls.append(args))
     rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7"])
     assert rc == 0 and calls == []
-    rows = list(csv.reader(open(part / "sweep_report.csv", encoding="utf-8")))[1:]
+    rows = list(csv.reader((part / "sweep_report.csv").read_text(encoding="utf-8").splitlines()))[1:]
     baseline = {r[1]: r[4:] for r in rows if r[2] == "none"}
     cells = [r for r in rows if r[2] != "none"]
     assert sorted((r[2], r[3]) for r in cells) == sorted(2 * [("resample", "0.0"), ("speed", "1.0"),
@@ -778,7 +778,7 @@ def test_single_criterion_run_reports_only_that_criterion(chain, tmp_path):
     cfg = _write_config(tmp_path, {"coverage.criterion": "acn"})
     for stage in ("extract", "train-detector", "eval"):
         assert main([stage, "--config", str(cfg), "--out", str(part), "--seed", "7"]) == 0
-    rows = list(csv.DictReader(open(part / "eval_report.csv")))
+    rows = list(csv.DictReader((part / "eval_report.csv").read_text(encoding="utf-8").splitlines()))
     assert [r["criterion"] for r in rows] == ["acn"]
     assert not (part / "features_tkan.csv").exists()
 
@@ -839,6 +839,17 @@ def test_jobs_below_one_exits_2_naming_the_flag(tmp_path, capsys, jobs):
     assert exited.value.code == 2
     assert "--jobs" in err and f"must be at least 1, got {jobs}" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_the_readme_smaller_experiment_config_fits_its_network(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A smaller experiment, for example:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(block, encoding="utf-8")
+    cfg = load_config(path)
+    spec = reference_spec(cfg["corpus"]["num_speakers"],
+                          (cfg["frontend"]["frames"], cfg["frontend"]["mel_bins"], 1))
+    assert cfg["coverage"]["k"] <= min(width for _, _, width in spec.monitored_layers())
 
 
 def test_invalid_json_config_exits_2(tmp_path, capsys):

@@ -22,41 +22,40 @@ from voicetrace.pipeline import _TRACE_BLOCK
 
 
 def _trace(layer_values):
-    return ActivationTrace(tuple((name, np.asarray(v, dtype=np.float64)) for name, v in layer_values))
+    """A block trace; a layer given as one flat list is a block of one clip."""
+    return ActivationTrace(tuple((name, np.atleast_2d(np.asarray(v, dtype=np.float64)))
+                                 for name, v in layer_values))
 
 
-def _random_traces(rng, n, widths):
-    out = []
-    for _ in range(n):
-        out.append(
-            _trace([(f"l{j}", np.abs(rng.standard_normal(w))) for j, w in enumerate(widths)])
-        )
-    return out
+def _random_block(rng, n, widths):
+    """An n-clip block trace of non-negative values, one layer per width."""
+    return _trace([(f"l{j}", np.abs(rng.standard_normal((n, w)))) for j, w in enumerate(widths)])
 
 
 def test_calibrate_two_trace_hand_case():
-    traces = [_trace([("fc1", [1.0, 3.0])]), _trace([("fc1", [2.0, 2.0])])]
-    th = calibrate_thresholds(traces)
+    th = calibrate_thresholds(_trace([("fc1", [[1.0, 3.0], [2.0, 2.0]])]))
     assert th.calibration_size == 2
     assert th.value("fc1") == 2.0
 
 
 def test_calibrate_single_trace_is_layer_mean():
     t = _trace([("conv1", [0.5, 1.5, 2.5]), ("fc1", [4.0])])
-    th = calibrate_thresholds([t])
+    th = calibrate_thresholds(t)
+    assert th.calibration_size == 1
     assert th.value("conv1") == pytest.approx(1.5)
     assert th.value("fc1") == 4.0
 
 
 def test_calibrate_matches_brute_force():
     rng = np.random.default_rng(41)
-    traces = _random_traces(rng, 50, (7, 3, 12, 5))
-    th = calibrate_thresholds(traces)
+    block = _random_block(rng, 50, (7, 3, 12, 5))
+    th = calibrate_thresholds(block)
+    assert th.calibration_size == 50
     for j, name in enumerate(["l0", "l1", "l2", "l3"]):
         total = 0.0
         count = 0
-        for tr in traces:
-            for v in tr.entries[j][1]:
+        for row in block.entries[j][1]:
+            for v in row:
                 total += float(v)
                 count += 1
         assert th.value(name) == pytest.approx(total / count, rel=1e-9)
@@ -64,42 +63,35 @@ def test_calibrate_matches_brute_force():
 
 def test_calibrate_rejects_empty():
     with pytest.raises(ValueError):
-        calibrate_thresholds([])
-
-
-def test_calibrate_rejects_layout_mismatch():
-    a = _trace([("fc1", [1.0, 2.0])])
-    b = _trace([("fc1", [1.0, 2.0, 3.0])])
+        calibrate_thresholds(_trace([("fc1", np.zeros((0, 2))), ("fc2", np.zeros((0, 3)))]))
     with pytest.raises(ValueError):
-        calibrate_thresholds([a, b])
+        calibrate_thresholds(ActivationTrace(()))
 
 
 def test_calibrate_order_free():
     rng = np.random.default_rng(43)
     # values on a 1/64 grid sum exactly, so reordering cannot move a bit
-    traces = [
-        _trace([("l0", rng.integers(0, 200, 9) / 64.0)])
-        for _ in range(20)
-    ]
-    forward = calibrate_thresholds(traces)
-    backward = calibrate_thresholds(traces[::-1])
+    values = rng.integers(0, 200, (20, 9)) / 64.0
+    forward = calibrate_thresholds(_trace([("l0", values)]))
+    backward = calibrate_thresholds(_trace([("l0", values[::-1])]))
     assert forward.deltas == backward.deltas
 
 
 def _clips(block):
-    """The single-clip traces of a block trace, in clip order."""
-    return [ActivationTrace(tuple((name, values[i]) for name, values in block.entries))
+    """The one-row slices of a block trace, in clip order."""
+    return [ActivationTrace(tuple((name, values[i : i + 1]) for name, values in block.entries))
             for i in range(len(block.entries[0][1]))]
 
 
-def _reference_calibrate(traces):
-    """The per-clip loop calibrate ran before traces held a clip axis."""
-    sums = np.zeros(len(traces[0].entries))
-    for trace in traces:
-        for j, (_, values) in enumerate(trace.entries):
-            sums[j] += float(np.sum(values))
-    return LayerThresholds(tuple((name, float(sums[j] / (len(traces) * values.size)))
-                                 for j, (name, values) in enumerate(traces[0].entries)), len(traces))
+def _reference_calibrate(block):
+    """The per-clip loop calibrate ran before traces held a clip axis, over the block's rows."""
+    n = len(block.entries[0][1])
+    sums = np.zeros(len(block.entries))
+    for i in range(n):
+        for j, (_, values) in enumerate(block.entries):
+            sums[j] += float(np.sum(values[i]))
+    return LayerThresholds(tuple((name, float(sums[j] / (n * values.shape[1])))
+                                 for j, (name, values) in enumerate(block.entries)), n)
 
 
 def _bits(thresholds):
@@ -116,22 +108,19 @@ def block():
 
 
 def test_batched_calibrate_equals_the_per_clip_loop_bitwise(block):
-    clips = _clips(block)
-    batched = calibrate_thresholds([block])
-    assert batched.calibration_size == len(clips) == _TRACE_BLOCK + 1
+    batched = calibrate_thresholds(block)
+    assert batched.calibration_size == _TRACE_BLOCK + 1
     assert block.widths() == [16, 32, 64, 128, 64, 8]
-    assert _bits(batched) == _bits(_reference_calibrate(clips))
-    assert _bits(batched) == _bits(calibrate_thresholds(clips))
-    split = ActivationTrace(tuple((name, values[:_TRACE_BLOCK]) for name, values in block.entries))
-    assert _bits(batched) == _bits(calibrate_thresholds([split, clips[-1]]))
+    assert _bits(batched) == _bits(_reference_calibrate(block))
 
 
 def test_batched_features_equal_the_per_clip_features_bitwise(block):
+    """Each row of a block gives the features of its one-row slice, bit for bit."""
     clips = _clips(block)
-    th = calibrate_thresholds([block])
+    th = calibrate_thresholds(block)
     for batched, single in ((acn_features(block, th), lambda c: acn_features(c, th)),
                             (tkan_features(block, k=5), lambda c: tkan_features(c, k=5))):
-        per_clip = np.stack([single(c).values for c in clips])
+        per_clip = np.concatenate([single(c).values for c in clips])
         assert batched.values.shape == per_clip.shape == (_TRACE_BLOCK + 1, len(batched.column_names(ACN)))
         assert batched.values.dtype == np.float64
         assert np.array_equal(batched.values, per_clip)
@@ -142,35 +131,36 @@ def test_acn_hand_case():
     trace = _trace([("fc1", [0.5, 0.2])])
     th = LayerThresholds((("fc1", 0.3),), 1)
     fv = acn_features(trace, th)
-    assert fv.values.tolist() == [1.0]
+    assert fv.values.tolist() == [[1.0]]
 
 
 def test_acn_boundary_is_strict():
     trace = _trace([("fc1", [0.3, 0.3, 0.3])])
     th = LayerThresholds((("fc1", 0.3),), 1)
-    assert acn_features(trace, th).values.tolist() == [0.0]
+    assert acn_features(trace, th).values.tolist() == [[0.0]]
 
 
 def test_acn_matches_elementwise_count():
     rng = np.random.default_rng(47)
     widths = (16, 32, 64, 128, 64, 8)
-    traces = _random_traces(rng, 10, widths)
-    th = calibrate_thresholds(traces)
-    for tr in traces:
-        fv = acn_features(tr, th)
-        for j, (name, values) in enumerate(tr.entries):
-            expected = sum(1 for v in values if v > th.value(name))
-            assert fv.values[j] == expected
+    block = _random_block(rng, 10, widths)
+    th = calibrate_thresholds(block)
+    fv = acn_features(block, th)
+    assert fv.values.shape == (10, len(widths))
+    for j, (name, values) in enumerate(block.entries):
+        for i, row in enumerate(values):
+            expected = sum(1 for v in row if v > th.value(name))
+            assert fv.values[i, j] == expected
 
 
 def test_acn_monotone_in_threshold():
     rng = np.random.default_rng(53)
-    trace = _random_traces(rng, 1, (30,))[0]
-    base = calibrate_thresholds([trace])
-    prev = acn_features(trace, base).values[0]
+    trace = _random_block(rng, 1, (30,))
+    base = calibrate_thresholds(trace)
+    prev = acn_features(trace, base).values[0, 0]
     for bump in (0.1, 0.3, 1.0, 3.0):
         higher = LayerThresholds((("l0", base.value("l0") + bump),), 1)
-        count = acn_features(trace, higher).values[0]
+        count = acn_features(trace, higher).values[0, 0]
         assert count <= prev
         prev = count
 
@@ -184,12 +174,12 @@ def test_acn_rejects_mismatched_thresholds():
 
 def test_tkan_hand_case():
     trace = _trace([("fc1", [0.1, 0.9, 0.5])])
-    assert tkan_features(trace, k=2).values.tolist() == [0.9, 0.5]
+    assert tkan_features(trace, k=2).values.tolist() == [[0.9, 0.5]]
 
 
 def test_tkan_tie_case():
     trace = _trace([("fc1", [0.4, 0.4, 0.4])])
-    assert tkan_features(trace, k=3).values.tolist() == [0.4, 0.4, 0.4]
+    assert tkan_features(trace, k=3).values.tolist() == [[0.4, 0.4, 0.4]]
 
 
 def test_tkan_matches_full_sort():
@@ -198,14 +188,14 @@ def test_tkan_matches_full_sort():
         values = np.abs(rng.standard_normal(64))
         trace = _trace([("l0", values)])
         fv = tkan_features(trace, k=5)
-        assert fv.values.tolist() == sorted(values, reverse=True)[:5]
+        assert fv.values[0].tolist() == sorted(values, reverse=True)[:5]
 
 
 def test_tkan_k_equals_width():
     rng = np.random.default_rng(61)
     values = np.abs(rng.standard_normal(9))
     fv = tkan_features(_trace([("l0", values)]), k=9)
-    assert fv.values.tolist() == sorted(values, reverse=True)
+    assert fv.values[0].tolist() == sorted(values, reverse=True)
 
 
 def test_tkan_rejects_narrow_layer():
@@ -230,7 +220,7 @@ def test_tkan_permutation_invariant_for_distinct_values():
 
 def test_feature_layouts_and_column_names():
     trace = _trace([("conv1", [1.0, 2.0, 3.0]), ("fc1", [4.0, 5.0, 6.0])])
-    th = calibrate_thresholds([trace])
+    th = calibrate_thresholds(trace)
     acn = acn_features(trace, th)
     assert acn.layout == (("conv1", 1), ("fc1", 1))
     assert acn.column_names(ACN) == ["conv1.acn", "fc1.acn"]

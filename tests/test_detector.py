@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from voicetrace.backbone import WeightStore, init_weights, reference_spec
 from voicetrace.detector import (
     DetectorModel,
     DetectorSpec,
@@ -65,8 +66,8 @@ def test_lr_zero_keeps_parameters_at_init():
     feats, labels = _blobs(n_per_class=10)
     frozen = train_detector(feats, labels, TrainConfig(lr=0.0, epochs=25, seed=7), spec=TINY_SPEC)
     init = train_detector(feats, labels, TrainConfig(lr=0.0, epochs=0, seed=7), spec=TINY_SPEC)
-    for name in init.tensors:
-        assert np.array_equal(frozen.tensors[name], init.tensors[name])
+    for name in init.weights.tensors:
+        assert np.array_equal(frozen.weights.tensors[name], init.weights.tensors[name])
 
 
 def test_same_seed_bit_identical():
@@ -75,8 +76,8 @@ def test_same_seed_bit_identical():
     a = train_detector(feats, labels, cfg, spec=TINY_SPEC)
     b = train_detector(feats, labels, cfg, spec=TINY_SPEC)
     assert a.loss_log == b.loss_log
-    for name in a.tensors:
-        assert np.array_equal(a.tensors[name], b.tensors[name])
+    for name in a.weights.tensors:
+        assert np.array_equal(a.weights.tensors[name], b.weights.tensors[name])
 
 
 def test_loss_non_increasing_early():
@@ -156,10 +157,10 @@ def test_train_detector_matches_the_hand_rolled_reference(spec):
     model = train_detector(feats, labels, cfg, spec=spec, standardizer=std)
     tensors, losses = _reference_train_detector(std.transform(feats), labels, cfg, spec, np.float32)
     assert model.loss_log == losses
-    assert list(model.tensors) == list(tensors)
+    assert list(model.weights.tensors) == list(tensors)
     for name, tensor in tensors.items():
-        assert model.tensors[name].dtype == np.float32
-        assert np.array_equal(model.tensors[name], tensor), name
+        assert model.weights.tensors[name].dtype == np.float32
+        assert np.array_equal(model.weights.tensors[name], tensor), name
     # the float64 loop is the oracle: float32 training must not move the loss curve visibly
     _, losses64 = _reference_train_detector(std.transform(feats), labels, cfg, spec, np.float64)
     np.testing.assert_allclose(losses, losses64, rtol=1e-6, atol=0)
@@ -185,10 +186,10 @@ def test_fit_runs_in_float32_and_the_gradient_check_in_float64(monkeypatch, tmp_
     model = train_detector(feats, labels, TrainConfig(lr=0.05, epochs=3, batch_size=8, seed=3),
                            spec=TINY_SPEC, standardizer=Standardizer.fit(feats))
     assert len(seen) == 9 and all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
-    assert {t.dtype for t in model.tensors.values()} == {np.dtype(np.float32)}
+    assert {t.dtype for t in model.weights.tensors.values()} == {np.dtype(np.float32)}
     save_detector(model, tmp_path / "d.nsd")
     loaded = load_detector(tmp_path / "d.nsd")
-    assert all(loaded.tensors[k].tobytes() == t.tobytes() for k, t in model.tensors.items())
+    assert all(loaded.weights.tensors[k].tobytes() == t.tobytes() for k, t in model.weights.tensors.items())
 
     checked = []
     real_check = backbone._loss_and_grads
@@ -218,20 +219,28 @@ def test_scoring_converts_the_weights_once_and_no_copy_can_go_stale(monkeypatch)
     feats, labels = _blobs(n_per_class=6)
     model = train_detector(feats, labels, TrainConfig(lr=0.05, epochs=2, seed=3), spec=TINY_SPEC)
     first, second = score_batch(model, feats), score_batch(model, feats)
-    assert len(seen) == 2 and seen[0] is seen[1] is model.params64()
+    assert len(seen) == 2 and seen[0] is seen[1] is model.weights.params64()
     assert first.tobytes() == second.tobytes()
-    for name, tensor in model.tensors.items():
+    for name, tensor in model.weights.tensors.items():
         assert seen[0][name].tobytes() == tensor.astype(np.float64).tobytes()
-    given = {k: t.copy() for k, t in model.tensors.items()}
-    rebuilt = DetectorModel(TINY_SPEC, given, model.standardizer)
-    assert all(t.flags.writeable for t in given.values())  # the model copied the caller's arrays
+    given = {k: t.copy() for k, t in model.weights.tensors.items()}
+    rebuilt = DetectorModel(TINY_SPEC, WeightStore(given), model.standardizer)
+    assert all(t.flags.writeable for t in given.values())  # the store copied the caller's arrays
+    backbone_weights = init_weights(reference_spec(4), 3)
     for protocol in (2, pickle.HIGHEST_PROTOCOL):
         back = pickle.loads(pickle.dumps(model, protocol=protocol))
-        assert back.loss_log == model.loss_log and back.params64() is not model.params64()
-        for each in (model, rebuilt, back):
-            for store in (each.tensors, each.params64()):
+        assert back.loss_log == model.loss_log and back.weights.params64() is not model.weights.params64()
+        back_weights = pickle.loads(pickle.dumps(backbone_weights, protocol=protocol))
+        assert list(back_weights.tensors) == list(backbone_weights.tensors)
+        for name, tensor in backbone_weights.tensors.items():
+            assert back_weights.tensors[name].dtype == np.float32
+            assert back_weights.tensors[name].tobytes() == tensor.tobytes()
+            assert back_weights.params64()[name].tobytes() == backbone_weights.params64()[name].tobytes()
+        for weights, name in ((model.weights, "fc1.weight"), (rebuilt.weights, "fc1.weight"),
+                              (back.weights, "fc1.weight"), (back_weights, "conv1.weight")):
+            for store in (weights.tensors, weights.params64()):
                 with pytest.raises(ValueError, match="read-only"):
-                    store["fc1.weight"][0, 0] = 1.0
+                    store[name].flat[0] = 1.0
         assert score_batch(back, feats).tobytes() == first.tobytes()
 
 
@@ -266,7 +275,7 @@ def test_zero_model_scores_half():
     for i in range(5):
         tensors[f"fc{i + 1}.weight"] = np.zeros((widths[i], widths[i + 1]), dtype=np.float32)
         tensors[f"fc{i + 1}.bias"] = np.zeros(widths[i + 1], dtype=np.float32)
-    model = DetectorModel(TINY_SPEC, tensors, Standardizer.identity(2))
+    model = DetectorModel(TINY_SPEC, WeightStore(tensors), Standardizer.identity(2))
     pred = predict(model, np.array([3.0, -1.0]))
     assert pred.score == 0.5
     assert pred.label == "fake"  # threshold is closed at the boundary
@@ -288,7 +297,7 @@ def test_forward_matches_matrix_oracle():
                            spec=TINY_SPEC, standardizer=std)
     x = std.transform(feats[:7])
     cur = x
-    params = model.params64()
+    params = model.weights.params64()
     for i in range(1, 6):
         cur = cur @ params[f"fc{i}.weight"] + params[f"fc{i}.bias"]
         if i < 5:
@@ -369,8 +378,8 @@ def test_save_load_round_trip(tmp_path):
     assert back.criterion == "tkan"
     assert back.k == 5
     assert back.spec == model.spec
-    for name in model.tensors:
-        assert np.array_equal(back.tensors[name], model.tensors[name])
+    for name in model.weights.tensors:
+        assert np.array_equal(back.weights.tensors[name], model.weights.tensors[name])
     # standardizer stats are stored as float32; a second round-trip is exact
     save_detector(back, tmp_path / "d2.nsd1")
     twice = load_detector(tmp_path / "d2.nsd1")

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from voicetrace import metrics
 
 from voicetrace.metrics import (
     REPORT_COLUMNS,
@@ -254,6 +261,23 @@ def test_report_round_trip(tmp_path):
     assert header == ",".join(REPORT_COLUMNS)
     back = read_report(p)
     assert back == rows
+
+
+def test_reports_are_utf8_whatever_the_locale(tmp_path):
+    # noise ids come from the noise bank's file names, so a report row may hold any character
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(metrics.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH")]))}
+    script = ("import sys; from voicetrace.metrics import MetricRow, read_report, write_report; "
+              "row = MetricRow('test', 'acn', 'add_noise:r\\u00fcido', 30.0, *[0.5] * 7); "
+              "write_report(sys.argv[1], [row]); assert read_report(sys.argv[1]) == [row]")
+    path = tmp_path / "report.csv"
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert path.read_bytes().splitlines()[1].startswith("test,acn,add_noise:rüido,".encode("utf-8"))
+    assert path.read_bytes().endswith(b"\r\n")
+    assert read_report(path)[0].manipulation == "add_noise:rüido"
 
 
 def test_read_report_rejects_bad_header(tmp_path):

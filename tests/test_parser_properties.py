@@ -67,7 +67,8 @@ VALID_NSW1 = nsw1.pack_tensors({"conv1.weight": np.arange(8, dtype=np.float32).r
 _DETECTOR_SPEC = DetectorSpec(2, (3, 3, 2, 2))
 VALID_DETECTOR = _written_bytes(lambda path: save_detector(DetectorModel(
     _DETECTOR_SPEC,
-    {k: np.full(v, 0.25, dtype=np.float32) for k, v in _DETECTOR_SPEC.network().parameter_shapes().items()},
+    WeightStore({k: np.full(v, 0.25, dtype=np.float32)
+                 for k, v in _DETECTOR_SPEC.network().parameter_shapes().items()}),
     Standardizer(np.array([0.5, -0.5]), np.array([1.0, 2.0])), "tkan", 3), path))
 VALID_CONFIG = json.dumps(pipeline.DEFAULT_CONFIG).encode()
 VALID_MANIFEST = _written_bytes(lambda path: save_manifest(
@@ -184,11 +185,12 @@ def _check_tensors(result):
 def _check_detector(result):
     assert isinstance(result, DetectorModel) and isinstance(result.criterion, str)
     assert isinstance(result.k, int) and result.k >= 0
-    _check_tensors(result.tensors)
-    WeightStore(result.tensors).validate(result.spec.network())
+    assert isinstance(result.weights, WeightStore)
+    _check_tensors(result.weights.tensors)
+    result.weights.validate(result.spec.network())
     width = (result.spec.input_width,)
     assert result.standardizer.mean.shape == width and result.standardizer.std.shape == width
-    assert all(np.all(np.isfinite(t)) for t in result.tensors.values())
+    assert all(np.all(np.isfinite(t)) for t in result.weights.tensors.values())
     assert np.all(np.isfinite(result.standardizer.mean)) and np.all(result.standardizer.std > 0)
     assert np.all(np.isfinite(result.standardizer.std))
 
