@@ -73,12 +73,6 @@ class ActivationTrace:
     def widths(self):
         return [values.shape[-1] for _, values in self.entries]
 
-    def values(self, layer_id: str) -> np.ndarray:
-        for name, values in self.entries:
-            if name == layer_id:
-                return values
-        raise KeyError(layer_id)
-
 
 class NetworkSpec:
     """Ordered layer list plus input shape; shapes are chained at construction."""

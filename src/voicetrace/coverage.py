@@ -34,12 +34,6 @@ class LayerThresholds:
     def layer_ids(self):
         return [name for name, _ in self.deltas]
 
-    def value(self, layer_id: str) -> float:
-        for name, delta in self.deltas:
-            if name == layer_id:
-                return delta
-        raise KeyError(layer_id)
-
 
 @dataclass(frozen=True)
 class FeatureVector:

@@ -156,9 +156,11 @@ def _validate(cfg: dict) -> None:
     if 2 * clip_samples > WAV_MAX_DATA:
         raise ConfigError(f"corpus.clip_seconds gives {clip_samples}-sample clips, too long for a WAV")
     try:
-        reference_spec(c["num_speakers"], (f["frames"], f["mel_bins"], 1))
+        spec = reference_spec(c["num_speakers"], (f["frames"], f["mel_bins"], 1))
     except ValueError as exc:
         raise ConfigError(f"frontend.frames by frontend.mel_bins is too small an input ({exc})") from exc
+    if not cfg["manifest"]:  # a user manifest's speakers set the logit width; extract checks k then
+        _check_k(cfg, spec)
 
 
 def config_digest(cfg: dict) -> str:
@@ -196,6 +198,14 @@ class RunPaths:
 def _criteria(cfg: dict):
     chosen = cfg["coverage"]["criterion"]
     return [ACN, TKAN] if chosen == "both" else [chosen]
+
+
+def _check_k(cfg: dict, netspec: NetworkSpec) -> None:
+    """Refuse a TKAN k above the width of the narrowest monitored layer."""
+    k, narrowest = cfg["coverage"]["k"], min(width for _, _, width in netspec.monitored_layers())
+    if TKAN in _criteria(cfg) and k > narrowest:
+        raise ConfigError(f"coverage.k {k} exceeds the {narrowest} neurons of the "
+                          f"narrowest monitored layer; lower coverage.k or use more speakers")
 
 
 def _sha256s(files) -> dict:
@@ -336,6 +346,58 @@ def _ordered_map(work, items, jobs: int):
         return list(pool.map(work, items))
 
 
+def _map_in_children(stage: _Stage, work, items, jobs: int, held) -> list:
+    """work(item) for each item, in item order. At jobs >= 2 the items are dealt into
+    n = min(jobs, len(items)) shards, items[j::n]: shard 0 runs here, and each other shard in a
+    forked child that starts from the loaded interpreter and what the caller built, and pickles
+    (True, results) or (False, "ExcType: message") into a pipe; threads would serialize work's
+    small numpy calls on the interpreter lock. Every child is reaped, and all are killed first if
+    an exception leaves, work's own here included. A child that fails or dies raises a StageError
+    naming held(the positions in items of its shard)."""
+    n = min(jobs, len(items))
+    if n <= 1 or not hasattr(os, "fork"):
+        return [work(item) for item in items]
+    ends, live = [], []  # each child's pipe adds its read end, then its write end
+    try:
+        for j in range(1, n):
+            ends += [open(end, mode) for end, mode in zip(os.pipe(), ("rb", "wb"))]
+            pid = os.fork()
+            if pid == 0:
+                try:  # never return into the caller's stack or flush its stdio
+                    for end in ends[:-1]:  # so a send fails, not blocks, once the stage is gone
+                        end.close()
+                    try:
+                        result = (True, [work(item) for item in items[j::n]])
+                    except Exception as exc:  # noqa: BLE001 - the parent raises it as a StageError
+                        result = (False, f"{type(exc).__name__}: {exc}")
+                    pickle.dump(result, ends[-1], protocol=pickle.HIGHEST_PROTOCOL)
+                    ends[-1].close()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            live.append(pid)
+            ends[-1].close()
+        parts = [[work(item) for item in items[::n]]]
+        for j, (pid, pipe) in enumerate(zip(list(live), ends[::2]), 1):
+            data, code = pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            live.remove(pid)
+            who = held(range(j, len(items), n))
+            if code != 0:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise stage.error(f"{who} {how} before sending its results")
+            ok, part = pickle.loads(data)
+            if not ok:
+                raise stage.error(f"{who} failed: {part}")
+            parts.append(part)
+        return [parts[i % n][i // n] for i in range(len(items))]
+    finally:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for end in ends:
+            end.close()
+
+
 def _feature_array(files, fcfg: dict, jobs: int) -> np.ndarray:
     def work(block):
         return _network_input([_load_clip(f) for f in block], fcfg)
@@ -434,11 +496,8 @@ def cmd_extract(cfg: dict, jobs: int = 1):
     stage = _Stage(cfg, "extract")
     records, _ = stage.records()
     netspec = _network_for(records, cfg)
+    _check_k(cfg, netspec)
     criteria, k = _criteria(cfg), cfg["coverage"]["k"]
-    narrowest = min(width for _, _, width in netspec.monitored_layers())
-    if TKAN in criteria and k > narrowest:
-        raise ConfigError(f"coverage.k {k} exceeds the {narrowest} neurons of the "
-                          f"narrowest monitored layer; lower coverage.k or use more speakers")
     thresholds = stage.thresholds(netspec) if ACN in criteria else None
     trace = stage.trace(netspec, records)
 
@@ -451,58 +510,11 @@ def cmd_extract(cfg: dict, jobs: int = 1):
     return outputs
 
 
-def _fit_beside_a_child(stage: _Stage, fit, criteria) -> list:
-    """fit(criterion) for each criterion, in criteria order: the last in a forked child that
-    pickles (True, model) or (False, "ExcType: message") into a pipe, the rest here meanwhile.
-    The child is reaped, and killed first if an exception leaves, the fits' own included."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            try:
-                result = (True, fit(criteria[-1]))
-            except Exception as exc:  # noqa: BLE001 - the parent raises it as a StageError
-                result = (False, f"{type(exc).__name__}: {exc}")
-            with open(write_end, "wb") as pipe:
-                pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)  # never return into the caller's stack or flush its stdio
-    try:
-        os.close(write_end)
-        with open(read_end, "rb") as pipe:
-            models = [fit(c) for c in criteria[:-1]]
-            data = pipe.read()
-        code, pid = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), 0
-    finally:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if code != 0:
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise stage.error(f"the {criteria[-1]} fit {how} before sending its detector")
-    ok, result = pickle.loads(data)
-    if not ok:
-        raise stage.error(f"the {criteria[-1]} fit failed: {result}")
-    return [*models, result]
-
-
 def cmd_train_detector(cfg: dict, jobs: int = 1):
     """Fit one detector per criterion on the train split, then save the detectors and the audit.
 
-    At jobs >= 2 with two criteria the last criterion's fit runs in a forked child, which inherits
-    the loaded interpreter and the splits read here, while the first fits here; threads would
-    serialize the fits' small numpy calls on the interpreter lock. Otherwise the fits run here in
-    turn. Both paths call the same train_detector, so the bytes agree, and nothing is written
-    unless every fit succeeded.
-    """
+    At jobs >= 2 the tkan fit runs in a forked child while acn fits here; every path calls the
+    same train_detector, so the bytes agree, and nothing is written unless every fit succeeded."""
     stage = _Stage(cfg, "train-detector")
     criteria = _criteria(cfg)
     train = {c: stage.split(c, "train") for c in criteria}
@@ -513,11 +525,8 @@ def cmd_train_detector(cfg: dict, jobs: int = 1):
         return train_detector(x_train, y_train, config, standardizer=Standardizer.fit(x_train),
                               criterion=criterion, k=cfg["coverage"]["k"] if criterion == TKAN else 0)
 
-    if jobs >= 2 and len(criteria) >= 2 and hasattr(os, "fork"):
-        fitted = _fit_beside_a_child(stage, fit, criteria)
-    else:
-        fitted = [fit(c) for c in criteria]
-    models = dict(zip(criteria, fitted))
+    models = dict(zip(criteria, _map_in_children(
+        stage, fit, criteria, jobs, lambda held: f"the {' and '.join(criteria[i] for i in held)} fit")))
     for criterion, model in models.items():
         save_detector(model, stage.paths.detector(criterion))
     stage.audit([stage.paths.detector(c) for c in criteria],
@@ -626,7 +635,9 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
 
     merged = evaluate(None)
     failures = []
-    for index, (cell, (rows, error)) in enumerate(zip(cells, _ordered_map(run_cell, cells, jobs))):
+    done = _map_in_children(stage, run_cell, cells, jobs,
+                            lambda held: f"the worker for cells {', '.join(map(str, held))}")
+    for index, (cell, (rows, error)) in enumerate(zip(cells, done)):
         if error is None:
             merged.extend(rows)
         else:

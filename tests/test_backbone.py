@@ -136,7 +136,7 @@ def test_forward_identity_conv_constant_input():
     tensors["conv1.weight"][0, 0, 0, 0] = 1.0
     c = 0.73
     _, trace = forward_batch(spec, WeightStore(tensors), np.full((1, 2, 2, 1), c))
-    assert trace.values("conv1")[0, 0] == pytest.approx(c)
+    assert dict(trace.entries)["conv1"][0, 0] == pytest.approx(c)
 
 
 def test_forward_matches_naive_loop_oracle():

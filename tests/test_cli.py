@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -676,29 +677,190 @@ def test_sweep_decodes_each_sampled_clip_once_and_shares_it_read_only(chain, tmp
     out, _ = chain
     part = tmp_path / "shared"
     shutil.copytree(out, part)
+    # cells 0-4: resample 0, speed 0.9, 1.0, 1.1, pitch 0; at two jobs the child holds 1 and 3
     config_path = _write_config(tmp_path, {"sweep.speed_rates": [0.9, 1.0, 1.1]})
-    loaded, manipulated = [], []
+    calls = tmp_path / "calls"  # one line per call, from whichever process made it
+    loaded, first = [], []  # first: this process's arrays in its first manipulation call
     real_load, real_apply = pipeline.load_wav, pipeline.apply_manipulation
 
     def counting_load(path):
-        loaded.append(str(path))
-        return real_load(path)
+        loaded.append(real_load(path))
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"load {os.getpid()} {path}\n")
+        return loaded[-1]
 
     def recording_apply(waves, m, *args, **kwargs):
-        manipulated.append([w.samples for w in waves])
+        samples = [w.samples for w in waves]
+        first[:] = first or samples
+        shared = len(samples) == len(first) and all(a is b for a, b in zip(samples, first))
+        read_only = not any(a.flags.writeable for a in samples)
+        addresses = ",".join(str(a.__array_interface__["data"][0]) for a in samples)
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"apply {os.getpid()} {m.describe()}:{m.magnitude!r} {shared} {read_only} {addresses}\n")
         return real_apply(waves, m, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "load_wav", counting_load)
     monkeypatch.setattr(pipeline, "apply_manipulation", recording_apply)
-    rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7", "--jobs", "2"])
+    with _within(120):
+        rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7", "--jobs", "2"])
+    _assert_no_child_left()
     assert rc == 0
+    lines = [line.split() for line in calls.read_text(encoding="utf-8").splitlines()]
+    loads = [line[1:] for line in lines if line[0] == "load"]
+    applies = [line[1:] for line in lines if line[0] == "apply"]
     sampled = 2 * TINY["sweep"]["sample_per_class"]
-    assert len(loaded) == len(set(loaded)) == sampled
-    assert len(manipulated) == 2  # one call per non-identity cell, each on the same arrays
-    for samples in manipulated:
-        assert len(samples) == sampled and all(a is b for a, b in zip(samples, manipulated[0]))
-    with pytest.raises(ValueError, match="read-only"):
-        manipulated[0][0][0] = 0.0
+    assert len(loaded) == len(loads) == len({path for _, path in loads}) == sampled
+    assert {int(pid) for pid, _ in loads} == {os.getpid()}  # decoded once, before the fork
+    # one call per non-identity cell, both in the one child, each on the arrays decoded here
+    assert sorted(cell for _, cell, *_ in applies) == ["speed:0.9", "speed:1.1"]
+    assert len({pid for pid, *_ in applies}) == 1 and int(applies[0][0]) != os.getpid()
+    decoded = ",".join(str(w.samples.__array_interface__["data"][0]) for w in loaded)
+    assert all(rest == ["True", "True", decoded] for _, _, *rest in applies)
+
+
+SWEEP_FILES = ("sweep_report.csv", "sweep_long.csv", "sweep_failures.csv")
+
+
+@pytest.mark.parametrize("jobs, fork", [(2, True), (3, True), (2, False)], ids=["two-jobs", "three-jobs",
+                                                                              "two-jobs-no-fork"])
+def test_a_sweep_in_forked_workers_writes_the_bytes_of_one_job(chain, tmp_path, monkeypatch, jobs, fork):
+    out, _ = chain
+    # 17 cells: resample 0, speed 0.9, 1.0, 1.1, pitch 0, and 12 noise textures at 40 dB
+    config_path = _write_config(tmp_path, {"sweep.speed_rates": [0.9, 1.0, 1.1], "sweep.snrs_db": [40]})
+    written = {}
+    for run_jobs in (1, jobs):
+        part = tmp_path / f"jobs{run_jobs}"
+        shutil.copytree(out, part)
+        if run_jobs > 1 and not fork:
+            monkeypatch.delattr(os, "fork")
+        with _within(120):
+            rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7",
+                       "--jobs", str(run_jobs)])
+        _assert_no_child_left()
+        assert rc == 0
+        written[run_jobs] = {name: (part / name).read_bytes() for name in SWEEP_FILES}
+    assert written[1] == written[jobs]
+    assert written[1]["sweep_failures.csv"] == b"cell,manipulation,magnitude,error\n"
+    assert len(written[1]["sweep_report.csv"].decode().splitlines()) == 1 + 2 * (1 + 17)
+
+
+def test_a_cell_that_raises_in_a_sweep_worker_is_a_failure_row(chain, tmp_path, monkeypatch):
+    out, _ = chain
+    part = tmp_path / "failing"
+    shutil.copytree(out, part)
+    config_path = _write_config(tmp_path, {"sweep.speed_rates": [1.1]})  # cell 1, the child's
+    me, real = os.getpid(), pipeline.apply_manipulation
+
+    def failing_in_a_child(waves, m, *args, **kwargs):
+        if os.getpid() != me:
+            raise ValueError(f"{m.kind} in a worker")
+        return real(waves, m, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "apply_manipulation", failing_in_a_child)
+    with _within(120):
+        rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7", "--jobs", "2"])
+    _assert_no_child_left()
+    assert rc == 0
+    with open(part / "sweep_failures.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["cell", "manipulation", "magnitude", "error"],
+                    ["1", "speed", "1.1", "ValueError: speed in a worker"]]
+
+
+def test_a_sweep_worker_killed_by_a_signal_exits_2_naming_the_sweep(chain, tmp_path, capsys, monkeypatch):
+    out, _ = chain
+    part = tmp_path / "killed"
+    shutil.copytree(out, part)
+    for name in (*SWEEP_FILES, "audit_sweep.json"):
+        (part / name).unlink()
+    config_path = _write_config(tmp_path, {"sweep.speed_rates": [1.1]})
+    me, real = os.getpid(), pipeline.apply_manipulation
+
+    def killed_in_a_child(*args, **kwargs):
+        if os.getpid() != me:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "apply_manipulation", killed_in_a_child)
+    with _within(120):
+        rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7", "--jobs", "2"])
+    _assert_no_child_left()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("voicetrace: sweep: the worker for cells 1 was killed by signal 9 ")
+    assert "Traceback" not in err
+    assert not any((part / name).exists() for name in (*SWEEP_FILES, "audit_sweep.json"))
+
+
+def test_an_exception_in_the_stage_processes_cells_kills_and_reaps_the_sweep_workers(chain, tmp_path,
+                                                                                     monkeypatch):
+    out, _ = chain
+    part = tmp_path / "interrupted"
+    shutil.copytree(out, part)
+    # cells 0-4: resample 0, speed 0.9, 1.1, 1.2, pitch 0; at three jobs the stage holds 0 and 3
+    config_path = _write_config(tmp_path, {"sweep.speed_rates": [0.9, 1.1, 1.2]})
+    me = os.getpid()
+
+    class Interrupted(BaseException):  # escapes the cell's isolation, as a KeyboardInterrupt would
+        pass
+
+    def stalls_in_a_child_and_raises_here(*args, **kwargs):
+        if os.getpid() != me:
+            time.sleep(600)
+        raise Interrupted
+
+    monkeypatch.setattr(pipeline, "apply_manipulation", stalls_in_a_child_and_raises_here)
+    with _within(60), pytest.raises(Interrupted):
+        main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7", "--jobs", "3"])
+    _assert_no_child_left()  # both stalled workers were killed, then reaped
+
+
+_STAGE_THAT_STALLS = """
+import os, sys, time
+from voicetrace import pipeline
+
+def work(item):
+    if item == 0:  # the stage's own item
+        time.sleep(600)
+    with open(sys.argv[1], "w", encoding="utf-8") as fh:
+        fh.write(str(os.getpid()))
+    time.sleep(1)
+    return bytes(1 << 20)  # more than a pipe holds
+
+pipeline._map_in_children(None, work, [0, 1], 2, str)
+"""
+
+
+def _alive(pid):
+    """Whether pid runs; a zombie, which no parent may reap here, counts as gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_a_worker_whose_stage_was_killed_exits_instead_of_blocking_on_its_send(tmp_path):
+    pid_file = tmp_path / "worker"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    stage = subprocess.Popen([sys.executable, "-c", _STAGE_THAT_STALLS, str(pid_file)], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not (pid_file.exists() and pid_file.read_text(encoding="utf-8")):
+            assert time.monotonic() < deadline, "the worker never started"
+            time.sleep(0.05)
+        worker = int(pid_file.read_text(encoding="utf-8"))
+    finally:
+        stage.kill()
+        stage.wait(timeout=60)
+    deadline = time.monotonic() + 30
+    while _alive(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    blocked = _alive(worker)
+    if blocked:
+        os.kill(worker, signal.SIGKILL)
+    assert not blocked  # no process holds the read end of its pipe, so the send failed
 
 
 def test_sweep_identity_cells_reuse_the_baseline_rows_without_manipulating(chain, tmp_path, monkeypatch):
@@ -1035,8 +1197,9 @@ def test_k_above_the_narrowest_layer_exits_2_before_tracing(chain, tmp_path, cap
     shutil.copy(out / "backbone.nsw1", part / "backbone.nsw1")
     shutil.copy(out / "thresholds.json", part / "thresholds.json")
     shutil.copy(out / "traces.csv", part / "traces.csv")
-    # three speakers give the logit layer three neurons, fewer than k=5
-    cfg = _write_config(tmp_path, {"coverage.k": 5})
+    # three speakers give the logit layer three neurons, fewer than k=5; with a user manifest
+    # load_config cannot know the speakers, so extract is the first stage to refuse k
+    cfg = _write_config(tmp_path, {"coverage.k": 5, "manifest": str(part / "corpus" / "manifest.tsv")})
     monkeypatch.setattr(pipeline, "load_wav", None)  # any traced clip would raise
     if stage == "extract":
         monkeypatch.setattr(pipeline, "read_feature_csv", None)  # so would reading traces.csv
@@ -1056,6 +1219,20 @@ def test_k_above_the_narrowest_layer_exits_2_before_tracing(chain, tmp_path, cap
     monkeypatch.undo()
     for run in dict.fromkeys(["extract", stage]):
         assert main([run, "--config", str(acn_only), "--out", str(part), "--seed", "7"]) == 0, run
+
+
+@pytest.mark.parametrize("criterion", ["tkan", "both"])
+def test_k_above_the_speaker_count_exits_2_at_gen_data_writing_nothing(tmp_path, capsys, criterion):
+    # three speakers give the logit layer three neurons, fewer than k=4
+    cfg = _write_config(tmp_path, {"coverage.k": 4, "coverage.criterion": criterion})
+    rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("voicetrace: config error: coverage.k 4 exceeds the 3 neurons of the "
+                          "narrowest monitored layer")
+    assert not (tmp_path / "run").exists()
+    acn_only = _write_config(tmp_path, {"coverage.k": 4, "coverage.criterion": "acn"})
+    assert main(["gen-data", "--config", str(acn_only), "--out", str(tmp_path / "run")]) == 0
 
 
 @pytest.mark.parametrize("per_class", [1, 2, 3, 4, 5])

@@ -35,15 +35,15 @@ def _random_block(rng, n, widths):
 def test_calibrate_two_trace_hand_case():
     th = calibrate_thresholds(_trace([("fc1", [[1.0, 3.0], [2.0, 2.0]])]))
     assert th.calibration_size == 2
-    assert th.value("fc1") == 2.0
+    assert dict(th.deltas)["fc1"] == 2.0
 
 
 def test_calibrate_single_trace_is_layer_mean():
     t = _trace([("conv1", [0.5, 1.5, 2.5]), ("fc1", [4.0])])
     th = calibrate_thresholds(t)
     assert th.calibration_size == 1
-    assert th.value("conv1") == pytest.approx(1.5)
-    assert th.value("fc1") == 4.0
+    assert dict(th.deltas)["conv1"] == pytest.approx(1.5)
+    assert dict(th.deltas)["fc1"] == 4.0
 
 
 def test_calibrate_matches_brute_force():
@@ -58,7 +58,7 @@ def test_calibrate_matches_brute_force():
             for v in row:
                 total += float(v)
                 count += 1
-        assert th.value(name) == pytest.approx(total / count, rel=1e-9)
+        assert dict(th.deltas)[name] == pytest.approx(total / count, rel=1e-9)
 
 
 def test_calibrate_rejects_empty():
@@ -149,7 +149,7 @@ def test_acn_matches_elementwise_count():
     assert fv.values.shape == (10, len(widths))
     for j, (name, values) in enumerate(block.entries):
         for i, row in enumerate(values):
-            expected = sum(1 for v in row if v > th.value(name))
+            expected = sum(1 for v in row if v > dict(th.deltas)[name])
             assert fv.values[i, j] == expected
 
 
@@ -159,7 +159,7 @@ def test_acn_monotone_in_threshold():
     base = calibrate_thresholds(trace)
     prev = acn_features(trace, base).values[0, 0]
     for bump in (0.1, 0.3, 1.0, 3.0):
-        higher = LayerThresholds((("l0", base.value("l0") + bump),), 1)
+        higher = LayerThresholds((("l0", dict(base.deltas)["l0"] + bump),), 1)
         count = acn_features(trace, higher).values[0, 0]
         assert count <= prev
         prev = count
