@@ -1,8 +1,10 @@
 """The network engine, and the instrumented speaker CNN built on it.
 
-A NetworkSpec is an ordered list of conv, ReLU, max-pool, flatten and
-fully-connected layers over a (frames, bins, channels) or flat (width,)
-input. One forward pass, one backward pass and one Glorot init serve
+A NetworkSpec is an ordered list of three layer kinds, conv, max-pool and
+fully-connected, over a (frames, bins, channels) or flat (width,) input.
+Every conv and FC layer but the last applies a ReLU to its own output, in
+place; an FC layer flattens its input, and a spec ends in an FC layer.
+One forward pass, one backward pass and one Glorot init serve
 every spec: the speaker CNN here, trained with a softmax cross-entropy
 head, and the detector's FC stack (detector.py), trained with a BCE
 head. Both train through nn.momentum_sgd and are checked by
@@ -17,7 +19,6 @@ and the final logit layer is recorded pre-softmax.
 The engine computes in its inputs' dtype: float64 for the backbone, for
 inference and for both gradient checks, float32 for detector training.
 Stored weights are float32; a WeightStore converts them for inference once.
-The forward pass applies each ReLU in place, over the layer output before it.
 """
 
 from __future__ import annotations
@@ -40,19 +41,9 @@ class Conv2d:
 
 
 @dataclass(frozen=True)
-class Relu:
-    pass
-
-
-@dataclass(frozen=True)
 class MaxPool:
     kernel: int
     stride: int
-
-
-@dataclass(frozen=True)
-class Flatten:
-    pass
 
 
 @dataclass(frozen=True)
@@ -105,22 +96,15 @@ class NetworkSpec:
                     shape = (oh, ow, layer.out_channels)
                     n_conv += 1
                     self.layer_names.append(f"conv{n_conv}")
-            elif isinstance(layer, Flatten):
-                shape = (math.prod(shape),)
-                self.layer_names.append(None)
             elif isinstance(layer, FullyConnected):
-                if len(shape) != 1:
-                    raise ValueError(f"layer {idx}: fully_connected needs a flat input")
                 shape = (layer.out_units,)
                 n_fc += 1
                 self.layer_names.append(f"fc{n_fc}")
-            elif isinstance(layer, Relu):
-                self.layer_names.append(None)
             else:
                 raise ValueError(f"layer {idx}: unknown layer kind {layer!r}")
             self.layer_shapes.append(shape)
-        if len(shape) != 1:
-            raise ValueError("network must end in a flat (fully-connected) output")
+        if not self.layers or not isinstance(self.layers[-1], FullyConnected):
+            raise ValueError("network must end in a fully-connected layer")
         self.output_width = shape[0]
 
     def monitored_layers(self):
@@ -143,7 +127,7 @@ class NetworkSpec:
                 shapes[f"{name}.bias"] = (layer.out_channels,)
             elif isinstance(layer, FullyConnected):
                 name = self.layer_names[idx]
-                shapes[f"{name}.weight"] = (in_shape[0], layer.out_units)
+                shapes[f"{name}.weight"] = (math.prod(in_shape), layer.out_units)
                 shapes[f"{name}.bias"] = (layer.out_units,)
             in_shape = self.layer_shapes[idx]
         return shapes
@@ -154,17 +138,11 @@ def reference_spec(num_speakers: int, input_shape=(200, 64, 1)) -> NetworkSpec:
     return NetworkSpec(
         [
             Conv2d(16, 3, 2),
-            Relu(),
             MaxPool(2, 2),
             Conv2d(32, 3, 2),
-            Relu(),
             Conv2d(64, 3, 2),
-            Relu(),
-            Flatten(),
             FullyConnected(128),
-            Relu(),
             FullyConnected(64),
-            Relu(),
             FullyConnected(num_speakers),
         ],
         input_shape,
@@ -262,37 +240,32 @@ def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray, keep: dict | Non
     """Forward a batch (N, *input_shape); returns each layer's output in order. When keep
     is a dict, each conv's im2col patches go into it by layer index, for _backward.
 
-    ReLU works in place, except on x or a view of it, which stay unwritten: the entry of a
-    layer that a ReLU follows is the ReLU's own entry and holds its output. _batch_trace
-    reads it there; _backward reads only the ReLU's output, never its input.
+    Every conv and FC layer but the last applies its ReLU in place, on its own fresh output;
+    x is only read.
     """
     outputs = []
     cur = x
+    last = len(spec.layers) - 1
     for idx, layer in enumerate(spec.layers):
-        if isinstance(layer, Conv2d):
-            name = spec.layer_names[idx]
-            w = params[f"{name}.weight"]
-            b = params[f"{name}.bias"]
-            patches = _conv_patches(cur, layer.kernel, layer.stride)
-            if keep is not None:
-                keep[idx] = patches
-            cur = patches @ w.reshape(-1, layer.out_channels)
-            cur += b
-        elif isinstance(layer, Relu):
-            cur = np.maximum(cur, 0.0, out=None if np.may_share_memory(cur, x) else cur)
-        elif isinstance(layer, MaxPool):
+        if isinstance(layer, MaxPool):
             oh, ow = spec.layer_shapes[idx][:2]
             cells = (cur[at] for _, _, at in _window_cells(layer.kernel, layer.stride, oh, ow))
             pooled = next(cells).copy()
             for cell in cells:
                 np.maximum(pooled, cell, out=pooled)
             cur = pooled
-        elif isinstance(layer, Flatten):
-            cur = cur.reshape(cur.shape[0], -1)
-        elif isinstance(layer, FullyConnected):
+        else:
             name = spec.layer_names[idx]
-            cur = cur @ params[f"{name}.weight"]
+            if isinstance(layer, Conv2d):
+                patches = _conv_patches(cur, layer.kernel, layer.stride)
+                if keep is not None:
+                    keep[idx] = patches
+                cur = patches @ params[f"{name}.weight"].reshape(-1, layer.out_channels)
+            else:
+                cur = cur.reshape(cur.shape[0], -1) @ params[f"{name}.weight"]
             cur += params[f"{name}.bias"]
+            if idx != last:
+                np.maximum(cur, 0.0, out=cur)
         outputs.append(cur)
     return outputs
 
@@ -300,9 +273,9 @@ def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray, keep: dict | Non
 def _batch_trace(spec: NetworkSpec, outputs) -> ActivationTrace:
     """The monitored layers' (N, width) post-activation values.
 
-    A layer's entry holds the output of the ReLU that follows it, applied in place by
-    _run_layers; the final logit layer has none and is recorded raw. A conv map is
-    summarized by its spatial mean per channel.
+    A layer's entry is its own output, after the ReLU _run_layers applied in place; the final
+    logit layer has none and is recorded raw. A conv map is summarized by its spatial mean
+    per channel.
     """
     return ActivationTrace(tuple(
         (name, outputs[idx].mean(axis=(1, 2)) if outputs[idx].ndim == 4 else outputs[idx])
@@ -332,27 +305,17 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray):
 def _backward(spec: NetworkSpec, params: dict, x: np.ndarray, outputs, dout: np.ndarray, patches: dict):
     """Gradients of the loss w.r.t. every parameter tensor, from the conv patches _run_layers kept.
 
-    The gradient w.r.t. the network input is never formed: nothing reads it.
-    dout, outputs and patches are only read; ReLU masks dcur in place once it
-    is neither dout nor a view of it.
+    The gradient w.r.t. the network input is never formed: nothing reads it. dout, outputs
+    and patches are only read; below the last layer dcur is always fresh, and each conv and
+    FC layer masks it in place by its ReLU.
     """
     grads = {}
     dcur = dout
-    for idx in range(len(spec.layers) - 1, -1, -1):
+    last = len(spec.layers) - 1
+    for idx in range(last, -1, -1):
         layer = spec.layers[idx]
         layer_in = x if idx == 0 else outputs[idx - 1]
-        if isinstance(layer, FullyConnected):
-            name = spec.layer_names[idx]
-            grads[f"{name}.weight"] = layer_in.T @ dcur
-            grads[f"{name}.bias"] = dcur.sum(axis=0)
-            if idx == 0:
-                break
-            dcur = dcur @ params[f"{name}.weight"].T
-        elif isinstance(layer, Relu):
-            dcur = np.multiply(dcur, outputs[idx] > 0, out=None if np.may_share_memory(dcur, dout) else dcur)
-        elif isinstance(layer, Flatten):
-            dcur = dcur.reshape(layer_in.shape)
-        elif isinstance(layer, MaxPool):
+        if isinstance(layer, MaxPool):
             # each window's gradient goes to its first maximum in window order,
             # argmax's tie rule; free marks windows whose maximum is not yet found
             pooled = outputs[idx]
@@ -364,8 +327,17 @@ def _backward(spec: NetworkSpec, params: dict, x: np.ndarray, outputs, dout: np.
                 free ^= hit
                 dx[at] += dcur * hit
             dcur = dx
-        elif isinstance(layer, Conv2d):
-            name = spec.layer_names[idx]
+            continue
+        name = spec.layer_names[idx]
+        if idx != last:
+            np.multiply(dcur, outputs[idx] > 0, out=dcur)
+        if isinstance(layer, FullyConnected):
+            grads[f"{name}.weight"] = layer_in.reshape(layer_in.shape[0], -1).T @ dcur
+            grads[f"{name}.bias"] = dcur.sum(axis=0)
+            if idx == 0:
+                break
+            dcur = (dcur @ params[f"{name}.weight"].T).reshape(layer_in.shape)
+        else:
             k, s, oc = layer.kernel, layer.stride, layer.out_channels
             n, oh, ow, pw = patches[idx].shape
             dflat = dcur.reshape(-1, oc)

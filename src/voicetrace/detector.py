@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nsw1
-from .backbone import (FullyConnected, NetworkSpec, Relu, WeightStore, _check_gradients,
+from .backbone import (FullyConnected, NetworkSpec, WeightStore, _check_gradients,
                        _loss_and_grads, _run_layers, init_weights)
 from .corpus import FAKE, REAL
 from .errors import WeightFormatError
@@ -40,11 +40,8 @@ class DetectorSpec:
             raise ValueError("detector has exactly five FC layers: four hidden plus the output")
 
     def network(self) -> NetworkSpec:
-        """FC-ReLU for each hidden width, then one FC logit; tensors fc1..fc5."""
-        layers = []
-        for width in self.hidden:
-            layers += [FullyConnected(width), Relu()]
-        return NetworkSpec([*layers, FullyConnected(1)], (self.input_width,))
+        """One ReLU FC layer per hidden width, then one FC logit; tensors fc1..fc5."""
+        return NetworkSpec([*map(FullyConnected, self.hidden), FullyConnected(1)], (self.input_width,))
 
 
 @dataclass(frozen=True)

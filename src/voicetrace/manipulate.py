@@ -120,7 +120,8 @@ def _per_group(waves, convert) -> list:
 
 
 def _resample_group(waves, offset_hz: int) -> list:
-    """resample() for clips that share one sample rate and length."""
+    """Rate conversion to sample_rate + offset_hz, for clips that share one sample rate and
+    length; the outputs carry the new rate."""
     offset_hz = int(offset_hz)
     rate = waves[0].sample_rate
     new_rate = rate + offset_hz
@@ -130,11 +131,6 @@ def _resample_group(waves, offset_hz: int) -> list:
         return [Waveform(w.samples.copy(), rate) for w in waves]
     rows = _resample_by_ratio(np.stack([w.samples for w in waves]), new_rate / rate)
     return [Waveform(row, new_rate) for row in rows]
-
-
-def resample(w: Waveform, offset_hz: int) -> Waveform:
-    """Rate conversion to sample_rate + offset_hz; the output carries the new rate."""
-    return _resample_group([w], offset_hz)[0]
 
 
 def _phase_vocoder(spec: np.ndarray, rate: float) -> np.ndarray:
@@ -173,14 +169,12 @@ def time_stretch(w: Waveform, rate: float) -> Waveform:
     return Waveform(samples, w.sample_rate)
 
 
-def _pitch_group(waves, n_steps: int, bins_per_octave: int = 12) -> list:
-    """pitch_shift() for clips that share one sample rate and length: each
-    clip is stretched on its own, then the group is resampled at once."""
-    if bins_per_octave < 1:
-        raise ValueError("bins_per_octave must be positive")
+def _pitch_group(waves, n_steps: int) -> list:
+    """Shift pitch by n_steps semitones, keeping duration and rate, for clips that share one
+    sample rate and length: each clip is stretched on its own, then the group is resampled at once."""
     if n_steps == 0:
         return [Waveform(w.samples.copy(), w.sample_rate) for w in waves]
-    rate = 2.0 ** (-float(n_steps) / bins_per_octave)
+    rate = 2.0 ** (-float(n_steps) / 12)
     stretched = np.stack([time_stretch(w, rate).samples for w in waves])
     shifted = _resample_by_ratio(stretched, rate)
     n = len(waves[0])
@@ -189,11 +183,6 @@ def _pitch_group(waves, n_steps: int, bins_per_octave: int = 12) -> list:
     else:
         shifted = np.concatenate([shifted, np.zeros((len(waves), n - shifted.shape[1]))], axis=1)
     return [Waveform(row, w.sample_rate) for row, w in zip(shifted, waves)]
-
-
-def pitch_shift(w: Waveform, n_steps: int, bins_per_octave: int = 12) -> Waveform:
-    """Shift pitch by n_steps semitones; duration and rate are preserved."""
-    return _pitch_group([w], n_steps, bins_per_octave)[0]
 
 
 def _fit_to_length(noise: np.ndarray, n: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -21,6 +22,7 @@ import os
 import pickle
 import shutil
 import signal
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -159,7 +161,7 @@ def _validate(cfg: dict) -> None:
         spec = reference_spec(c["num_speakers"], (f["frames"], f["mel_bins"], 1))
     except ValueError as exc:
         raise ConfigError(f"frontend.frames by frontend.mel_bins is too small an input ({exc})") from exc
-    if not cfg["manifest"]:  # a user manifest's speakers set the logit width; extract checks k then
+    if not cfg["manifest"]:  # a user manifest's speakers set the logit width; train-backbone checks k then
         _check_k(cfg, spec)
 
 
@@ -352,18 +354,24 @@ def _map_in_children(stage: _Stage, work, items, jobs: int, held) -> list:
     forked child that starts from the loaded interpreter and what the caller built, and pickles
     (True, results) or (False, "ExcType: message") into a pipe; threads would serialize work's
     small numpy calls on the interpreter lock. Every child is reaped, and all are killed first if
-    an exception leaves, work's own here included. A child that fails or dies raises a StageError
-    naming held(the positions in items of its shard)."""
+    an exception leaves, work's own here included; on Linux a child is also killed when the stage
+    dies. A child that fails or dies raises a StageError naming held(the positions in items of
+    its shard)."""
     n = min(jobs, len(items))
     if n <= 1 or not hasattr(os, "fork"):
         return [work(item) for item in items]
     ends, live = [], []  # each child's pipe adds its read end, then its write end
+    stage_pid = os.getpid()
     try:
         for j in range(1, n):
             ends += [open(end, mode) for end, mode in zip(os.pipe(), ("rb", "wb"))]
             pid = os.fork()
             if pid == 0:
                 try:  # never return into the caller's stack or flush its stdio
+                    if sys.platform.startswith("linux"):
+                        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+                        if os.getppid() != stage_pid:  # the stage died before the prctl
+                            os._exit(1)
                     for end in ends[:-1]:  # so a send fails, not blocks, once the stage is gone
                         end.close()
                     try:
@@ -448,6 +456,7 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
     speakers = sorted({r.speaker_id for r in records})
     index = {s: i for i, s in enumerate(speakers)}
     netspec = _network_for(records, cfg)
+    _check_k(cfg, netspec)
 
     feats = _feature_array([root / r.path for r in train_real], cfg["frontend"], jobs)
     labels = np.asarray([index[r.speaker_id] for r in train_real])

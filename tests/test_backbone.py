@@ -7,11 +7,9 @@ from voicetrace import nsw1
 from voicetrace.backbone import (
     BackboneTrainConfig,
     Conv2d,
-    Flatten,
     FullyConnected,
     MaxPool,
     NetworkSpec,
-    Relu,
     WeightStore,
     _backward,
     _conv_patches,
@@ -36,12 +34,8 @@ def relu(x):
 TINY_SPEC = NetworkSpec(
     [
         Conv2d(3, 3, 2),
-        Relu(),
         Conv2d(4, 2, 1),
-        Relu(),
-        Flatten(),
         FullyConnected(6),
-        Relu(),
         FullyConnected(3),
     ],
     input_shape=(8, 6, 1),
@@ -49,9 +43,11 @@ TINY_SPEC = NetworkSpec(
 
 
 def _naive_forward(spec, tensors, x):
-    """Direct-loop re-implementation of the forward pass and trace capture."""
+    """Direct-loop re-implementation of the forward pass and trace capture: a ReLU follows
+    every conv and FC layer but the last, and a layer's trace is read from its own output."""
     cur = x
     per_layer = []
+    last = len(spec.layers) - 1
     for idx, layer in enumerate(spec.layers):
         if isinstance(layer, Conv2d):
             name = spec.layer_names[idx]
@@ -73,9 +69,7 @@ def _naive_forward(spec, tensors, x):
                                         * w[ki, kj, c, oc]
                                     )
                         out[i, j, oc] = acc
-            cur = out
-        elif isinstance(layer, Relu):
-            cur = np.maximum(cur, 0.0)
+            cur = out if idx == last else np.maximum(out, 0.0)
         elif isinstance(layer, MaxPool):
             h, wd, c = cur.shape
             oh = (h - layer.kernel) // layer.stride + 1
@@ -91,26 +85,23 @@ def _naive_forward(spec, tensors, x):
                         ]
                         out[i, j, ch] = block.max()
             cur = out
-        elif isinstance(layer, Flatten):
-            cur = cur.reshape(-1)
         elif isinstance(layer, FullyConnected):
             name = spec.layer_names[idx]
             w = tensors[f"{name}.weight"].astype(np.float64)
             b = tensors[f"{name}.bias"].astype(np.float64)
+            flat = cur.reshape(-1)
             out = np.zeros(layer.out_units)
             for o in range(layer.out_units):
                 acc = b[o]
-                for i in range(cur.size):
-                    acc += cur[i] * w[i, o]
+                for i in range(flat.size):
+                    acc += flat[i] * w[i, o]
                 out[o] = acc
-            cur = out
+            cur = out if idx == last else np.maximum(out, 0.0)
         per_layer.append(cur)
 
     trace = []
     for idx, name, _ in spec.monitored_layers():
         use = per_layer[idx]
-        if idx + 1 < len(spec.layers) and isinstance(spec.layers[idx + 1], Relu):
-            use = per_layer[idx + 1]
         if use.ndim == 3:
             trace.append((name, use.mean(axis=(0, 1))))
         else:
@@ -129,7 +120,7 @@ def test_forward_zero_weights():
 
 def test_forward_identity_conv_constant_input():
     spec = NetworkSpec(
-        [Conv2d(1, 1, 1), Relu(), Flatten(), FullyConnected(2)],
+        [Conv2d(1, 1, 1), FullyConnected(2)],
         input_shape=(2, 2, 1),
     )
     tensors = {k: np.zeros(s) for k, s in spec.parameter_shapes().items()}
@@ -154,7 +145,7 @@ def test_forward_matches_naive_loop_oracle():
 
 def test_forward_with_maxpool_matches_oracle():
     spec = NetworkSpec(
-        [Conv2d(2, 3, 1), Relu(), MaxPool(2, 2), Flatten(), FullyConnected(3)],
+        [Conv2d(2, 3, 1), MaxPool(2, 2), FullyConnected(3)],
         input_shape=(9, 7, 1),
     )
     rng = np.random.default_rng(33)
@@ -254,8 +245,7 @@ def test_gradient_check_random_tiny_net():
 
 
 def test_gradient_check_flat_fc_net_without_convs():
-    spec = NetworkSpec([FullyConnected(5), Relu(), FullyConnected(4), Relu(), FullyConnected(3)],
-                       input_shape=(6,))
+    spec = NetworkSpec([FullyConnected(5), FullyConnected(4), FullyConnected(3)], input_shape=(6,))
     assert [name for _, name, _ in spec.monitored_layers()] == ["fc1", "fc2", "fc3"]
     rng = np.random.default_rng(41)
     err = gradient_check(spec, init_weights(spec, 41), rng.standard_normal(6), label=2)
@@ -287,11 +277,8 @@ def test_zero_net_zero_hidden_gradients():
 
 
 def test_linear_net_gradient_matches_closed_form():
-    # no ReLU anywhere: conv then flatten then one logit layer
-    spec = NetworkSpec(
-        [Conv2d(2, 1, 1), Flatten(), FullyConnected(3)],
-        input_shape=(2, 2, 1),
-    )
+    # the logit layer has no ReLU, so one FC over a 3-D input is an affine map of the flat input
+    spec = NetworkSpec([FullyConnected(3)], input_shape=(2, 2, 1))
     rng = np.random.default_rng(19)
     weights = init_weights(spec, 19)
     x = rng.standard_normal((2, 2, 1))
@@ -300,27 +287,17 @@ def test_linear_net_gradient_matches_closed_form():
     params = weights.as_float64()
     _, grads = _loss_and_grads(spec, params, x[None], np.array([label]))
 
-    # closed form, derived by hand for the affine chain
-    w1 = params["conv1.weight"][0, 0, 0]  # (out_channels,)
-    b1 = params["conv1.bias"]
-    conv = x[:, :, 0][:, :, None] * w1[None, None, :] + b1
-    feat = conv.reshape(-1)
+    # closed form, derived by hand for the affine map
+    feat = x.reshape(-1)
     logits = feat @ params["fc1.weight"] + params["fc1.bias"]
     p = np.exp(logits - logits.max())
     p /= p.sum()
     dz = p.copy()
     dz[label] -= 1.0
-    d_fc_w = np.outer(feat, dz)
-    d_fc_b = dz
-    d_feat = params["fc1.weight"] @ dz
-    d_conv = d_feat.reshape(conv.shape)
-    d_w1 = np.einsum("ij,ijo->o", x[:, :, 0], d_conv)
-    d_b1 = d_conv.sum(axis=(0, 1))
 
-    np.testing.assert_allclose(grads["fc1.weight"], d_fc_w, atol=1e-8)
-    np.testing.assert_allclose(grads["fc1.bias"], d_fc_b, atol=1e-8)
-    np.testing.assert_allclose(grads["conv1.weight"].reshape(-1), d_w1, atol=1e-8)
-    np.testing.assert_allclose(grads["conv1.bias"], d_b1, atol=1e-8)
+    assert list(grads) == ["fc1.weight", "fc1.bias"]
+    np.testing.assert_allclose(grads["fc1.weight"], np.outer(feat, dz), atol=1e-8)
+    np.testing.assert_allclose(grads["fc1.bias"], dz, atol=1e-8)
 
 
 def test_weight_round_trip_bit_exact(tmp_path):
@@ -355,7 +332,7 @@ def test_read_tensor_stream_rejects_a_duplicate_tensor_name():
 def test_load_rejects_missing_layer(tmp_path):
     # same prefix as TINY_SPEC but the final logit layer is absent
     other = NetworkSpec(
-        [Conv2d(3, 3, 2), Relu(), Conv2d(4, 2, 1), Relu(), Flatten(), FullyConnected(6)],
+        [Conv2d(3, 3, 2), Conv2d(4, 2, 1), FullyConnected(6)],
         input_shape=(8, 6, 1),
     )
     p = tmp_path / "w.nsw1"
@@ -367,7 +344,7 @@ def test_load_rejects_missing_layer(tmp_path):
 
 def test_load_rejects_wrong_shape(tmp_path):
     other = NetworkSpec(
-        [Conv2d(2, 3, 1), Relu(), Flatten(), FullyConnected(2)],
+        [Conv2d(2, 3, 1), FullyConnected(2)],
         input_shape=(8, 6, 1),
     )
     p = tmp_path / "w.nsw1"
@@ -392,26 +369,27 @@ def test_batch_forward_matches_single():
 
 
 def _reference_run_layers(spec, params, x):
-    """The forward pass from before max-pool took a running maximum over window offsets."""
+    """The forward pass from before max-pool took a running maximum over window offsets,
+    with a fresh ReLU after every conv and FC layer but the last."""
     outputs = []
     cur = x
+    last = len(spec.layers) - 1
     for idx, layer in enumerate(spec.layers):
+        if isinstance(layer, MaxPool):
+            view = np.lib.stride_tricks.sliding_window_view(cur, (layer.kernel, layer.kernel), axis=(1, 2))
+            cur = view[:, ::layer.stride, ::layer.stride].max(axis=(4, 5))
+            outputs.append(cur)
+            continue
+        name = spec.layer_names[idx]
         if isinstance(layer, Conv2d):
-            name = spec.layer_names[idx]
             w = params[f"{name}.weight"]
             b = params[f"{name}.bias"]
             patches = _conv_patches(cur, layer.kernel, layer.stride)
             cur = patches @ w.reshape(-1, layer.out_channels) + b
-        elif isinstance(layer, Relu):
+        else:
+            cur = cur.reshape(cur.shape[0], -1) @ params[f"{name}.weight"] + params[f"{name}.bias"]
+        if idx != last:
             cur = relu(cur)
-        elif isinstance(layer, MaxPool):
-            view = np.lib.stride_tricks.sliding_window_view(cur, (layer.kernel, layer.kernel), axis=(1, 2))
-            cur = view[:, ::layer.stride, ::layer.stride].max(axis=(4, 5))
-        elif isinstance(layer, Flatten):
-            cur = cur.reshape(cur.shape[0], -1)
-        elif isinstance(layer, FullyConnected):
-            name = spec.layer_names[idx]
-            cur = cur @ params[f"{name}.weight"] + params[f"{name}.bias"]
         outputs.append(cur)
     return outputs
 
@@ -420,18 +398,17 @@ def _reference_backward(spec, params, x, outputs, dout):
     """The backward pass from before it skipped the input gradient and routed max-pool by masks."""
     grads = {}
     dcur = dout
-    for idx in range(len(spec.layers) - 1, -1, -1):
+    last = len(spec.layers) - 1
+    for idx in range(last, -1, -1):
         layer = spec.layers[idx]
         layer_in = x if idx == 0 else outputs[idx - 1]
+        if idx != last and not isinstance(layer, MaxPool):
+            dcur = dcur * (outputs[idx] > 0)
         if isinstance(layer, FullyConnected):
             name = spec.layer_names[idx]
-            grads[f"{name}.weight"] = layer_in.T @ dcur
+            grads[f"{name}.weight"] = layer_in.reshape(layer_in.shape[0], -1).T @ dcur
             grads[f"{name}.bias"] = dcur.sum(axis=0)
-            dcur = dcur @ params[f"{name}.weight"].T
-        elif isinstance(layer, Relu):
-            dcur = dcur * (outputs[idx] > 0)
-        elif isinstance(layer, Flatten):
-            dcur = dcur.reshape(layer_in.shape)
+            dcur = (dcur @ params[f"{name}.weight"].T).reshape(layer_in.shape)
         elif isinstance(layer, MaxPool):
             k, s = layer.kernel, layer.stride
             view = np.lib.stride_tricks.sliding_window_view(layer_in, (k, k), axis=(1, 2))
@@ -468,8 +445,8 @@ def _reference_backward(spec, params, x, outputs, dout):
 
 
 OVERLAP_POOL_SPEC = NetworkSpec(
-    [Conv2d(4, 3, 1), Relu(), MaxPool(3, 2), Conv2d(5, 2, 1), Relu(), MaxPool(3, 2),
-     Flatten(), FullyConnected(6), Relu(), FullyConnected(3)],
+    [Conv2d(4, 3, 1), MaxPool(3, 2), Conv2d(5, 2, 1), MaxPool(3, 2), FullyConnected(6),
+     FullyConnected(3)],
     input_shape=(16, 15, 1),
 )
 SMALL_REFERENCE_SPEC = reference_spec(4, input_shape=(40, 32, 1))
@@ -503,12 +480,7 @@ def test_forward_and_backward_match_the_references_bitwise(spec, ties):
     pooled = [out for layer, out in zip(spec.layers, outputs) if isinstance(layer, MaxPool)]
     assert any(np.any(p == 0.0) for p in pooled)  # the case holds post-ReLU zero maxima
     assert len(outputs) == len(ref_outputs)
-    for idx, got in enumerate(outputs):
-        want = ref_outputs[idx]
-        if idx + 1 < len(spec.layers) and isinstance(spec.layers[idx + 1], Relu):
-            # the in-place ReLU overwrote this entry: it is the ReLU's entry, holding its output
-            assert got is outputs[idx + 1]
-            want = ref_outputs[idx + 1]
+    for got, want in zip(outputs, ref_outputs):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -561,14 +533,17 @@ def test_train_backbone_matches_the_reference_loop_bitwise(spec):
         assert store.tensors[name].tobytes() == tensor.tobytes(), name
 
 
-RELU_LAST_SPEC = NetworkSpec([Conv2d(3, 3, 2), Relu(), Flatten(), FullyConnected(5), Relu()],
-                             input_shape=(9, 8, 1))
-FLATTEN_LAST_SPEC = NetworkSpec([Conv2d(3, 3, 2), Relu(), Conv2d(2, 2, 1), Relu(), Flatten()],
-                                input_shape=(9, 8, 1))
+# specs whose first layer reads x itself: an FC over a flat input, an FC over a 3-D input,
+# and a max-pool
+FIRST_LAYER_SPECS = {
+    "fc-flat": NetworkSpec([FullyConnected(5), FullyConnected(3)], input_shape=(6,)),
+    "fc-3d": NetworkSpec([FullyConnected(5), FullyConnected(3)], input_shape=(4, 3, 1)),
+    "maxpool-first": NetworkSpec([MaxPool(2, 2), Conv2d(3, 2, 1), FullyConnected(4)], input_shape=(9, 8, 1)),
+}
 
 
-@pytest.mark.parametrize("spec", [SMALL_REFERENCE_SPEC, RELU_LAST_SPEC, FLATTEN_LAST_SPEC],
-                         ids=["reference", "relu-last", "flatten-last"])
+@pytest.mark.parametrize("spec", [SMALL_REFERENCE_SPEC, *FIRST_LAYER_SPECS.values()],
+                         ids=["reference", *FIRST_LAYER_SPECS])
 def test_backward_reuses_the_kept_patches_and_writes_into_none_of_its_inputs(spec):
     rng = np.random.default_rng(61)
     params = init_weights(spec, 61).as_float64()
@@ -645,14 +620,41 @@ def test_a_store_tensors_are_read_only_copies_of_the_callers_arrays():
     assert weights.params64()["conv1.weight"][0, 0, 0, 0] == 1.0
 
 
-@pytest.mark.parametrize("layers", [[Relu(), FullyConnected(3)], [Flatten(), Relu(), FullyConnected(3)]],
-                         ids=["relu-first", "flatten-then-relu"])
-def test_the_in_place_relu_never_writes_the_input(layers):
-    spec = NetworkSpec(layers, input_shape=(2, 2, 1) if isinstance(layers[0], Flatten) else (4,))
+@pytest.mark.parametrize("spec", FIRST_LAYER_SPECS.values(), ids=FIRST_LAYER_SPECS)
+def test_the_in_place_relu_never_writes_the_input(spec):
     params = init_weights(spec, 3).as_float64()
     x = np.random.default_rng(3).standard_normal((5, *spec.input_shape))
     before = x.tobytes()
     outputs = _run_layers(spec, params, x)
     assert x.tobytes() == before
-    relu_at = [type(layer) for layer in layers].index(Relu)
-    assert outputs[relu_at].tobytes() == relu(x.reshape(5, -1)).tobytes()
+    assert not any(np.shares_memory(out, x) for out in outputs)
+    want = _reference_run_layers(spec, params, x)
+    assert [out.tobytes() for out in outputs] == [out.tobytes() for out in want]
+
+
+@pytest.mark.parametrize("layers, input_shape, match", [
+    ([], (6,), "must end in a fully-connected layer"),
+    ([Conv2d(2, 3, 1)], (8, 6, 1), "must end in a fully-connected layer"),
+    ([Conv2d(2, 3, 1), MaxPool(2, 2)], (8, 6, 1), "must end in a fully-connected layer"),
+    ([FullyConnected(4), Conv2d(2, 1, 1), FullyConnected(3)], (8, 6, 1), "layer 1: Conv2d needs a 3-D input"),
+], ids=["empty", "conv-last", "maxpool-last", "conv-after-fc"])
+def test_a_spec_that_breaks_the_layer_rules_is_refused(layers, input_shape, match):
+    with pytest.raises(ValueError, match=match):
+        NetworkSpec(layers, input_shape)
+
+
+def test_an_fc_over_a_3d_input_gives_the_bits_of_the_fc_over_the_reshaped_input():
+    over_3d = NetworkSpec([FullyConnected(5), FullyConnected(3)], input_shape=(4, 3, 2))
+    over_flat = NetworkSpec([FullyConnected(5), FullyConnected(3)], input_shape=(24,))
+    assert over_3d.parameter_shapes() == over_flat.parameter_shapes()
+    weights = init_weights(over_3d, 67)
+    x = np.random.default_rng(67).standard_normal((6, 4, 3, 2))
+    labels = np.arange(6) % 3
+    logits, trace = forward_batch(over_3d, weights, x)
+    flat_logits, flat_trace = forward_batch(over_flat, weights, x.reshape(6, -1))
+    assert logits.tobytes() == flat_logits.tobytes()
+    assert [v.tobytes() for _, v in trace.entries] == [v.tobytes() for _, v in flat_trace.entries]
+    loss, grads = _loss_and_grads(over_3d, weights.as_float64(), x, labels)
+    flat_loss, flat_grads = _loss_and_grads(over_flat, weights.as_float64(), x.reshape(6, -1), labels)
+    assert loss == flat_loss
+    assert {k: g.tobytes() for k, g in grads.items()} == {k: g.tobytes() for k, g in flat_grads.items()}

@@ -839,28 +839,60 @@ def _alive(pid):
         return False
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
-def test_a_worker_whose_stage_was_killed_exits_instead_of_blocking_on_its_send(tmp_path):
+_STAGE_AND_WORKER_THAT_STALL = """
+import os, sys, time
+from voicetrace import pipeline
+
+def work(item):
+    if item == 1:  # the worker's item
+        with open(sys.argv[1], "w", encoding="utf-8") as fh:
+            fh.write(str(os.getpid()))
+    time.sleep(600)
+
+pipeline._map_in_children(None, work, [0, 1], 2, str)
+"""
+
+
+def _kill_the_stage_once_its_worker_runs(script, tmp_path):
+    """Run script as a stage, SIGKILL it once its worker wrote its pid file, and return that pid."""
     pid_file = tmp_path / "worker"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-    stage = subprocess.Popen([sys.executable, "-c", _STAGE_THAT_STALLS, str(pid_file)], env=env)
+    stage = subprocess.Popen([sys.executable, "-c", script, str(pid_file)], env=env)
     try:
         deadline = time.monotonic() + 60
         while not (pid_file.exists() and pid_file.read_text(encoding="utf-8")):
             assert time.monotonic() < deadline, "the worker never started"
             time.sleep(0.05)
-        worker = int(pid_file.read_text(encoding="utf-8"))
+        return int(pid_file.read_text(encoding="utf-8"))
     finally:
         stage.kill()
         stage.wait(timeout=60)
-    deadline = time.monotonic() + 30
-    while _alive(worker) and time.monotonic() < deadline:
+
+
+def _gone_within(pid, seconds):
+    """Whether pid is gone within seconds; a pid still running then is killed."""
+    deadline = time.monotonic() + seconds
+    while _alive(pid) and time.monotonic() < deadline:
         time.sleep(0.05)
-    blocked = _alive(worker)
-    if blocked:
-        os.kill(worker, signal.SIGKILL)
-    assert not blocked  # no process holds the read end of its pipe, so the send failed
+    running = _alive(pid)
+    if running:
+        os.kill(pid, signal.SIGKILL)
+    return not running
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_a_worker_whose_stage_was_killed_exits_instead_of_blocking_on_its_send(tmp_path):
+    worker = _kill_the_stage_once_its_worker_runs(_STAGE_THAT_STALLS, tmp_path)
+    # no process holds the read end of its pipe, so the send fails if nothing killed it first
+    assert _gone_within(worker, 30)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not Path("/proc/self/stat").exists(),
+                    reason="the kernel kills a worker with its stage on Linux; reads /proc")
+def test_a_worker_dies_with_its_killed_stage_while_its_own_item_still_runs(tmp_path):
+    worker = _kill_the_stage_once_its_worker_runs(_STAGE_AND_WORKER_THAT_STALL, tmp_path)
+    assert _gone_within(worker, 5)
 
 
 def test_sweep_identity_cells_reuse_the_baseline_rows_without_manipulating(chain, tmp_path, monkeypatch):
@@ -1198,7 +1230,7 @@ def test_k_above_the_narrowest_layer_exits_2_before_tracing(chain, tmp_path, cap
     shutil.copy(out / "thresholds.json", part / "thresholds.json")
     shutil.copy(out / "traces.csv", part / "traces.csv")
     # three speakers give the logit layer three neurons, fewer than k=5; with a user manifest
-    # load_config cannot know the speakers, so extract is the first stage to refuse k
+    # load_config cannot know the speakers, so each stage that reads them refuses k
     cfg = _write_config(tmp_path, {"coverage.k": 5, "manifest": str(part / "corpus" / "manifest.tsv")})
     monkeypatch.setattr(pipeline, "load_wav", None)  # any traced clip would raise
     if stage == "extract":
@@ -1219,6 +1251,26 @@ def test_k_above_the_narrowest_layer_exits_2_before_tracing(chain, tmp_path, cap
     monkeypatch.undo()
     for run in dict.fromkeys(["extract", stage]):
         assert main([run, "--config", str(acn_only), "--out", str(part), "--seed", "7"]) == 0, run
+
+
+def test_k_above_a_user_manifests_speakers_exits_2_at_train_backbone(chain, tmp_path, capsys):
+    out, _ = chain
+    part = tmp_path / "run"
+    part.mkdir()
+    shutil.copytree(out / "corpus", part / "corpus")
+    # the user manifest names three speakers, so the logit layer has three neurons, fewer than k=5
+    cfg = _write_config(tmp_path, {"coverage.k": 5, "manifest": str(part / "corpus" / "manifest.tsv")})
+    rc = main(["train-backbone", "--config", str(cfg), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("voicetrace: config error: coverage.k 5 exceeds the 3 neurons of the "
+                          "narrowest monitored layer")
+    assert sorted(p.name for p in part.iterdir()) == ["corpus"]
+
+    acn_only = _write_config(tmp_path, {"coverage.k": 5, "coverage.criterion": "acn",
+                                        "manifest": str(part / "corpus" / "manifest.tsv")})
+    assert main(["train-backbone", "--config", str(acn_only), "--out", str(part), "--seed", "7"]) == 0
+    assert (part / "backbone.nsw1").read_bytes() == (out / "backbone.nsw1").read_bytes()
 
 
 @pytest.mark.parametrize("criterion", ["tkan", "both"])
