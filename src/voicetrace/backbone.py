@@ -7,8 +7,8 @@ place; an FC layer flattens its input, and a spec ends in an FC layer.
 One forward pass, one backward pass and one Glorot init serve
 every spec: the speaker CNN here, trained with a softmax cross-entropy
 head, and the detector's FC stack (detector.py), trained with a BCE
-head. Both train through nn.momentum_sgd and are checked by
-nn.central_difference_check.
+head. Both train through fit, the one caller of nn.momentum_sgd, under
+one nn.TrainConfig, and are checked by nn.central_difference_check.
 
 The speaker CNN's real job is exposing per-layer post-activation neuron
 outputs. Convolutional and fully-connected layers are the monitored
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import nsw1
 from .errors import WeightFormatError
-from .nn import central_difference_check, glorot_uniform, momentum_sgd
+from .nn import TrainConfig, central_difference_check, glorot_uniform, momentum_sgd
 
 
 @dataclass(frozen=True)
@@ -108,28 +108,20 @@ class NetworkSpec:
         self.output_width = shape[0]
 
     def monitored_layers(self):
-        """[(layer index, name, neuron count)] for conv and FC layers, in order."""
-        out = []
-        for idx, layer in enumerate(self.layers):
-            if isinstance(layer, (Conv2d, FullyConnected)):
-                width = self.layer_shapes[idx][-1]
-                out.append((idx, self.layer_names[idx], width))
-        return out
+        """[(layer index, name, neuron count)] for the named (conv and FC) layers, in order."""
+        return [(idx, name, self.layer_shapes[idx][-1]) for idx, name in enumerate(self.layer_names) if name]
 
     def parameter_shapes(self):
-        """Ordered {tensor name: shape} for every weight and bias."""
+        """Ordered {tensor name: shape} for every weight and bias. A conv weight is
+        (kernel, kernel, in channels, out channels), an FC weight (in width, out width)."""
         shapes = {}
         in_shape = self.input_shape
-        for idx, layer in enumerate(self.layers):
-            if isinstance(layer, Conv2d):
-                name = self.layer_names[idx]
-                shapes[f"{name}.weight"] = (layer.kernel, layer.kernel, in_shape[2], layer.out_channels)
-                shapes[f"{name}.bias"] = (layer.out_channels,)
-            elif isinstance(layer, FullyConnected):
-                name = self.layer_names[idx]
-                shapes[f"{name}.weight"] = (math.prod(in_shape), layer.out_units)
-                shapes[f"{name}.bias"] = (layer.out_units,)
-            in_shape = self.layer_shapes[idx]
+        for layer, name, shape in zip(self.layers, self.layer_names, self.layer_shapes):
+            if name:  # a conv outputs a (h, w, c) map and reads a kernel window, an FC all its input
+                shapes[f"{name}.weight"] = ((layer.kernel, layer.kernel, in_shape[2], shape[2]) if len(shape) == 3
+                                            else (math.prod(in_shape), shape[0]))
+                shapes[f"{name}.bias"] = (shape[-1],)
+            in_shape = shape
         return shapes
 
 
@@ -179,7 +171,7 @@ class WeightStore:
                 raise WeightFormatError(f"unexpected tensor {name!r} not in spec")
 
     def as_float64(self) -> dict:
-        """Fresh writable float64 copies, for training and the gradient check to update."""
+        """Fresh writable float64 copies, for the gradient check to nudge."""
         return {k: v.astype(np.float64) for k, v in self.tensors.items()}
 
 
@@ -191,11 +183,8 @@ def init_weights(spec: NetworkSpec, seed: int | np.random.Generator) -> WeightSt
     for name, shape in spec.parameter_shapes().items():
         if name.endswith(".bias"):
             tensors[name] = np.zeros(shape, dtype=np.float32)
-        elif len(shape) == 4:  # conv kernel
-            k, _, cin, cout = shape
-            tensors[name] = glorot_uniform(rng, shape, k * k * cin, k * k * cout).astype(np.float32)
-        else:  # fc weight
-            fan_in, fan_out = shape
+        else:  # the last axis is the output; an FC weight has no kernel window axes
+            fan_in, fan_out = math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1]
             tensors[name] = glorot_uniform(rng, shape, fan_in, fan_out).astype(np.float32)
     return WeightStore(tensors)
 
@@ -377,42 +366,32 @@ def _check_gradients(spec: NetworkSpec, params: dict, batch: np.ndarray, targets
     )
 
 
-@dataclass(frozen=True)
-class BackboneTrainConfig:
-    """The backbone section of the config plus the seed, and the pipeline's SGD settings."""
+def fit(spec: NetworkSpec, x: np.ndarray, targets: np.ndarray, config: TrainConfig, head=_softmax_xent):
+    """Momentum-SGD training of spec on (N, *spec.input_shape) inputs x, in x's float dtype.
 
-    epochs: int
-    seed: int
-    lr: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 32
-
-
-def train_backbone(spec: NetworkSpec, features: np.ndarray, labels, config: BackboneTrainConfig):
-    """Momentum-SGD softmax training on (N, *spec.input_shape) inputs.
-
-    Batches follow a seeded shuffle each epoch; weight init and shuffling
-    draw from a single generator so identical configs give bit-identical
-    weights. Returns (WeightStore, per-epoch mean losses).
+    Weight init and each epoch's shuffle draw from one generator seeded by
+    config.seed, so identical configs give bit-identical weights. Returns
+    (WeightStore, per-epoch mean losses).
     """
+    rng = np.random.default_rng(config.seed)
+    params = {name: t.astype(x.dtype) for name, t in init_weights(spec, rng).tensors.items()}
+    epoch_losses = momentum_sgd(
+        params, lambda take: _loss_and_grads(spec, params, x[take], targets[take], head),
+        x.shape[0], rng, config)
+    return WeightStore(params), epoch_losses
+
+
+def train_backbone(spec: NetworkSpec, features: np.ndarray, labels, config: TrainConfig):
+    """Softmax-head fit on (N, *spec.input_shape) inputs, in float64."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim == 3:  # (N, frames, bins) -> single channel
-        features = features[..., None]
     if features.shape[1:] != spec.input_shape:
         raise ValueError(f"feature shape {features.shape[1:]} does not match spec {spec.input_shape}")
     if np.unique(labels).size < 2:
         raise ValueError("training needs at least two speaker classes")
     if labels.min() < 0 or labels.max() >= spec.output_width:
         raise ValueError("labels must lie in [0, output_width)")
-
-    rng = np.random.default_rng(config.seed)
-    params = init_weights(spec, rng).as_float64()
-    epoch_losses = momentum_sgd(
-        params, lambda take: _loss_and_grads(spec, params, features[take], labels[take]),
-        features.shape[0], rng, lr=config.lr, momentum=config.momentum,
-        epochs=config.epochs, batch_size=config.batch_size)
-    return WeightStore(params), epoch_losses
+    return fit(spec, features, labels, config)
 
 
 def classify(spec: NetworkSpec, weights: WeightStore, batch: np.ndarray) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Shallow binary real/fake classifier over coverage feature vectors.
 
 Five fully-connected layers (four ReLU hidden layers, one logit) built
-as a flat-input NetworkSpec and run by the backbone's network engine.
-This module adds only what is specific to the detector: the sigmoid /
-binary cross-entropy head, a training config with inverse-time
-learning-rate decay, the feature Standardizer and the NSD1 file format.
-Fake is the positive class. Training runs in float32, the dtype NSD1
-stores; scoring and the gradient check run in float64.
+as a flat-input NetworkSpec, run by the backbone's network engine and
+trained by backbone.fit. This module adds only what is specific to the
+detector: the sigmoid / binary cross-entropy head, the feature
+Standardizer and the NSD1 file format. Fake is the positive class.
+Training runs in float32, the dtype NSD1 stores; scoring and the
+gradient check run in float64.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import nsw1
-from .backbone import (FullyConnected, NetworkSpec, WeightStore, _check_gradients,
-                       _loss_and_grads, _run_layers, init_weights)
+from .backbone import FullyConnected, NetworkSpec, WeightStore, _check_gradients, _run_layers, fit
 from .corpus import FAKE, REAL
 from .errors import WeightFormatError
-from .nn import momentum_sgd, sigmoid
+from .nn import TrainConfig, sigmoid
 
 _MAGIC = b"NSD1"
 _VERSION = 1
@@ -42,24 +41,6 @@ class DetectorSpec:
     def network(self) -> NetworkSpec:
         """One ReLU FC layer per hidden width, then one FC logit; tensors fc1..fc5."""
         return NetworkSpec([*map(FullyConnected, self.hidden), FullyConnected(1)], (self.input_width,))
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """The detector section of the config plus the seed, and the pipeline's SGD settings."""
-
-    epochs: int
-    seed: int
-    lr: float = 3e-4
-    momentum: float = 0.9
-    decay: float = 1e-6
-    batch_size: int = 32
-
-    def __post_init__(self):
-        if self.lr < 0 or self.decay < 0:
-            raise ValueError("learning rate and decay must be non-negative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -122,7 +103,7 @@ def train_detector(
     criterion: str = "",
     k: int = 0,
 ) -> DetectorModel:
-    """Momentum-SGD BCE training; lr_t = lr0 / (1 + decay * t) per global step.
+    """BCE-head fit in float32; lr_t = lr0 / (1 + decay * t) per global step.
 
     labels are 1 for fake, 0 for real. When a standardizer is given it is
     applied before training and bundled into the returned model, so
@@ -143,15 +124,8 @@ def train_detector(
     if standardizer is None:
         standardizer = Standardizer.identity(spec.input_width)
     x_all = standardizer.transform(features).astype(np.float32)
-
-    net = spec.network()
-    rng = np.random.default_rng(config.seed)
-    params = {name: t.copy() for name, t in init_weights(net, rng).tensors.items()}
-    epoch_losses = momentum_sgd(
-        params, lambda take: _loss_and_grads(net, params, x_all[take], labels[take], _bce_loss),
-        features.shape[0], rng, lr=config.lr, momentum=config.momentum,
-        epochs=config.epochs, batch_size=config.batch_size, decay=config.decay)
-    return DetectorModel(spec, WeightStore(params), standardizer, criterion, k, epoch_losses)
+    weights, epoch_losses = fit(spec.network(), x_all, labels, config, _bce_loss)
+    return DetectorModel(spec, weights, standardizer, criterion, k, epoch_losses)
 
 
 def score_batch(model: DetectorModel, features: np.ndarray) -> np.ndarray:

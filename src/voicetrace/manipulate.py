@@ -241,6 +241,9 @@ class Manipulation:
             raise ValueError(f"unknown manipulation kind {self.kind!r}")
         if self.kind == "add_noise" and not self.noise_id:
             raise ValueError("add_noise needs a noise_id")
+        if self.kind in ("resample", "pitch") and self.magnitude % 1:
+            # applied as whole Hz and whole semitones; a fraction would be dropped unreported
+            raise ValueError(f"{self.kind} needs a whole-number magnitude, got {self.magnitude!r}")
 
     def describe(self) -> str:
         return f"add_noise:{self.noise_id}" if self.kind == "add_noise" else self.kind

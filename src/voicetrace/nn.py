@@ -1,11 +1,13 @@
 """Numeric helpers for the one network engine in `backbone.py`.
 
-The sigmoid, Glorot init, the momentum-SGD loop that trains both the
-speaker network and the detector, and the central-difference gradient
-checker that tests both.
+The sigmoid, the Glorot draw, the TrainConfig and momentum-SGD loop that
+train both the speaker network and the detector through `backbone.fit`,
+and the central-difference gradient checker that tests both.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,30 +30,51 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def momentum_sgd(params: dict, loss_and_grads, n: int, rng: np.random.Generator, *,
-                 lr: float, momentum: float, epochs: int, batch_size: int, decay: float = 0.0):
+@dataclass(frozen=True)
+class TrainConfig:
+    """A config section plus the seed, and the pipeline's SGD settings; the defaults are the backbone's."""
+
+    epochs: int
+    seed: int
+    lr: float = 0.01
+    momentum: float = 0.9
+    batch_size: int = 32
+    decay: float = 0.0
+
+    def __post_init__(self):
+        if self.lr < 0 or self.decay < 0:
+            raise ValueError("learning rate and decay must be non-negative")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
+
+
+def momentum_sgd(params: dict, loss_and_grads, n: int, rng: np.random.Generator, config: TrainConfig):
     """Train params in place; returns the per-epoch mean losses.
 
-    Each epoch draws one permutation of the n rows from rng and walks it
-    in batches; loss_and_grads(row indexes) returns (mean loss, grads
-    keyed like params), fresh arrays that the update overwrites. The
-    step size decays per global step as lr / (1 + decay * t); decay 0
-    keeps it at lr exactly.
+    Each of config.epochs epochs draws one permutation of the n rows from
+    rng and walks it in batches; loss_and_grads(row indexes) returns
+    (mean loss, grads keyed like params), fresh arrays that the update
+    overwrites. The step size decays per global step as
+    lr / (1 + decay * t); decay 0 keeps it at lr exactly.
     """
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     step = 0
     epoch_losses = []
-    for _ in range(epochs):
+    for _ in range(config.epochs):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, batch_size):
-            take = order[start : start + batch_size]
+        for start in range(0, n, config.batch_size):
+            take = order[start : start + config.batch_size]
             loss, grads = loss_and_grads(take)
-            lr_t = lr / (1.0 + decay * step)
+            lr_t = config.lr / (1.0 + config.decay * step)
             for key, param in params.items():
                 # v = momentum * v - lr_t * g; p = p + v, in the same order, in place
                 v, g = velocity[key], grads[key]
-                v *= momentum
+                v *= config.momentum
                 g *= lr_t
                 v -= g
                 param += v

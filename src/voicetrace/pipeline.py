@@ -30,16 +30,16 @@ from pathlib import Path
 import numpy as np
 
 from .audio import WAV_MAX_DATA, WINDOW, Waveform, load_wav, log_mel
-from .backbone import (ActivationTrace, BackboneTrainConfig, NetworkSpec, WeightStore,
-                       classify, forward_batch, load_weights, reference_spec,
-                       save_weights, train_backbone)
+from .backbone import (ActivationTrace, NetworkSpec, WeightStore, classify, forward_batch,
+                       load_weights, reference_spec, save_weights, train_backbone)
 from .corpus import ARTIFACTS, FAKE, REAL, CorpusSpec, generate_corpus, load_manifest
 from .coverage import (ACN, TKAN, _is_number, acn_features, calibrate_thresholds, load_thresholds,
                        read_feature_csv, save_thresholds, tkan_features, write_feature_csv)
-from .detector import Standardizer, TrainConfig, load_detector, save_detector, score_batch, train_detector
+from .detector import Standardizer, load_detector, save_detector, score_batch, train_detector
 from .errors import AudioFormatError, ConfigError, FeatureFormatError, FormatError, StageError
 from .manipulate import NOISE_SECONDS, Manipulation, apply_manipulation, generate_noise_bank, load_noise_bank
 from .metrics import REPORT_COLUMNS, MetricRow, compute_all, write_report
+from .nn import TrainConfig
 
 _TRACE_BLOCK = 16
 
@@ -157,6 +157,10 @@ def _validate(cfg: dict) -> None:
                           f"{c['sample_rate']}, shorter than one {WINDOW}-sample analysis window")
     if 2 * clip_samples > WAV_MAX_DATA:
         raise ConfigError(f"corpus.clip_seconds gives {clip_samples}-sample clips, too long for a WAV")
+    for field in ("resample_offsets", "pitch_steps"):  # the sweep applies whole Hz and whole semitones
+        for value in cfg["sweep"][field]:
+            if value % 1:
+                raise ConfigError(f"sweep.{field} must hold whole numbers, got {value!r}")
     try:
         spec = reference_spec(c["num_speakers"], (f["frames"], f["mel_bins"], 1))
     except ValueError as exc:
@@ -460,8 +464,7 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
 
     feats = _feature_array([root / r.path for r in train_real], cfg["frontend"], jobs)
     labels = np.asarray([index[r.speaker_id] for r in train_real])
-    store, losses = train_backbone(netspec, feats, labels,
-                                   BackboneTrainConfig(**cfg["backbone"], seed=cfg["seed"]))
+    store, losses = train_backbone(netspec, feats, labels, TrainConfig(**cfg["backbone"], seed=cfg["seed"]))
     save_weights(store, stage.paths.backbone)
 
     held = [r for r in records if r.split == "test" and r.label == REAL]
@@ -527,7 +530,7 @@ def cmd_train_detector(cfg: dict, jobs: int = 1):
     stage = _Stage(cfg, "train-detector")
     criteria = _criteria(cfg)
     train = {c: stage.split(c, "train") for c in criteria}
-    config = TrainConfig(**cfg["detector"], seed=cfg["seed"])
+    config = TrainConfig(**cfg["detector"], seed=cfg["seed"], lr=3e-4, decay=1e-6)
 
     def fit(criterion):
         x_train, y_train = train[criterion]

@@ -29,7 +29,6 @@ from voicetrace.corpus import ManifestRecord, load_manifest, save_manifest
 from voicetrace.coverage import acn_features, calibrate_thresholds, tkan_features
 from voicetrace.detector import (
     DetectorSpec,
-    TrainConfig,
     gradient_check as detector_gradient_check,
     train_detector,
 )
@@ -41,6 +40,7 @@ from voicetrace.manipulate import (
     time_stretch,
 )
 from voicetrace.metrics import average_precision, eer, roc_auc
+from voicetrace.nn import TrainConfig
 
 SR = 16000
 

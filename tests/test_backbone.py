@@ -5,7 +5,6 @@ import pytest
 
 from voicetrace import nsw1
 from voicetrace.backbone import (
-    BackboneTrainConfig,
     Conv2d,
     FullyConnected,
     MaxPool,
@@ -24,7 +23,9 @@ from voicetrace.backbone import (
     save_weights,
     train_backbone,
 )
+from voicetrace.detector import DetectorSpec
 from voicetrace.errors import WeightFormatError
+from voicetrace.nn import TrainConfig, glorot_uniform
 
 
 def relu(x):
@@ -207,7 +208,7 @@ def _toy_dataset(n_per_class=6, seed=5):
 
 def test_train_lr_zero_keeps_init():
     feats, labels = _toy_dataset()
-    cfg = BackboneTrainConfig(lr=0.0, epochs=3, seed=9)
+    cfg = TrainConfig(lr=0.0, epochs=3, seed=9)
     store, _ = train_backbone(TINY_SPEC, feats, labels, cfg)
     init = init_weights(TINY_SPEC, 9)
     for name in init.tensors:
@@ -216,7 +217,7 @@ def test_train_lr_zero_keeps_init():
 
 def test_train_same_seed_bit_identical():
     feats, labels = _toy_dataset()
-    cfg = BackboneTrainConfig(lr=0.01, epochs=2, seed=3)
+    cfg = TrainConfig(lr=0.01, epochs=2, seed=3)
     a, losses_a = train_backbone(TINY_SPEC, feats, labels, cfg)
     b, losses_b = train_backbone(TINY_SPEC, feats, labels, cfg)
     assert losses_a == losses_b
@@ -228,12 +229,12 @@ def test_train_rejects_single_class():
     feats, _ = _toy_dataset()
     with pytest.raises(ValueError):
         train_backbone(TINY_SPEC, feats, np.zeros(feats.shape[0], dtype=int),
-                       BackboneTrainConfig(epochs=15, seed=0))
+                       TrainConfig(epochs=15, seed=0))
 
 
 def test_train_loss_decreases_on_toy_task():
     feats, labels = _toy_dataset()
-    _, losses = train_backbone(TINY_SPEC, feats, labels, BackboneTrainConfig(lr=0.01, epochs=4, seed=1))
+    _, losses = train_backbone(TINY_SPEC, feats, labels, TrainConfig(lr=0.01, epochs=4, seed=1))
     assert losses[0] > losses[1] > losses[2]
 
 
@@ -524,7 +525,7 @@ def test_train_backbone_matches_the_reference_loop_bitwise(spec):
     rng = np.random.default_rng(53)
     feats = rng.standard_normal((20, *spec.input_shape))
     labels = np.arange(20) % spec.output_width
-    cfg = BackboneTrainConfig(lr=0.05, momentum=0.9, epochs=3, batch_size=8, seed=59)
+    cfg = TrainConfig(lr=0.05, momentum=0.9, epochs=3, batch_size=8, seed=59)
     store, losses = train_backbone(spec, feats, labels, cfg)
     tensors, ref_losses = _reference_train_backbone(spec, feats, labels, cfg)
     assert losses == ref_losses
@@ -658,3 +659,70 @@ def test_an_fc_over_a_3d_input_gives_the_bits_of_the_fc_over_the_reshaped_input(
     flat_loss, flat_grads = _loss_and_grads(over_flat, weights.as_float64(), x.reshape(6, -1), labels)
     assert loss == flat_loss
     assert {k: g.tobytes() for k, g in grads.items()} == {k: g.tobytes() for k, g in flat_grads.items()}
+
+
+def _glorot_by_kind(spec, seed):
+    """init_weights written per layer kind: a conv weight's fans are k*k*cin and k*k*cout, an
+    FC weight's its input and output widths; every draw comes from one generator, in layer order."""
+    rng = np.random.default_rng(seed)
+    tensors = {}
+    in_shapes = [spec.input_shape, *spec.layer_shapes]
+    for idx, layer in enumerate(spec.layers):
+        if isinstance(layer, Conv2d):
+            k, cin, cout = layer.kernel, in_shapes[idx][2], layer.out_channels
+            weight = glorot_uniform(rng, (k, k, cin, cout), k * k * cin, k * k * cout)
+        elif isinstance(layer, FullyConnected):
+            fan_in, fan_out = int(np.prod(in_shapes[idx])), layer.out_units
+            weight = glorot_uniform(rng, (fan_in, fan_out), fan_in, fan_out)
+        else:  # a max-pool has no parameters
+            continue
+        tensors[f"{spec.layer_names[idx]}.weight"] = weight.astype(np.float32)
+        tensors[f"{spec.layer_names[idx]}.bias"] = np.zeros(weight.shape[-1], dtype=np.float32)
+    return tensors
+
+
+ENGINE_SPECS = {"tiny": TINY_SPEC, "reference": reference_spec(8), "detector": DetectorSpec(30).network()}
+
+
+@pytest.mark.parametrize("spec", ENGINE_SPECS.values(), ids=ENGINE_SPECS)
+def test_init_weights_is_the_glorot_rule_of_each_layer_kind_bitwise(spec):
+    want = _glorot_by_kind(spec, 71)
+    got = init_weights(spec, 71).tensors
+    assert list(got) == list(want)
+    for name, tensor in want.items():
+        assert got[name].dtype == np.float32
+        assert got[name].tobytes() == tensor.tobytes(), name
+
+
+SPEC_LITERALS = {
+    "reference": (
+        reference_spec(8),
+        {"conv1.weight": (3, 3, 1, 16), "conv1.bias": (16,), "conv2.weight": (3, 3, 16, 32),
+         "conv2.bias": (32,), "conv3.weight": (3, 3, 32, 64), "conv3.bias": (64,),
+         "fc1.weight": (2112, 128), "fc1.bias": (128,), "fc2.weight": (128, 64), "fc2.bias": (64,),
+         "fc3.weight": (64, 8), "fc3.bias": (8,)},
+        [(0, "conv1", 16), (2, "conv2", 32), (3, "conv3", 64), (4, "fc1", 128), (5, "fc2", 64),
+         (6, "fc3", 8)],
+    ),
+    "detector": (
+        DetectorSpec(30).network(),
+        {"fc1.weight": (30, 256), "fc1.bias": (256,), "fc2.weight": (256, 128), "fc2.bias": (128,),
+         "fc3.weight": (128, 64), "fc3.bias": (64,), "fc4.weight": (64, 32), "fc4.bias": (32,),
+         "fc5.weight": (32, 1), "fc5.bias": (1,)},
+        [(0, "fc1", 256), (1, "fc2", 128), (2, "fc3", 64), (3, "fc4", 32), (4, "fc5", 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, shapes, monitored", SPEC_LITERALS.values(), ids=SPEC_LITERALS)
+def test_parameter_shapes_and_monitored_layers_are_the_written_out_tables(spec, shapes, monitored):
+    got = spec.parameter_shapes()
+    assert got == shapes and list(got) == list(shapes)
+    assert spec.monitored_layers() == monitored
+    # each call hands out a fresh table, so a caller that edits one leaves the spec as it was
+    got.pop("fc1.weight")
+    got["extra.weight"] = (1, 1)
+    spec.monitored_layers().append((9, "extra", 1))
+    spec.monitored_layers()[0] = (0, "renamed", 0)
+    assert spec.parameter_shapes() == shapes
+    assert spec.monitored_layers() == monitored

@@ -1,0 +1,73 @@
+"""One momentum-SGD loop and one gradient check: the package calls momentum_sgd and
+init_weights only inside backbone.fit, and central_difference_check only inside
+backbone._check_gradients, so every fit and every gradient check runs through those two."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "voicetrace").glob("*.py"))
+SINGLE_CALLERS = {
+    "momentum_sgd": ["backbone.fit"],
+    "init_weights": ["backbone.fit"],
+    "central_difference_check": ["backbone._check_gradients"],
+}
+
+
+def _call_sites(source: str, module: str, name: str):
+    """module.definition (module.<module> outside any) for each call of name in source, as a bare
+    name, as an attribute, or under an alias it was imported as; a call anywhere inside a top-level
+    function or class, decorators included, is counted in that function or class."""
+    tree = ast.parse(source)
+    callees = {name} | {alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                        for alias in node.names if alias.name == name and alias.asname}
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if where == f"{module}.<module>" and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                                    ast.ClassDef)):
+                inner = f"{module}.{child.name}"
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in callees:
+                    sites.append(where)
+            visit(child, inner)
+
+    visit(tree, f"{module}.<module>")
+    return sites
+
+
+def test_the_walk_sees_a_call_in_every_form():
+    source = (
+        "from .nn import momentum_sgd as sgd\n"
+        "from . import nn\n"
+        "momentum_sgd(1)\n"                                          # module level
+        "def a():\n    return momentum_sgd(1)\n"                     # bare name
+        "def b():\n    return nn.momentum_sgd(1)\n"                  # attribute
+        "def c():\n    return sgd(1)\n"                              # imported alias
+        "def d():\n    return (lambda: momentum_sgd(1))()\n"         # in a lambda
+        "def e():\n    return [momentum_sgd(i) for i in range(2)]\n"  # in a comprehension
+        "def f():\n    def g():\n        return momentum_sgd(1)\n    return g\n"  # nested function
+        "def h():\n    return print(momentum_sgd(1))\n"              # as an argument
+        "class K:\n    def m(self):\n        return momentum_sgd(1)\n"  # in a method
+        "async def i():\n    return momentum_sgd(1)\n"               # in a coroutine
+        "@momentum_sgd(1)\ndef j():\n    pass\n"                     # in a decorator
+        "def k():\n    return momentum_sgd\n"                        # a reference, not a call
+    )
+    assert _call_sites(source, "m", "momentum_sgd") == [
+        "m.<module>", "m.a", "m.b", "m.c", "m.d", "m.e", "m.f", "m.h", "m.K", "m.i", "m.j"]
+
+
+def test_every_module_is_walked():
+    assert {"backbone.py", "detector.py", "nn.py", "pipeline.py"} <= {p.name for p in SOURCES}
+
+
+@pytest.mark.parametrize("name, callers", SINGLE_CALLERS.items(), ids=SINGLE_CALLERS)
+def test_each_training_and_checking_helper_has_one_call_site(name, callers):
+    sites = [site for path in SOURCES
+             for site in _call_sites(path.read_text(encoding="utf-8"), path.stem, name)]
+    assert sites == callers

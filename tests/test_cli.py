@@ -16,12 +16,13 @@ import pytest
 
 from voicetrace import pipeline
 from voicetrace.audio import Waveform, load_wav, save_wav
-from voicetrace.backbone import BackboneTrainConfig, load_weights, reference_spec
+from voicetrace.backbone import load_weights, reference_spec
 from voicetrace.cli import main
 from voicetrace.corpus import FAKE, REAL, CorpusSpec, ManifestRecord, load_manifest
 from voicetrace.coverage import calibrate_thresholds, save_thresholds
-from voicetrace.detector import TrainConfig, save_detector, train_detector
+from voicetrace.detector import save_detector, train_detector
 from voicetrace.errors import ConfigError
+from voicetrace.nn import TrainConfig
 from voicetrace.pipeline import config_digest, load_config
 
 TINY = {
@@ -1142,6 +1143,30 @@ def test_bad_corpus_config_exits_2_naming_the_field(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("field, values", [("pitch_steps", [-2, 2.7]), ("pitch_steps", [0.5]),
+                                           ("resample_offsets", [200.9, 400])])
+def test_a_fractional_pitch_step_or_resample_offset_exits_2_before_gen_data(tmp_path, capsys, monkeypatch,
+                                                                           field, values):
+    def rendering(*args, **kwargs):
+        raise AssertionError("gen-data ran on a config that load_config should refuse")
+
+    monkeypatch.setattr(pipeline, "generate_corpus", rendering)
+    config_path = _write_config(tmp_path, {f"sweep.{field}": values})
+    rc = main(["gen-data", "--config", str(config_path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: config error: sweep.{field} must hold whole numbers")
+    assert not (tmp_path / "run").exists()
+
+
+def test_whole_valued_floats_and_fractional_speeds_and_snrs_load(tmp_path):
+    sweep = {"pitch_steps": [-2.0, 3], "resample_offsets": [-200.0], "speed_rates": [0.85],
+             "snrs_db": [27.5]}
+    cfg = load_config(_write_config(tmp_path, {f"sweep.{k}": v for k, v in sweep.items()}))
+    assert {k: cfg["sweep"][k] for k in sweep} == sweep
+    assert [m.magnitude for m in pipeline.sweep_cells(cfg, ["hum"])] == [-200.0, 0.85, -2.0, 3.0, 27.5]
+
+
 @pytest.mark.parametrize("corpus", [{"sample_rate": 357_913_938}, {"clip_seconds": 134_217.7268125}],
                          ids=["noise-bank-wavs", "clips"])
 def test_a_config_at_the_largest_wav_size_loads(tmp_path, corpus):
@@ -1211,7 +1236,7 @@ def test_every_field_limit_names_a_config_leaf():
     assert set(pipeline._LIMITS) <= set(_leaves(pipeline.DEFAULT_CONFIG))
 
 
-@pytest.mark.parametrize("section, spec", [("corpus", CorpusSpec), ("backbone", BackboneTrainConfig),
+@pytest.mark.parametrize("section, spec", [("corpus", CorpusSpec), ("backbone", TrainConfig),
                                            ("detector", TrainConfig)])
 def test_each_config_section_holds_its_dataclass_fields_but_seed(section, spec):
     # the stages build each as spec(**cfg[section], seed=cfg["seed"]); a field the config sets

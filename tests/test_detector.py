@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from voicetrace.backbone import WeightStore, init_weights, reference_spec
+from voicetrace.backbone import (FullyConnected, NetworkSpec, WeightStore, init_weights, reference_spec,
+                                 train_backbone)
 from voicetrace.detector import (
     DetectorModel,
     DetectorSpec,
     Standardizer,
-    TrainConfig,
     _bce_loss,
     gradient_check,
     load_detector,
@@ -16,7 +16,7 @@ from voicetrace.detector import (
     train_detector,
 )
 from voicetrace.errors import WeightFormatError
-from voicetrace.nn import glorot_uniform, sigmoid
+from voicetrace.nn import TrainConfig, glorot_uniform, sigmoid
 
 
 def relu(x):
@@ -46,11 +46,28 @@ def test_spec_requires_four_hidden_layers():
     assert _layer_widths(DetectorSpec(8)) == [8, 256, 128, 64, 32, 1]
 
 
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=1, seed=0, lr=-1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=1, seed=0, momentum=1.0)
+def _fit_backbone(config):
+    feats, labels = _blobs(n_per_class=4)
+    net = NetworkSpec([FullyConnected(3), FullyConnected(2)], input_shape=(2,))
+    return train_backbone(net, feats, labels, config)[1]
+
+
+def _fit_detector(config):
+    feats, labels = _blobs(n_per_class=4)
+    return train_detector(feats, labels, config, spec=TINY_SPEC).loss_log
+
+
+@pytest.mark.parametrize("fit", [_fit_backbone, _fit_detector], ids=["backbone", "detector"])
+def test_train_config_validation(fit):
+    # a batch size below 1 used to take no step and report losses of 0.0, and the backbone's
+    # config took a negative lr and a momentum of 1.5
+    for bad in ({"lr": -1.0}, {"lr": -5.0, "momentum": 1.5}, {"momentum": 1.0}, {"momentum": -0.1},
+                {"decay": -1e-6}, {"batch_size": 0}, {"batch_size": -1}, {"batch_size": -3}, {"epochs": -1}):
+        with pytest.raises(ValueError):
+            fit(TrainConfig(**{"epochs": 3, "seed": 0, **bad}))
+    assert fit(TrainConfig(epochs=0, seed=0)) == []
+    losses = fit(TrainConfig(epochs=3, seed=0, lr=0.0, momentum=0.0, batch_size=1))
+    assert len(losses) == 3 and all(loss > 0 for loss in losses)
 
 
 def test_separable_blobs_reach_full_accuracy():
@@ -169,22 +186,23 @@ def test_train_detector_matches_the_hand_rolled_reference(spec):
 def test_fit_runs_in_float32_and_the_gradient_check_in_float64(monkeypatch, tmp_path):
     import sys
 
-    from voicetrace import backbone, detector
+    from voicetrace import backbone
 
     seen = []
 
     def spy(net, params, batch, targets, head):
         loss, grads = real(net, params, batch, targets, head)
-        velocity = sys._getframe(2).f_locals["velocity"]  # momentum_sgd's, via train_detector's lambda
+        velocity = sys._getframe(2).f_locals["velocity"]  # momentum_sgd's, via fit's lambda
         seen.append({batch.dtype, *(t.dtype for t in (*params.values(), *grads.values(),
                                                      *velocity.values()))})
         return loss, grads
 
-    real = detector._loss_and_grads
-    monkeypatch.setattr(detector, "_loss_and_grads", spy)
+    real = backbone._loss_and_grads
     feats, labels = _blobs(n_per_class=12)
-    model = train_detector(feats, labels, TrainConfig(lr=0.05, epochs=3, batch_size=8, seed=3),
-                           spec=TINY_SPEC, standardizer=Standardizer.fit(feats))
+    with monkeypatch.context() as patch:
+        patch.setattr(backbone, "_loss_and_grads", spy)
+        model = train_detector(feats, labels, TrainConfig(lr=0.05, epochs=3, batch_size=8, seed=3),
+                               spec=TINY_SPEC, standardizer=Standardizer.fit(feats))
     assert len(seen) == 9 and all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
     assert {t.dtype for t in model.weights.tensors.values()} == {np.dtype(np.float32)}
     save_detector(model, tmp_path / "d.nsd")

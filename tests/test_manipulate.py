@@ -318,6 +318,12 @@ def test_manipulation_validation():
         Manipulation("reverse", 1.0)
     with pytest.raises(ValueError):
         Manipulation("add_noise", 35.0)  # missing noise_id
+    # resample and pitch apply whole Hz and whole semitones: 2.7 steps would run as 2
+    for kind, magnitude in (("pitch", 2.7), ("pitch", 0.5), ("resample", 200.9), ("resample", float("nan"))):
+        with pytest.raises(ValueError, match=f"{kind} needs a whole-number magnitude"):
+            Manipulation(kind, magnitude)
+    for kind, magnitude in (("pitch", -2.0), ("resample", 200), ("speed", 0.8), ("add_noise", 30.5)):
+        assert Manipulation(kind, magnitude, "indoor_rain").magnitude == magnitude
     m = Manipulation("add_noise", 35.0, "indoor_rain")
     assert m.describe() == "add_noise:indoor_rain"
     assert not m.is_identity()
