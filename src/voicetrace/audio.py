@@ -150,11 +150,12 @@ def save_wav(w: Waveform, path, bit_depth: str = PCM16) -> None:
     Path(path).write_bytes(header + body)
 
 
-def rms(w: Waveform) -> float:
-    """Root mean square of the samples: sqrt(mean(samples^2))."""
-    if len(w) == 0:
+def rms(w) -> float:
+    """Root mean square of a Waveform's or an array's samples: sqrt(mean(samples^2))."""
+    samples = _as_samples(w)
+    if samples.size == 0:
         raise ValueError("rms of an empty waveform is undefined")
-    return float(np.sqrt(np.mean(np.square(w.samples))))
+    return float(np.sqrt(np.mean(np.square(samples))))
 
 
 def band_pass(samples: np.ndarray, sample_rate: int, low_hz: float = 0.0,
@@ -246,13 +247,9 @@ def mel_to_hz(mel):
     return 700.0 * (np.power(10.0, np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    sample_rate: int, fft_size: int, mel_bins: int, fmin: float = 0.0, fmax: float | None = None
-) -> np.ndarray:
-    """Triangular HTK-mel filterbank, shape (mel_bins, fft_size//2 + 1), peak 1."""
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), mel_bins + 2))
+def mel_filterbank(sample_rate: int, fft_size: int, mel_bins: int) -> np.ndarray:
+    """Triangular HTK-mel filterbank from 0 Hz to Nyquist, shape (mel_bins, fft_size//2 + 1), peak 1."""
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), mel_bins + 2))
     bin_freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
     lower = edges[:-2, None]
     center = edges[1:-1, None]

@@ -21,6 +21,7 @@ from . import nsw1
 from .backbone import FullyConnected, NetworkSpec, WeightStore, _check_gradients, _run_layers, fit
 from .corpus import FAKE, REAL
 from .errors import WeightFormatError
+from .metrics import DECISION_THRESHOLD
 from .nn import TrainConfig, sigmoid
 
 _MAGIC = b"NSD1"
@@ -142,9 +143,9 @@ def score_batch(model: DetectorModel, features: np.ndarray) -> np.ndarray:
     return sigmoid(logits.ravel())
 
 
-def predict(model: DetectorModel, feature, threshold: float = 0.5) -> Prediction:
+def predict(model: DetectorModel, feature) -> Prediction:
     score = float(score_batch(model, np.asarray(feature, dtype=np.float64))[0])
-    return Prediction(score, FAKE if score >= threshold else REAL)
+    return Prediction(score, FAKE if score >= DECISION_THRESHOLD else REAL)
 
 
 def gradient_check(model: DetectorModel, feature, label: int, eps: float = 1e-3) -> float:

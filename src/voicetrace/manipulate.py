@@ -1,8 +1,10 @@
 """Voice conversions and SNR-controlled additive noise.
 
 Three conversions (resampling, speed, pitch) plus noise mixing at a
-target signal-to-noise ratio. Identity parameters (offset 0, rate 1.0,
-n_steps 0) return the input samples bit-for-bit. Everything here is
+target signal-to-noise ratio, all through apply_manipulation. Identity
+parameters (offset 0, rate 1.0, n_steps 0) return the input samples bit
+for bit; any other manipulation goes to one converter per kind, once per
+group of clips sharing a sample rate and length. Everything here is
 deterministic; there is no internal randomness outside the explicit
 noise-bank generator seeds.
 """
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import FLOAT32, Waveform, band_pass, istft, load_wav, rms, save_wav, stft
+from .errors import AudioFormatError
 
 STFT_WINDOW = 2048
 STFT_HOP = 512
@@ -106,119 +109,60 @@ def _resample_by_ratio(samples: np.ndarray, ratio: float) -> np.ndarray:
     return out if samples.ndim == 2 else out[0]
 
 
-def _per_group(waves, convert) -> list:
-    """Apply convert to each group of clips sharing (sample_rate, length);
-    results in input order."""
-    groups = {}
-    for i, w in enumerate(waves):
-        groups.setdefault((w.sample_rate, len(w)), []).append(i)
-    out = [None] * len(waves)
-    for members in groups.values():
-        for i, result in zip(members, convert([waves[i] for i in members])):
-            out[i] = result
-    return out
-
-
-def _resample_group(waves, offset_hz: int) -> list:
-    """Rate conversion to sample_rate + offset_hz, for clips that share one sample rate and
-    length; the outputs carry the new rate."""
-    offset_hz = int(offset_hz)
-    rate = waves[0].sample_rate
-    new_rate = rate + offset_hz
-    if new_rate <= 0:
-        raise ValueError(f"target sample rate {new_rate} is not positive")
-    if offset_hz == 0:
-        return [Waveform(w.samples.copy(), rate) for w in waves]
-    rows = _resample_by_ratio(np.stack([w.samples for w in waves]), new_rate / rate)
-    return [Waveform(row, new_rate) for row in rows]
-
-
 def _phase_vocoder(spec: np.ndarray, rate: float) -> np.ndarray:
     n_frames, n_bins = spec.shape
     steps = np.arange(0.0, n_frames, rate)
     omega = 2.0 * np.pi * STFT_HOP * np.arange(n_bins) / STFT_WINDOW
     padded = np.vstack([spec, np.zeros((1, n_bins), dtype=spec.dtype)])
+    mags = np.abs(padded)
+    angles = np.angle(padded)
     out = np.empty((steps.size, n_bins), dtype=spec.dtype)
-    phase = np.angle(padded[0])
+    phase = angles[0]
     for i, step in enumerate(steps):
         p = int(step)
         alpha = step - p
-        d0 = padded[p]
-        d1 = padded[p + 1]
-        mag = (1.0 - alpha) * np.abs(d0) + alpha * np.abs(d1)
+        mag = (1.0 - alpha) * mags[p] + alpha * mags[p + 1]
         out[i] = mag * np.exp(1j * phase)
-        dphase = np.angle(d1) - np.angle(d0) - omega
+        dphase = angles[p + 1] - angles[p] - omega
         dphase -= 2.0 * np.pi * np.round(dphase / (2.0 * np.pi))
         phase = phase + omega + dphase
     return out
 
 
-def time_stretch(w: Waveform, rate: float) -> Waveform:
-    """Phase-vocoder stretch; output has exactly round(len/rate) samples."""
-    rate = float(rate)
-    if rate <= 0.0:
-        raise ValueError("stretch rate must be positive")
-    if rate == 1.0:
-        return Waveform(w.samples.copy(), w.sample_rate)
-    if len(w) < STFT_WINDOW:
+def _stretch(samples: np.ndarray, rate: float) -> np.ndarray:
+    """Phase-vocoder stretch of one clip; output has exactly round(len/rate) samples."""
+    if samples.size < STFT_WINDOW:
         raise ValueError(f"signal shorter than one {STFT_WINDOW}-sample analysis window")
-    spec = stft(w, STFT_WINDOW, STFT_HOP)
-    stretched = _phase_vocoder(spec, rate)
-    target = int(round(len(w) / rate))
-    samples = istft(stretched, STFT_WINDOW, STFT_HOP, length=target)
-    return Waveform(samples, w.sample_rate)
+    stretched = _phase_vocoder(stft(samples, STFT_WINDOW, STFT_HOP), rate)
+    return istft(stretched, STFT_WINDOW, STFT_HOP, length=int(round(samples.size / rate)))
 
 
-def _pitch_group(waves, n_steps: int) -> list:
-    """Shift pitch by n_steps semitones, keeping duration and rate, for clips that share one
-    sample rate and length: each clip is stretched on its own, then the group is resampled at once."""
-    if n_steps == 0:
-        return [Waveform(w.samples.copy(), w.sample_rate) for w in waves]
+def _pitch(clips, n_steps: int) -> np.ndarray:
+    """Shift pitch by n_steps semitones, keeping the length, for clips of one length: each clip
+    is stretched on its own, then the block is resampled at once and cropped or zero-padded."""
     rate = 2.0 ** (-float(n_steps) / 12)
-    stretched = np.stack([time_stretch(w, rate).samples for w in waves])
-    shifted = _resample_by_ratio(stretched, rate)
-    n = len(waves[0])
+    shifted = _resample_by_ratio(np.stack([_stretch(c, rate) for c in clips]), rate)
+    n = clips[0].size
     if shifted.shape[1] >= n:
-        shifted = shifted[:, :n]
-    else:
-        shifted = np.concatenate([shifted, np.zeros((len(waves), n - shifted.shape[1]))], axis=1)
-    return [Waveform(row, w.sample_rate) for row, w in zip(shifted, waves)]
+        return shifted[:, :n]
+    return np.concatenate([shifted, np.zeros((len(clips), n - shifted.shape[1]))], axis=1)
 
 
-def _fit_to_length(noise: np.ndarray, n: int) -> np.ndarray:
-    """Tile end-to-end when short, truncate from the start when long."""
-    if noise.size >= n:
-        return noise[:n]
-    reps = math.ceil(n / noise.size)
-    return np.tile(noise, reps)[:n]
-
-
-def mix_noise(signal: Waveform, noise: Waveform, target_snr_db: float, formula: str = PAPER) -> Waveform:
-    """Add noise scaled so the chosen SNR formula hits target_snr_db.
-
-    `paper` measures SNR as 40*log10(rms_signal/rms_noise); `standard`
-    uses the usual divisor of 20. The mix is never clipped, only warned
-    about when it leaves [-1, 1].
-    """
-    if signal.sample_rate != noise.sample_rate:
-        raise ValueError(
-            f"sample rates differ: signal {signal.sample_rate}, noise {noise.sample_rate}"
-        )
-    if formula not in (PAPER, STANDARD):
-        raise ValueError(f"unknown SNR formula {formula!r}")
-    fitted = _fit_to_length(noise.samples, len(signal))
-    rms_s = rms(signal)
-    rms_n = float(np.sqrt(np.mean(fitted**2)))
+def _mix(samples: np.ndarray, fitted: np.ndarray, rms_n: float, target_snr_db: float,
+         formula: str) -> np.ndarray:
+    """samples plus fitted noise (of RMS rms_n) scaled so the formula's SNR hits target_snr_db;
+    never clipped, only warned about when it leaves [-1, 1]."""
+    rms_s = rms(samples)
     if rms_s == 0.0:
         raise ValueError("silent signal: SNR undefined")
     if rms_n == 0.0:
         raise ValueError("silent noise: SNR undefined")
     divisor = 40.0 if formula == PAPER else 20.0
     c = (rms_s / rms_n) * 10.0 ** (-float(target_snr_db) / divisor)
-    mixed = signal.samples + c * fitted
+    mixed = samples + c * fitted
     if np.max(np.abs(mixed)) > 1.0:
         warnings.warn("mixed amplitude exceeds [-1, 1]; output left unclipped")
-    return Waveform(mixed, signal.sample_rate)
+    return mixed
 
 
 def measure_snr(signal: Waveform, scaled_noise: Waveform, formula: str = PAPER) -> float:
@@ -249,30 +193,54 @@ class Manipulation:
         return f"add_noise:{self.noise_id}" if self.kind == "add_noise" else self.kind
 
     def is_identity(self) -> bool:
-        if self.kind == "resample":
-            return self.magnitude == 0
-        if self.kind == "speed":
-            return self.magnitude == 1.0
-        if self.kind == "pitch":
-            return self.magnitude == 0
-        return False
+        # resample offset 0 Hz, speed rate 1.0, pitch 0 semitones; no SNR leaves a clip as it is
+        return self.magnitude == {"resample": 0, "speed": 1.0, "pitch": 0}.get(self.kind)
 
 
 def apply_manipulation(waves, m: Manipulation, bank=None, formula: str = PAPER) -> list:
     """Apply one manipulation to a list of clips; results in input order.
 
-    Resample and pitch convert each group of clips sharing a sample rate
-    and length in one resampler call, so the group shares its kernels.
+    An identity manipulation returns copies, bit for bit. Otherwise the clips are grouped by
+    (sample_rate, length) and each group is converted once: resample resamples the stacked
+    group in one call, so it shares the kernels; speed stretches each clip; pitch stretches
+    each clip and resamples the group in one call; add_noise fits the noise to the group's
+    length and takes its RMS once, then mixes each clip.
     """
-    if m.kind == "resample":
-        return _per_group(waves, lambda group: _resample_group(group, int(m.magnitude)))
-    if m.kind == "speed":
-        return [time_stretch(w, m.magnitude) for w in waves]
-    if m.kind == "pitch":
-        return _per_group(waves, lambda group: _pitch_group(group, int(m.magnitude)))
-    if bank is None:
-        raise ValueError("add_noise manipulation needs a noise bank")
-    return [mix_noise(w, bank.get(m.noise_id), m.magnitude, formula) for w in waves]
+    if m.is_identity():
+        return [Waveform(w.samples.copy(), w.sample_rate) for w in waves]
+    if m.kind == "speed" and m.magnitude <= 0:
+        raise ValueError("stretch rate must be positive")
+    if m.kind == "add_noise":
+        if bank is None:
+            raise ValueError("add_noise manipulation needs a noise bank")
+        if formula not in (PAPER, STANDARD):
+            raise ValueError(f"unknown SNR formula {formula!r}")
+        noise = bank.get(m.noise_id)
+    groups = {}
+    for i, w in enumerate(waves):
+        groups.setdefault((w.sample_rate, len(w)), []).append(i)
+    out = [None] * len(waves)
+    for (rate, n), members in groups.items():
+        clips = [waves[i].samples for i in members]
+        if m.kind == "resample":
+            new_rate = rate + int(m.magnitude)
+            if new_rate <= 0:
+                raise ValueError(f"target sample rate {new_rate} is not positive")
+            rows = _resample_by_ratio(np.stack(clips), new_rate / rate)
+            rate = new_rate
+        elif m.kind == "speed":
+            rows = [_stretch(c, float(m.magnitude)) for c in clips]
+        elif m.kind == "pitch":
+            rows = _pitch(clips, int(m.magnitude))
+        else:
+            if rate != noise.sample_rate:
+                raise ValueError(f"sample rates differ: signal {rate}, noise {noise.sample_rate}")
+            fitted = np.resize(noise.samples, n)  # tiled end to end when short, truncated when long
+            rms_n = rms(fitted)
+            rows = [_mix(c, fitted, rms_n, m.magnitude, formula) for c in clips]
+        for i, row in zip(members, rows):
+            out[i] = Waveform(row, rate)
+    return out
 
 
 @dataclass(frozen=True)
@@ -290,11 +258,14 @@ class NoiseBank:
 
 
 def load_noise_bank(directory, working_rate: int = 16000) -> NoiseBank:
-    """Read every WAV in a directory, resampling to the working rate."""
+    """Read every WAV in a directory, resampling to the working rate; an empty or all-zero WAV
+    raises AudioFormatError, since no SNR can be set with it."""
     directory = Path(directory)
     entries = {}
     for path in sorted(directory.glob("*.wav")):
         w = load_wav(path)
+        if not np.any(w.samples):
+            raise AudioFormatError(f"{path}: noise of {len(w)} samples, none of them nonzero, so no SNR can be set")
         if w.sample_rate != working_rate:
             samples = _resample_by_ratio(w.samples, working_rate / w.sample_rate)
             w = Waveform(samples, working_rate)

@@ -1,7 +1,7 @@
 """Binary detection metrics with fake as the positive class.
 
 Thresholded rates treat a clip as predicted-fake when its score is
-greater than or equal to the threshold. Ranking metrics group tied
+greater than or equal to DECISION_THRESHOLD. Ranking metrics group tied
 scores so reorderings within a tie cannot change the result.
 """
 
@@ -11,6 +11,8 @@ import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+DECISION_THRESHOLD = 0.5  # a score at or above it is a fake, in the rates here and in detector.predict
 
 
 def _as_arrays(labels, scores):
@@ -27,10 +29,10 @@ def _as_arrays(labels, scores):
     return labels, scores
 
 
-def threshold_metrics(labels, scores, threshold: float = 0.5) -> dict:
-    """Accuracy, F1, FPR and FNR at a fixed decision threshold."""
+def threshold_metrics(labels, scores) -> dict:
+    """Accuracy, F1, FPR and FNR at DECISION_THRESHOLD."""
     labels, scores = _as_arrays(labels, scores)
-    pred = scores >= threshold
+    pred = scores >= DECISION_THRESHOLD
     tp = int(np.sum(pred & (labels == 1)))
     fp = int(np.sum(pred & (labels == 0)))
     fn = int(np.sum(~pred & (labels == 1)))
@@ -105,8 +107,8 @@ def eer(labels, scores) -> float:
     return float(fpr[idx - 1] + alpha * (fpr[idx] - fpr[idx - 1]))
 
 
-def compute_all(labels, scores, threshold: float = 0.5) -> dict:
-    out = threshold_metrics(labels, scores, threshold)
+def compute_all(labels, scores) -> dict:
+    out = threshold_metrics(labels, scores)
     out["auc"] = roc_auc(labels, scores)
     out["ap"] = average_precision(labels, scores)
     out["eer"] = eer(labels, scores)

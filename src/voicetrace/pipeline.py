@@ -612,7 +612,10 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
         frozen.append(paths.thresholds)
     hashes_before = _sha256s(frozen)
 
-    bank = load_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"])
+    try:
+        bank = load_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"])
+    except FormatError as exc:  # a WAV that does not decode, or that holds no nonzero sample
+        raise stage.error(f"{exc}; rerun the gen-data stage or fix the noise bank") from exc
     sample = _sample_records(records, cfg["sweep"]["sample_per_class"])
     stage.require_two("the labels of the sampled test-split clips", [r.label for r in sample])
     waves = [_load_clip(root / r.path) for r in sample]
@@ -657,11 +660,10 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     write_report(paths.sweep_report, merged)
 
     with open(paths.sweep_long, "w", newline="", encoding="utf-8") as fh:
-        fh.write("dataset,criterion,manipulation,magnitude,metric,value\n")
-        for row in merged:
-            for metric in REPORT_COLUMNS[4:]:
-                fh.write(f"{row.dataset},{row.criterion},{row.manipulation},"
-                         f"{row.magnitude!r},{metric},{getattr(row, metric)!r}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["dataset", "criterion", "manipulation", "magnitude", "metric", "value"])
+        writer.writerows([row.dataset, row.criterion, row.manipulation, repr(row.magnitude), metric,
+                          repr(getattr(row, metric))] for row in merged for metric in REPORT_COLUMNS[4:])
     with open(paths.sweep_failures, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["cell", "manipulation", "magnitude", "error"])

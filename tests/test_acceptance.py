@@ -34,10 +34,9 @@ from voicetrace.detector import (
 )
 from voicetrace.manipulate import (
     Manipulation,
+    NoiseBank,
     apply_manipulation,
     measure_snr,
-    mix_noise,
-    time_stretch,
 )
 from voicetrace.metrics import average_precision, eer, roc_auc
 from voicetrace.nn import TrainConfig
@@ -162,6 +161,15 @@ def test_criterion_2_gradient_checks(verdict):
             f"backbone={backbone_err:.2e} detector={detector_err:.2e} elapsed={elapsed:.1f}s")
 
 
+def _mix_noise(signal, noise, target_snr_db, formula):
+    bank = NoiseBank({"noise": noise})
+    return apply_manipulation([signal], Manipulation("add_noise", target_snr_db, "noise"), bank, formula)[0]
+
+
+def _time_stretch(w, rate):
+    return apply_manipulation([w], Manipulation("speed", rate))[0]
+
+
 def test_criterion_3_snr_exactness(verdict):
     rng = np.random.default_rng(77)
     targets = (25.0, 30.0, 35.0, 40.0, 45.0)
@@ -172,7 +180,7 @@ def test_criterion_3_snr_exactness(verdict):
         signal = Waveform(rng.normal(0.0, 0.1, n_signal), SR)
         noise = Waveform(rng.normal(0.0, 0.05, n_noise), SR)
         target = targets[i % len(targets)]
-        mixed = mix_noise(signal, noise, target, formula="paper")
+        mixed = _mix_noise(signal, noise, target, formula="paper")
         added = Waveform(mixed.samples - signal.samples, SR)
         measured = measure_snr(signal, added, formula="paper")
         worst = max(worst, abs(measured - target))
@@ -189,7 +197,7 @@ def test_criterion_4_dsp_sanity(verdict):
     dominant = np.fft.rfftfreq(len(shifted), 1.0 / SR)[int(np.argmax(spectrum))]
     pitch_ok = abs(dominant - 880.0) <= 10.0
 
-    stretched = time_stretch(tone, 0.5)
+    stretched = _time_stretch(tone, 0.5)
     stretch_ok = abs(len(stretched) - 2 * len(tone)) <= 512
 
     identity_ok = True

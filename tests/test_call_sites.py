@@ -1,6 +1,8 @@
-"""One momentum-SGD loop and one gradient check: the package calls momentum_sgd and
-init_weights only inside backbone.fit, and central_difference_check only inside
-backbone._check_gradients, so every fit and every gradient check runs through those two."""
+"""One momentum-SGD loop, one gradient check and one manipulation path: the package calls
+momentum_sgd and init_weights only inside backbone.fit, central_difference_check only inside
+backbone._check_gradients, _mix only inside manipulate.apply_manipulation, and _stretch only
+there and in manipulate._pitch, so every fit, every gradient check and every stretch or noise
+mix runs through them."""
 
 import ast
 from pathlib import Path
@@ -12,6 +14,10 @@ SINGLE_CALLERS = {
     "momentum_sgd": ["backbone.fit"],
     "init_weights": ["backbone.fit"],
     "central_difference_check": ["backbone._check_gradients"],
+}
+MANIPULATION_CALLERS = {
+    "_mix": ["manipulate.apply_manipulation"],
+    "_stretch": ["manipulate._pitch", "manipulate.apply_manipulation"],
 }
 
 
@@ -41,6 +47,12 @@ def _call_sites(source: str, module: str, name: str):
     return sites
 
 
+def _sites(name):
+    """Every call site of name in src/, module by module."""
+    return [site for path in SOURCES
+            for site in _call_sites(path.read_text(encoding="utf-8"), path.stem, name)]
+
+
 def test_the_walk_sees_a_call_in_every_form():
     source = (
         "from .nn import momentum_sgd as sgd\n"
@@ -63,11 +75,14 @@ def test_the_walk_sees_a_call_in_every_form():
 
 
 def test_every_module_is_walked():
-    assert {"backbone.py", "detector.py", "nn.py", "pipeline.py"} <= {p.name for p in SOURCES}
+    assert {"backbone.py", "detector.py", "manipulate.py", "nn.py", "pipeline.py"} <= {p.name for p in SOURCES}
 
 
 @pytest.mark.parametrize("name, callers", SINGLE_CALLERS.items(), ids=SINGLE_CALLERS)
 def test_each_training_and_checking_helper_has_one_call_site(name, callers):
-    sites = [site for path in SOURCES
-             for site in _call_sites(path.read_text(encoding="utf-8"), path.stem, name)]
-    assert sites == callers
+    assert _sites(name) == callers
+
+
+@pytest.mark.parametrize("name, callers", MANIPULATION_CALLERS.items(), ids=MANIPULATION_CALLERS)
+def test_the_stretch_and_the_noise_mix_are_called_only_on_the_one_manipulation_path(name, callers):
+    assert _sites(name) == callers

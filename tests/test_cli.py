@@ -674,6 +674,54 @@ def test_sweep_failure_with_comma_stays_one_csv_field(chain, tmp_path, monkeypat
                     ["1", "speed", "1.1", "ValueError: a, b"]]
 
 
+def test_a_noise_id_with_a_comma_stays_one_field_of_sweep_long(chain, tmp_path):
+    out, _ = chain
+    part = tmp_path / "comma"
+    shutil.copytree(out, part)
+    (part / "noise" / "outdoor_rain.wav").rename(part / "noise" / "outdoor_rain,heavy.wav")
+    config_path = _write_config(tmp_path, {"sweep.snrs_db": [45]})  # no mix clips at 45 dB
+    rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    assert rc == 0
+    with open(part / "sweep_long.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["dataset", "criterion", "manipulation", "magnitude", "metric", "value"]
+    # the baseline, 3 identity cells and 12 noise cells, for 2 criteria and 7 metrics
+    assert len(rows) == 1 + 16 * 2 * 7
+    assert all(len(row) == 6 for row in rows)
+    named = [row for row in rows if row[2] == "add_noise:outdoor_rain,heavy"]
+    assert len(named) == 2 * 7
+    with open(part / "sweep_report.csv", newline="", encoding="utf-8") as fh:
+        report = list(csv.DictReader(fh))
+    assert sum(r["manipulation"] == "add_noise:outdoor_rain,heavy" for r in report) == 2
+
+
+@pytest.mark.parametrize("samples, refusal", [
+    (np.zeros(0), "noise of 0 samples, none of them nonzero, so no SNR can be set"),
+    (np.zeros(1600), "noise of 1600 samples, none of them nonzero, so no SNR can be set"),
+    (None, "not a RIFF/WAVE file"),
+], ids=["empty", "silent", "undecodable"])
+def test_an_empty_silent_or_undecodable_noise_wav_exits_2_writing_no_report(chain, tmp_path, capsys,
+                                                                           samples, refusal):
+    out, _ = chain
+    part = tmp_path / "run"
+    shutil.copytree(out, part)
+    for name in (*SWEEP_FILES, "audit_sweep.json"):
+        (part / name).unlink()
+    bad = part / "noise" / "outdoor_rain.wav"
+    if samples is None:
+        bad.write_bytes(b"RIFF")
+    else:
+        save_wav(Waveform(samples, 16000), bad)
+    config_path = _write_config(tmp_path, {"sweep.snrs_db": [30]})
+    rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: sweep: {bad}: {refusal}")
+    assert err.rstrip().endswith("; rerun the gen-data stage or fix the noise bank")
+    assert "Traceback" not in err
+    assert not any((part / name).exists() for name in (*SWEEP_FILES, "audit_sweep.json"))
+
+
 def test_sweep_decodes_each_sampled_clip_once_and_shares_it_read_only(chain, tmp_path, monkeypatch):
     out, _ = chain
     part = tmp_path / "shared"
