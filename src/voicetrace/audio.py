@@ -191,16 +191,15 @@ def stft(w, window_size: int, hop: int) -> np.ndarray:
         raise ValueError(
             f"signal of {samples.size} samples is shorter than one window ({window_size})"
         )
-    return _windowed_rfft(samples, hann_window(window_size), hop, window_size)
+    frames = np.lib.stride_tricks.sliding_window_view(samples, window_size)[::hop]
+    return np.fft.rfft(frames * hann_window(window_size), axis=1)
 
 
-def _windowed_rfft(samples: np.ndarray, window: np.ndarray, hop: int, fft_size: int,
-                   scratch: np.ndarray | None = None) -> np.ndarray:
-    """rfft of the windowed frames, zero-padded to fft_size in scratch's rows when given."""
+def _windowed_rfft(samples: np.ndarray, window: np.ndarray, hop: int, scratch: np.ndarray) -> np.ndarray:
+    """rfft of the windowed frames, each zero-padded to the width of scratch, whose rows hold them;
+    the columns past the window must be zero."""
     frames = np.lib.stride_tricks.sliding_window_view(samples, window.size)[::hop]
-    if fft_size == window.size:
-        return np.fft.rfft(frames * window, axis=1)
-    padded = np.zeros((frames.shape[0], fft_size)) if scratch is None else scratch[: frames.shape[0]]
+    padded = scratch[: frames.shape[0]]
     np.multiply(frames, window, out=padded[:, : window.size])
     return np.fft.rfft(padded, axis=1)
 
@@ -266,22 +265,20 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def log_mel(waves, frames: int, window_size: int = WINDOW, hop: int = HOP, mel_bins: int = 64) -> np.ndarray:
+def log_mel(waves, frames: int, mel_bins: int = 64) -> np.ndarray:
     """Log mel-energy maps of a block of waveforms, shape (len(waves), frames, mel_bins).
 
     Each map is |STFT|^2 -> triangular mel filterbank -> log(x + 1e-6) on the
-    window_size/hop grid, every windowed frame zero-padded to the next power
-    of two for the FFT. A clip with n = 1 + (len - window_size) // hop frames
+    WINDOW/HOP grid, every windowed frame zero-padded to the next power
+    of two for the FFT. A clip with n = 1 + (len - WINDOW) // HOP frames
     is center-cropped to `frames` rows (first kept frame (n - frames) // 2) or
     zero-padded ((frames - n) // 2 rows before it). The block's clips share one frame, power and
     energy buffer, and each multiplies only its own min(n, frames) rows by the filterbank.
     """
     if frames <= 0:
         raise ValueError("frames must be positive")
-    if not 1 <= hop <= window_size:
-        raise ValueError(f"hop must be in [1, window_size], got {hop}")
-    fft_size = _next_pow2(window_size)
-    window = hann_window(window_size)
+    fft_size = _next_pow2(WINDOW)
+    window = hann_window(WINDOW)
     banks = {}
     out = np.zeros((len(waves), frames, mel_bins))
     padded = np.zeros((frames, fft_size))
@@ -289,19 +286,17 @@ def log_mel(waves, frames: int, window_size: int = WINDOW, hop: int = HOP, mel_b
     energies = np.empty((frames, mel_bins))
     for row, w in zip(out, waves):
         samples = w.samples
-        if samples.size < window_size:
-            raise ValueError(
-                f"signal of {samples.size} samples is shorter than one window ({window_size})"
-            )
-        n = 1 + (samples.size - window_size) // hop
+        if samples.size < WINDOW:
+            raise ValueError(f"signal of {samples.size} samples is shorter than one window ({WINDOW})")
+        n = 1 + (samples.size - WINDOW) // HOP
         if n > frames:
-            start = (n - frames) // 2 * hop
-            samples = samples[start : start + (frames - 1) * hop + window_size]
+            start = (n - frames) // 2 * HOP
+            samples = samples[start : start + (frames - 1) * HOP + WINDOW]
         m = min(n, frames)
         first = (frames - m) // 2
         if w.sample_rate not in banks:
             banks[w.sample_rate] = mel_filterbank(w.sample_rate, fft_size, mel_bins).T
-        np.abs(_windowed_rfft(samples, window, hop, fft_size, padded), out=power[:m])
+        np.abs(_windowed_rfft(samples, window, HOP, padded), out=power[:m])
         np.square(power[:m], out=power[:m])
         np.matmul(power[:m], banks[w.sample_rate], out=energies[:m])
         energies[:m] += 1e-6

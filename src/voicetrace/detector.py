@@ -1,12 +1,12 @@
 """Shallow binary real/fake classifier over coverage feature vectors.
 
-Five fully-connected layers (four ReLU hidden layers, one logit) built
-as a flat-input NetworkSpec, run by the backbone's network engine and
-trained by backbone.fit. This module adds only what is specific to the
-detector: the sigmoid / binary cross-entropy head, the feature
-Standardizer and the NSD1 file format. Fake is the positive class.
-Training runs in float32, the dtype NSD1 stores; scoring and the
-gradient check run in float64.
+detector_network builds the five fully-connected layers (four ReLU hidden
+layers, one logit) as a flat-input NetworkSpec, run by the backbone's
+engine and trained by backbone.fit. train_detector fits that network and
+the feature Standardizer on its own train rows. This module adds only the
+sigmoid / binary cross-entropy head, the Standardizer and the NSD1 file
+format. Fake is the positive class. Training runs in float32, the dtype
+NSD1 stores; scoring and the gradient check run in float64.
 """
 
 from __future__ import annotations
@@ -26,22 +26,16 @@ from .nn import TrainConfig, sigmoid
 
 _MAGIC = b"NSD1"
 _VERSION = 1
+HIDDEN = (256, 128, 64, 32)  # the widths of the four ReLU layers
 
 
-@dataclass(frozen=True)
-class DetectorSpec:
-    input_width: int
-    hidden: tuple = (256, 128, 64, 32)
-
-    def __post_init__(self):
-        if self.input_width < 1:
-            raise ValueError("input_width must be positive")
-        if len(self.hidden) != 4:
-            raise ValueError("detector has exactly five FC layers: four hidden plus the output")
-
-    def network(self) -> NetworkSpec:
-        """One ReLU FC layer per hidden width, then one FC logit; tensors fc1..fc5."""
-        return NetworkSpec([*map(FullyConnected, self.hidden), FullyConnected(1)], (self.input_width,))
+def detector_network(input_width: int, hidden=HIDDEN) -> NetworkSpec:
+    """One ReLU FC layer per hidden width, then one FC logit; tensors fc1..fc5."""
+    if input_width < 1:
+        raise ValueError("input_width must be positive")
+    if len(hidden) != 4:
+        raise ValueError("detector has exactly five FC layers: four hidden plus the output")
+    return NetworkSpec([*map(FullyConnected, hidden), FullyConnected(1)], (input_width,))
 
 
 @dataclass(frozen=True)
@@ -60,10 +54,6 @@ class Standardizer:
         std = np.maximum(features.std(axis=0), 1e-8)
         return cls(mean, std)
 
-    @classmethod
-    def identity(cls, width: int) -> "Standardizer":
-        return cls(np.zeros(width), np.ones(width))
-
     def transform(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
 
@@ -78,7 +68,7 @@ class Prediction:
 class DetectorModel:
     """A trained detector: its network, weights and standardizer, and the criterion and k it reads."""
 
-    spec: DetectorSpec
+    network: NetworkSpec
     weights: WeightStore  # fcN.weight / fcN.bias
     standardizer: Standardizer
     criterion: str = ""
@@ -95,38 +85,25 @@ def _bce_loss(logits: np.ndarray, targets: np.ndarray):
     return loss, dlogits
 
 
-def train_detector(
-    features: np.ndarray,
-    labels,
-    config: TrainConfig,
-    spec: DetectorSpec | None = None,
-    standardizer: Standardizer | None = None,
-    criterion: str = "",
-    k: int = 0,
-) -> DetectorModel:
+def train_detector(features: np.ndarray, labels, config: TrainConfig, hidden=HIDDEN, criterion: str = "",
+                   k: int = 0) -> DetectorModel:
     """BCE-head fit in float32; lr_t = lr0 / (1 + decay * t) per global step.
 
-    labels are 1 for fake, 0 for real. When a standardizer is given it is
-    applied before training and bundled into the returned model, so
-    predict() accepts raw features.
+    labels are 1 for fake, 0 for real. The network's width and the Standardizer
+    come from these rows; the model carries the Standardizer, so predict()
+    accepts raw features.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim != 2:
-        raise ValueError("features must be a 2-D matrix")
+    standardizer = Standardizer.fit(features)  # refuses all but a non-empty 2-D matrix
     if features.shape[0] != labels.size:
         raise ValueError("features and labels must align")
     if np.unique(labels).size < 2:
         raise ValueError("training needs both classes present")
-    if spec is None:
-        spec = DetectorSpec(features.shape[1])
-    if features.shape[1] != spec.input_width:
-        raise ValueError(f"feature width {features.shape[1]} does not match spec {spec.input_width}")
-    if standardizer is None:
-        standardizer = Standardizer.identity(spec.input_width)
-    x_all = standardizer.transform(features).astype(np.float32)
-    weights, epoch_losses = fit(spec.network(), x_all, labels, config, _bce_loss)
-    return DetectorModel(spec, weights, standardizer, criterion, k, epoch_losses)
+    network = detector_network(features.shape[1], hidden)
+    weights, epoch_losses = fit(network, standardizer.transform(features).astype(np.float32), labels,
+                                config, _bce_loss)
+    return DetectorModel(network, weights, standardizer, criterion, k, epoch_losses)
 
 
 def score_batch(model: DetectorModel, features: np.ndarray) -> np.ndarray:
@@ -134,12 +111,11 @@ def score_batch(model: DetectorModel, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
         features = features[None]
-    if features.shape[1] != model.spec.input_width:
-        raise ValueError(
-            f"feature width {features.shape[1]} does not match model input {model.spec.input_width}"
-        )
+    width = model.network.input_shape[0]
+    if features.shape[1] != width:
+        raise ValueError(f"feature width {features.shape[1]} does not match model input {width}")
     x = model.standardizer.transform(features)
-    logits = _run_layers(model.spec.network(), model.weights.params64(), x)[-1]
+    logits = _run_layers(model.network, model.weights.params64(), x)[-1]
     return sigmoid(logits.ravel())
 
 
@@ -155,7 +131,7 @@ def gradient_check(model: DetectorModel, feature, label: int, eps: float = 1e-3)
     """
     x = model.standardizer.transform(np.asarray(feature, dtype=np.float64)[None])
     y = np.asarray([label], dtype=np.int64)
-    return _check_gradients(model.spec.network(), model.weights.as_float64(), x, y, _bce_loss, eps)
+    return _check_gradients(model.network, model.weights.as_float64(), x, y, _bce_loss, eps)
 
 
 def save_detector(model: DetectorModel, path) -> None:
@@ -194,13 +170,13 @@ def load_detector(path) -> DetectorModel:
         raise WeightFormatError(f"{path}: detector needs exactly fc1..fc5 weight/bias tensors")
     try:
         hidden = tuple(tensors[f"fc{i}.weight"].shape[1] for i in range(1, 5))
-        spec = DetectorSpec(tensors["fc1.weight"].shape[0], hidden)
+        network = detector_network(tensors["fc1.weight"].shape[0], hidden)
         store = WeightStore(tensors)
-        store.validate(spec.network())
-        if mean.shape != (spec.input_width,) or std.shape != mean.shape:
-            raise ValueError(f"standardization tensors do not match input width {spec.input_width}")
+        store.validate(network)
+        if mean.shape != network.input_shape or std.shape != mean.shape:
+            raise ValueError(f"standardization tensors do not match input width {network.input_shape[0]}")
         if not all(np.all(np.isfinite(t)) for t in (*tensors.values(), mean, std)) or np.any(std <= 0):
             raise ValueError("weights and standardization must be finite, with every std above 0")
     except ValueError as exc:  # WeightFormatError is one
         raise WeightFormatError(f"{path}: {exc}") from exc
-    return DetectorModel(spec, store, Standardizer(mean, std), criterion, k)
+    return DetectorModel(network, store, Standardizer(mean, std), criterion, k)

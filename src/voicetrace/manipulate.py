@@ -258,8 +258,9 @@ class NoiseBank:
 
 
 def load_noise_bank(directory, working_rate: int = 16000) -> NoiseBank:
-    """Read every WAV in a directory, resampling to the working rate; an empty or all-zero WAV
-    raises AudioFormatError, since no SNR can be set with it."""
+    """Read every WAV in a directory, resampling to the working rate; an empty or all-zero WAV, or
+    one too short to keep a sample at the working rate, raises AudioFormatError, since no SNR can
+    be set with it."""
     directory = Path(directory)
     entries = {}
     for path in sorted(directory.glob("*.wav")):
@@ -267,7 +268,10 @@ def load_noise_bank(directory, working_rate: int = 16000) -> NoiseBank:
         if not np.any(w.samples):
             raise AudioFormatError(f"{path}: noise of {len(w)} samples, none of them nonzero, so no SNR can be set")
         if w.sample_rate != working_rate:
-            samples = _resample_by_ratio(w.samples, working_rate / w.sample_rate)
+            try:
+                samples = _resample_by_ratio(w.samples, working_rate / w.sample_rate)
+            except ValueError as exc:  # too few samples to keep one at the working rate
+                raise AudioFormatError(f"{path}: noise of {len(w)} samples at {w.sample_rate} Hz: {exc}") from exc
             w = Waveform(samples, working_rate)
         entries[path.stem] = w
     if not entries:

@@ -35,7 +35,7 @@ from .backbone import (ActivationTrace, NetworkSpec, WeightStore, classify, forw
 from .corpus import ARTIFACTS, FAKE, REAL, CorpusSpec, generate_corpus, load_manifest
 from .coverage import (ACN, TKAN, _is_number, acn_features, calibrate_thresholds, load_thresholds,
                        read_feature_csv, save_thresholds, tkan_features, write_feature_csv)
-from .detector import Standardizer, load_detector, save_detector, score_batch, train_detector
+from .detector import load_detector, save_detector, score_batch, train_detector
 from .errors import AudioFormatError, ConfigError, FeatureFormatError, FormatError, StageError
 from .manipulate import NOISE_SECONDS, Manipulation, apply_manipulation, generate_noise_bank, load_noise_bank
 from .metrics import REPORT_COLUMNS, MetricRow, compute_all, write_report
@@ -161,6 +161,9 @@ def _validate(cfg: dict) -> None:
         for value in cfg["sweep"][field]:
             if value % 1:
                 raise ConfigError(f"sweep.{field} must hold whole numbers, got {value!r}")
+    for value in cfg["sweep"]["speed_rates"]:  # a stretch needs a positive rate
+        if value <= 0:
+            raise ConfigError(f"sweep.speed_rates must hold rates > 0, got {value!r}")
     try:
         spec = reference_spec(c["num_speakers"], (f["frames"], f["mel_bins"], 1))
     except ValueError as exc:
@@ -301,9 +304,9 @@ class _Stage:
         """The criterion's detector, refused when trained under another k or feature width."""
         model = self.need(self.paths.detector(criterion), "train-detector", load_detector)
         k = self.cfg["coverage"]["k"] if criterion == TKAN else 0
-        if (model.criterion, model.k, model.spec.input_width) != (criterion, k, width):
+        if (model.criterion, model.k, model.network.input_shape) != (criterion, k, (width,)):
             raise self.error(f"{self.paths.detector(criterion)} was trained for {model.criterion!r} "
-                             f"k={model.k} on {model.spec.input_width} features, but this run needs "
+                             f"k={model.k} on {model.network.input_shape[0]} features, but this run needs "
                              f"{criterion!r} k={k} on {width}; rerun the train-detector stage")
         return model
 
@@ -534,8 +537,8 @@ def cmd_train_detector(cfg: dict, jobs: int = 1):
 
     def fit(criterion):
         x_train, y_train = train[criterion]
-        return train_detector(x_train, y_train, config, standardizer=Standardizer.fit(x_train),
-                              criterion=criterion, k=cfg["coverage"]["k"] if criterion == TKAN else 0)
+        return train_detector(x_train, y_train, config, criterion=criterion,
+                              k=cfg["coverage"]["k"] if criterion == TKAN else 0)
 
     models = dict(zip(criteria, _map_in_children(
         stage, fit, criteria, jobs, lambda held: f"the {' and '.join(criteria[i] for i in held)} fit")))

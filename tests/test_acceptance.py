@@ -7,8 +7,10 @@ configuration, so this module doubles as a worked example of the pipeline.
 import csv
 import hashlib
 import json
+import re
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from voicetrace.cli import main
 from voicetrace.corpus import ManifestRecord, load_manifest, save_manifest
 from voicetrace.coverage import acn_features, calibrate_thresholds, tkan_features
 from voicetrace.detector import (
-    DetectorSpec,
     gradient_check as detector_gradient_check,
     train_detector,
 )
@@ -151,7 +152,7 @@ def test_criterion_2_gradient_checks(verdict):
     y = np.concatenate([np.zeros(20, dtype=int), np.ones(20, dtype=int)])
     model = train_detector(
         x, y, TrainConfig(lr=0.05, epochs=10, batch_size=8, seed=3),
-        spec=DetectorSpec(2, hidden=(4, 3, 3, 2)),
+        hidden=(4, 3, 3, 2),
     )
     detector_err = detector_gradient_check(model, x[0], label=0)
 
@@ -392,3 +393,15 @@ def test_criterion_9_format_round_trips(verdict, tmp_path):
     ok &= load_manifest(tmp_path / "manifest.tsv", check_paths=False) == records
 
     verdict(9, "format round-trips", ok, "nsw1 weights, pcm16 wav, manifest")
+
+
+def test_the_readme_library_use_block_scores_a_clip_of_the_default_chain(full_run, capsys):
+    out, _ = full_run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "runs/demo" in block
+    exec(compile(block.replace("runs/demo", str(out)), "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    match = re.fullmatch(r"Prediction\(score=(\S+), label='(real|fake)'\)\n", printed)
+    assert match, printed
+    assert 0.0 <= float(match[1]) <= 1.0

@@ -277,12 +277,6 @@ def test_log_mel_rejects_a_clip_shorter_than_one_window():
         log_mel([_clip(rng, 4000), _clip(rng, 399)], 50)
 
 
-def test_log_mel_rejects_a_hop_longer_than_the_window():
-    rng = np.random.default_rng(4)
-    with pytest.raises(ValueError, match="hop"):
-        log_mel([_clip(rng, 4000)], 5, window_size=400, hop=500)
-
-
 def test_log_mel_rejects_non_finite_output():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         log_mel([Waveform(np.full(4000, 1e200), 16000)], 50)
@@ -293,7 +287,7 @@ def test_stft_zero_padded_fft_equals_rfft_with_n():
     x = rng.uniform(-0.5, 0.5, 4000)
     frames = np.lib.stride_tricks.sliding_window_view(x, 400)[::160]
     expected = np.fft.rfft(frames * hann_window(400), n=512, axis=1)
-    assert np.array_equal(_windowed_rfft(x, hann_window(400), 160, 512), expected)
+    assert np.array_equal(_windowed_rfft(x, hann_window(400), 160, np.zeros((frames.shape[0], 512))), expected)
 
 
 def test_log_mel_zero_signal_floor():

@@ -23,7 +23,7 @@ from voicetrace.backbone import (
     save_weights,
     train_backbone,
 )
-from voicetrace.detector import DetectorSpec
+from voicetrace.detector import detector_network
 from voicetrace.errors import WeightFormatError
 from voicetrace.nn import TrainConfig, glorot_uniform
 
@@ -681,7 +681,7 @@ def _glorot_by_kind(spec, seed):
     return tensors
 
 
-ENGINE_SPECS = {"tiny": TINY_SPEC, "reference": reference_spec(8), "detector": DetectorSpec(30).network()}
+ENGINE_SPECS = {"tiny": TINY_SPEC, "reference": reference_spec(8), "detector": detector_network(30)}
 
 
 @pytest.mark.parametrize("spec", ENGINE_SPECS.values(), ids=ENGINE_SPECS)
@@ -705,7 +705,7 @@ SPEC_LITERALS = {
          (6, "fc3", 8)],
     ),
     "detector": (
-        DetectorSpec(30).network(),
+        detector_network(30),
         {"fc1.weight": (30, 256), "fc1.bias": (256,), "fc2.weight": (256, 128), "fc2.bias": (128,),
          "fc3.weight": (128, 64), "fc3.bias": (64,), "fc4.weight": (64, 32), "fc4.bias": (32,),
          "fc5.weight": (32, 1), "fc5.bias": (1,)},

@@ -1,8 +1,10 @@
-"""One momentum-SGD loop, one gradient check and one manipulation path: the package calls
-momentum_sgd and init_weights only inside backbone.fit, central_difference_check only inside
-backbone._check_gradients, _mix only inside manipulate.apply_manipulation, and _stretch only
-there and in manipulate._pitch, so every fit, every gradient check and every stretch or noise
-mix runs through them."""
+"""One momentum-SGD loop, one gradient check, one manipulation path, one network engine and one
+detector definition: the package calls momentum_sgd and init_weights only inside backbone.fit,
+central_difference_check only inside backbone._check_gradients, _mix only inside
+manipulate.apply_manipulation, and _stretch only there and in manipulate._pitch, so every fit,
+every gradient check and every stretch or noise mix runs through them. _run_layers runs every
+forward pass, and detector_network builds a detector's network only where one is trained or
+loaded."""
 
 import ast
 from pathlib import Path
@@ -18,6 +20,11 @@ SINGLE_CALLERS = {
 MANIPULATION_CALLERS = {
     "_mix": ["manipulate.apply_manipulation"],
     "_stretch": ["manipulate._pitch", "manipulate.apply_manipulation"],
+}
+NETWORK_CALLERS = {
+    "detector_network": ["detector.train_detector", "detector.load_detector"],
+    "_run_layers": ["backbone.forward_batch", "backbone._loss_and_grads", "backbone._check_gradients",
+                    "detector.score_batch"],
 }
 
 
@@ -85,4 +92,9 @@ def test_each_training_and_checking_helper_has_one_call_site(name, callers):
 
 @pytest.mark.parametrize("name, callers", MANIPULATION_CALLERS.items(), ids=MANIPULATION_CALLERS)
 def test_the_stretch_and_the_noise_mix_are_called_only_on_the_one_manipulation_path(name, callers):
+    assert _sites(name) == callers
+
+
+@pytest.mark.parametrize("name, callers", NETWORK_CALLERS.items(), ids=NETWORK_CALLERS)
+def test_one_engine_runs_every_network_and_a_detector_network_is_built_once_per_model(name, callers):
     assert _sites(name) == callers

@@ -695,23 +695,26 @@ def test_a_noise_id_with_a_comma_stays_one_field_of_sweep_long(chain, tmp_path):
     assert sum(r["manipulation"] == "add_noise:outdoor_rain,heavy" for r in report) == 2
 
 
-@pytest.mark.parametrize("samples, refusal", [
-    (np.zeros(0), "noise of 0 samples, none of them nonzero, so no SNR can be set"),
-    (np.zeros(1600), "noise of 1600 samples, none of them nonzero, so no SNR can be set"),
+@pytest.mark.parametrize("wave, refusal", [
+    (Waveform(np.zeros(0), 16000), "noise of 0 samples, none of them nonzero, so no SNR can be set"),
+    (Waveform(np.zeros(1600), 16000), "noise of 1600 samples, none of them nonzero, so no SNR can be set"),
     (None, "not a RIFF/WAVE file"),
-], ids=["empty", "silent", "undecodable"])
+    # one sample at 48 kHz rounds to none at the 16 kHz working rate
+    (Waveform(np.full(1, 0.5), 48000),
+     "noise of 1 samples at 48000 Hz: resampling ratio leaves no output samples"),
+], ids=["empty", "silent", "undecodable", "no-sample-at-the-working-rate"])
 def test_an_empty_silent_or_undecodable_noise_wav_exits_2_writing_no_report(chain, tmp_path, capsys,
-                                                                           samples, refusal):
+                                                                           wave, refusal):
     out, _ = chain
     part = tmp_path / "run"
     shutil.copytree(out, part)
     for name in (*SWEEP_FILES, "audit_sweep.json"):
         (part / name).unlink()
     bad = part / "noise" / "outdoor_rain.wav"
-    if samples is None:
+    if wave is None:
         bad.write_bytes(b"RIFF")
     else:
-        save_wav(Waveform(samples, 16000), bad)
+        save_wav(wave, bad)
     config_path = _write_config(tmp_path, {"sweep.snrs_db": [30]})
     rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7"])
     err = capsys.readouterr().err
@@ -1204,6 +1207,21 @@ def test_a_fractional_pitch_step_or_resample_offset_exits_2_before_gen_data(tmp_
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"voicetrace: config error: sweep.{field} must hold whole numbers")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("rates", [[0.0, 1.2], [0.9, -0.5]])
+def test_a_speed_rate_of_zero_or_below_exits_2_before_gen_data(tmp_path, capsys, monkeypatch, rates):
+    def rendering(*args, **kwargs):
+        raise AssertionError("gen-data ran on a config that load_config should refuse")
+
+    monkeypatch.setattr(pipeline, "generate_corpus", rendering)
+    config_path = _write_config(tmp_path, {"sweep.speed_rates": rates})
+    rc = main(["gen-data", "--config", str(config_path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("voicetrace: config error: sweep.speed_rates must hold rates > 0, got ")
+    assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 

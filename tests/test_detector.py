@@ -4,10 +4,11 @@ import pytest
 from voicetrace.backbone import (FullyConnected, NetworkSpec, WeightStore, init_weights, reference_spec,
                                  train_backbone)
 from voicetrace.detector import (
+    HIDDEN,
     DetectorModel,
-    DetectorSpec,
     Standardizer,
     _bce_loss,
+    detector_network,
     gradient_check,
     load_detector,
     predict,
@@ -23,12 +24,12 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-TINY_SPEC = DetectorSpec(2, hidden=(4, 3, 3, 2))  # 50 parameters
+TINY = (4, 3, 3, 2)  # hidden widths; 50 parameters on two features
 
 
-def _layer_widths(spec):
+def _layer_widths(input_width, hidden=HIDDEN):
     """Input width, the four hidden widths, then the one logit."""
-    return [spec.input_width, *spec.hidden, 1]
+    return [input_width, *hidden, 1]
 
 
 def _blobs(n_per_class=40, gap=4.0, seed=0):
@@ -41,9 +42,13 @@ def _blobs(n_per_class=40, gap=4.0, seed=0):
 
 
 def test_spec_requires_four_hidden_layers():
-    with pytest.raises(ValueError):
-        DetectorSpec(8, hidden=(16, 8))
-    assert _layer_widths(DetectorSpec(8)) == [8, 256, 128, 64, 32, 1]
+    with pytest.raises(ValueError, match="five FC layers"):
+        detector_network(8, hidden=(16, 8))
+    with pytest.raises(ValueError, match="input_width must be positive"):
+        detector_network(0)
+    net = detector_network(8)
+    assert [net.input_shape[0], *(shape[0] for shape in net.layer_shapes)] == [8, 256, 128, 64, 32, 1]
+    assert _layer_widths(8) == [8, 256, 128, 64, 32, 1]
 
 
 def _fit_backbone(config):
@@ -54,7 +59,7 @@ def _fit_backbone(config):
 
 def _fit_detector(config):
     feats, labels = _blobs(n_per_class=4)
-    return train_detector(feats, labels, config, spec=TINY_SPEC).loss_log
+    return train_detector(feats, labels, config, hidden=TINY).loss_log
 
 
 @pytest.mark.parametrize("fit", [_fit_backbone, _fit_detector], ids=["backbone", "detector"])
@@ -72,17 +77,16 @@ def test_train_config_validation(fit):
 
 def test_separable_blobs_reach_full_accuracy():
     feats, labels = _blobs()
-    std = Standardizer.fit(feats)
     cfg = TrainConfig(lr=0.05, epochs=200, batch_size=16, seed=2)
-    model = train_detector(feats, labels, cfg, spec=TINY_SPEC, standardizer=std)
+    model = train_detector(feats, labels, cfg, hidden=TINY)
     scores = score_batch(model, feats)
     assert np.mean((scores >= 0.5) == labels) == 1.0
 
 
 def test_lr_zero_keeps_parameters_at_init():
     feats, labels = _blobs(n_per_class=10)
-    frozen = train_detector(feats, labels, TrainConfig(lr=0.0, epochs=25, seed=7), spec=TINY_SPEC)
-    init = train_detector(feats, labels, TrainConfig(lr=0.0, epochs=0, seed=7), spec=TINY_SPEC)
+    frozen = train_detector(feats, labels, TrainConfig(lr=0.0, epochs=25, seed=7), hidden=TINY)
+    init = train_detector(feats, labels, TrainConfig(lr=0.0, epochs=0, seed=7), hidden=TINY)
     for name in init.weights.tensors:
         assert np.array_equal(frozen.weights.tensors[name], init.weights.tensors[name])
 
@@ -90,8 +94,8 @@ def test_lr_zero_keeps_parameters_at_init():
 def test_same_seed_bit_identical():
     feats, labels = _blobs(n_per_class=15)
     cfg = TrainConfig(lr=0.01, epochs=5, seed=11)
-    a = train_detector(feats, labels, cfg, spec=TINY_SPEC)
-    b = train_detector(feats, labels, cfg, spec=TINY_SPEC)
+    a = train_detector(feats, labels, cfg, hidden=TINY)
+    b = train_detector(feats, labels, cfg, hidden=TINY)
     assert a.loss_log == b.loss_log
     for name in a.weights.tensors:
         assert np.array_equal(a.weights.tensors[name], b.weights.tensors[name])
@@ -101,7 +105,7 @@ def test_loss_non_increasing_early():
     feats, labels = _blobs()
     model = train_detector(
         feats, labels, TrainConfig(lr=0.01, epochs=5, seed=3),
-        spec=TINY_SPEC, standardizer=Standardizer.fit(feats),
+        hidden=TINY,
     )
     head = model.loss_log[:5]
     assert all(later <= earlier for earlier, later in zip(head, head[1:]))
@@ -113,18 +117,11 @@ def test_train_rejects_single_class():
         train_detector(feats, np.ones(feats.shape[0], dtype=int), TrainConfig(epochs=100, seed=0))
 
 
-def test_train_rejects_width_mismatch():
-    feats, labels = _blobs(n_per_class=5)
-    with pytest.raises(ValueError):
-        train_detector(feats, labels, TrainConfig(epochs=100, seed=0),
-                       spec=DetectorSpec(3, hidden=(4, 3, 3, 2)))
-
-
-def _reference_train_detector(x, labels, config, spec, dtype):
+def _reference_train_detector(x, labels, config, hidden, dtype):
     """The detector's own five-layer FC loop, from before it ran on the backbone's engine,
     with inputs, parameters, velocity and gradients all in dtype."""
     rng = np.random.default_rng(config.seed)
-    widths = _layer_widths(spec)
+    widths = _layer_widths(x.shape[1], hidden)
     x = x.astype(dtype)
     params = {}
     for i in range(5):
@@ -164,22 +161,25 @@ def _reference_train_detector(x, labels, config, spec, dtype):
     return {k: v.astype(np.float32) for k, v in params.items()}, losses
 
 
-@pytest.mark.parametrize("spec", [TINY_SPEC, DetectorSpec(30)], ids=["tiny", "default-hidden"])
-def test_train_detector_matches_the_hand_rolled_reference(spec):
+@pytest.mark.parametrize("width, hidden", [(2, TINY), (30, HIDDEN)], ids=["tiny", "default-hidden"])
+def test_train_detector_matches_the_hand_rolled_reference(width, hidden):
     rng = np.random.default_rng(37)
-    feats = rng.standard_normal((70, spec.input_width))
+    feats = rng.standard_normal((70, width))
     labels = (feats[:, 0] + 0.5 * rng.standard_normal(70) > 0).astype(int)
     std = Standardizer.fit(feats)
     cfg = TrainConfig(lr=0.02, momentum=0.9, decay=0.05, epochs=6, batch_size=16, seed=43)
-    model = train_detector(feats, labels, cfg, spec=spec, standardizer=std)
-    tensors, losses = _reference_train_detector(std.transform(feats), labels, cfg, spec, np.float32)
+    model = train_detector(feats, labels, cfg, hidden=hidden)
+    # the model standardizes with the stats of its own train rows, bit for bit
+    assert model.standardizer.mean.tobytes() == std.mean.tobytes()
+    assert model.standardizer.std.tobytes() == std.std.tobytes()
+    tensors, losses = _reference_train_detector(std.transform(feats), labels, cfg, hidden, np.float32)
     assert model.loss_log == losses
     assert list(model.weights.tensors) == list(tensors)
     for name, tensor in tensors.items():
         assert model.weights.tensors[name].dtype == np.float32
         assert np.array_equal(model.weights.tensors[name], tensor), name
     # the float64 loop is the oracle: float32 training must not move the loss curve visibly
-    _, losses64 = _reference_train_detector(std.transform(feats), labels, cfg, spec, np.float64)
+    _, losses64 = _reference_train_detector(std.transform(feats), labels, cfg, hidden, np.float64)
     np.testing.assert_allclose(losses, losses64, rtol=1e-6, atol=0)
 
 
@@ -202,7 +202,7 @@ def test_fit_runs_in_float32_and_the_gradient_check_in_float64(monkeypatch, tmp_
     with monkeypatch.context() as patch:
         patch.setattr(backbone, "_loss_and_grads", spy)
         model = train_detector(feats, labels, TrainConfig(lr=0.05, epochs=3, batch_size=8, seed=3),
-                               spec=TINY_SPEC, standardizer=Standardizer.fit(feats))
+                               hidden=TINY)
     assert len(seen) == 9 and all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
     assert {t.dtype for t in model.weights.tensors.values()} == {np.dtype(np.float32)}
     save_detector(model, tmp_path / "d.nsd")
@@ -235,14 +235,14 @@ def test_scoring_converts_the_weights_once_and_no_copy_can_go_stale(monkeypatch)
     real = detector._run_layers
     monkeypatch.setattr(detector, "_run_layers", spy)
     feats, labels = _blobs(n_per_class=6)
-    model = train_detector(feats, labels, TrainConfig(lr=0.05, epochs=2, seed=3), spec=TINY_SPEC)
+    model = train_detector(feats, labels, TrainConfig(lr=0.05, epochs=2, seed=3), hidden=TINY)
     first, second = score_batch(model, feats), score_batch(model, feats)
     assert len(seen) == 2 and seen[0] is seen[1] is model.weights.params64()
     assert first.tobytes() == second.tobytes()
     for name, tensor in model.weights.tensors.items():
         assert seen[0][name].tobytes() == tensor.astype(np.float64).tobytes()
     given = {k: t.copy() for k, t in model.weights.tensors.items()}
-    rebuilt = DetectorModel(TINY_SPEC, WeightStore(given), model.standardizer)
+    rebuilt = DetectorModel(model.network, WeightStore(given), model.standardizer)
     assert all(t.flags.writeable for t in given.values())  # the store copied the caller's arrays
     backbone_weights = init_weights(reference_spec(4), 3)
     for protocol in (2, pickle.HIGHEST_PROTOCOL):
@@ -288,12 +288,13 @@ def test_sigmoid_keeps_float32_and_its_float64_bytes():
 
 
 def test_zero_model_scores_half():
-    widths = _layer_widths(TINY_SPEC)
+    widths = _layer_widths(2, TINY)
     tensors = {}
     for i in range(5):
         tensors[f"fc{i + 1}.weight"] = np.zeros((widths[i], widths[i + 1]), dtype=np.float32)
         tensors[f"fc{i + 1}.bias"] = np.zeros(widths[i + 1], dtype=np.float32)
-    model = DetectorModel(TINY_SPEC, WeightStore(tensors), Standardizer.identity(2))
+    model = DetectorModel(detector_network(2, TINY), WeightStore(tensors),
+                          Standardizer(np.zeros(2), np.ones(2)))
     pred = predict(model, np.array([3.0, -1.0]))
     assert pred.score == 0.5
     assert pred.label == "fake"  # threshold is closed at the boundary
@@ -301,7 +302,7 @@ def test_zero_model_scores_half():
 
 def test_scores_stay_in_unit_interval():
     feats, labels = _blobs(n_per_class=10)
-    model = train_detector(feats, labels, TrainConfig(lr=0.05, epochs=20, seed=5), spec=TINY_SPEC)
+    model = train_detector(feats, labels, TrainConfig(lr=0.05, epochs=20, seed=5), hidden=TINY)
     rng = np.random.default_rng(5)
     wild = rng.standard_normal((50, 2)) * 100
     scores = score_batch(model, wild)
@@ -312,7 +313,7 @@ def test_forward_matches_matrix_oracle():
     feats, labels = _blobs(n_per_class=10)
     std = Standardizer.fit(feats)
     model = train_detector(feats, labels, TrainConfig(lr=0.01, epochs=3, seed=13),
-                           spec=TINY_SPEC, standardizer=std)
+                           hidden=TINY)
     x = std.transform(feats[:7])
     cur = x
     params = model.weights.params64()
@@ -326,7 +327,7 @@ def test_forward_matches_matrix_oracle():
 
 def test_predict_rejects_width_mismatch():
     feats, labels = _blobs(n_per_class=5)
-    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4), spec=TINY_SPEC)
+    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4), hidden=TINY)
     with pytest.raises(ValueError):
         predict(model, np.zeros(3))
 
@@ -358,11 +359,11 @@ def test_standardizer_train_stats_applied_to_test():
 def test_affine_feature_rescaling_keeps_labels():
     feats, labels = _blobs(seed=23)
     cfg = TrainConfig(lr=0.05, epochs=50, seed=23)
-    base = train_detector(feats, labels, cfg, spec=TINY_SPEC, standardizer=Standardizer.fit(feats))
+    base = train_detector(feats, labels, cfg, hidden=TINY)
     scale = np.array([3.5, 0.04])
     shift = np.array([-20.0, 5.0])
     moved = feats * scale + shift
-    again = train_detector(moved, labels, cfg, spec=TINY_SPEC, standardizer=Standardizer.fit(moved))
+    again = train_detector(moved, labels, cfg, hidden=TINY)
     base_scores = score_batch(base, feats)
     again_scores = score_batch(again, moved)
     np.testing.assert_allclose(base_scores, again_scores, atol=1e-9)
@@ -372,7 +373,7 @@ def test_affine_feature_rescaling_keeps_labels():
 def test_gradient_check_small_model():
     feats, labels = _blobs(n_per_class=8)
     model = train_detector(feats, labels, TrainConfig(lr=0.01, epochs=2, seed=29),
-                           spec=TINY_SPEC, standardizer=Standardizer.fit(feats))
+                           hidden=TINY)
     err = gradient_check(model, feats[0], label=0)
     assert err < 1e-4
 
@@ -388,14 +389,15 @@ def test_gradient_check_refuses_big_models():
 def test_save_load_round_trip(tmp_path):
     feats, labels = _blobs(n_per_class=10)
     model = train_detector(feats, labels, TrainConfig(lr=0.01, epochs=3, seed=31),
-                           spec=TINY_SPEC, standardizer=Standardizer.fit(feats),
+                           hidden=TINY,
                            criterion="tkan", k=5)
     p = tmp_path / "d.nsd1"
     save_detector(model, p)
     back = load_detector(p)
     assert back.criterion == "tkan"
     assert back.k == 5
-    assert back.spec == model.spec
+    assert back.network.layers == model.network.layers
+    assert back.network.input_shape == model.network.input_shape == (2,)
     for name in model.weights.tensors:
         assert np.array_equal(back.weights.tensors[name], model.weights.tensors[name])
     # standardizer stats are stored as float32; a second round-trip is exact
@@ -409,7 +411,7 @@ def test_save_load_round_trip(tmp_path):
 
 def test_load_rejects_corrupt_magic(tmp_path):
     feats, labels = _blobs(n_per_class=5)
-    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4), spec=TINY_SPEC)
+    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4), hidden=TINY)
     p = tmp_path / "d.nsd1"
     save_detector(model, p)
     raw = bytearray(p.read_bytes())
@@ -421,7 +423,7 @@ def test_load_rejects_corrupt_magic(tmp_path):
 
 def test_load_rejects_every_truncation_and_a_non_utf8_criterion(tmp_path):
     feats, labels = _blobs(n_per_class=5)
-    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4), spec=TINY_SPEC,
+    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4), hidden=TINY,
                            criterion="acn")
     full = tmp_path / "d.nsd1"
     save_detector(model, full)
@@ -463,7 +465,7 @@ def test_load_rejects_inconsistent_tensor_shapes(tmp_path, name, bad):
     from voicetrace import nsw1
 
     feats, labels = _blobs(n_per_class=5)
-    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4), spec=TINY_SPEC)
+    model = train_detector(feats, labels, TrainConfig(epochs=1, seed=0, lr=1e-4), hidden=TINY)
     p = tmp_path / "d.nsd1"
     save_detector(model, p)
     raw = p.read_bytes()

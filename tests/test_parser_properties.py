@@ -24,7 +24,7 @@ from voicetrace.backbone import WeightStore  # noqa: E402
 from voicetrace.corpus import LABELS, SPLITS, ManifestRecord, load_manifest, save_manifest  # noqa: E402
 from voicetrace.coverage import (LayerThresholds, load_thresholds, read_feature_csv,  # noqa: E402
                                  save_thresholds, write_feature_csv)
-from voicetrace.detector import (DetectorModel, DetectorSpec, Standardizer, load_detector,  # noqa: E402
+from voicetrace.detector import (DetectorModel, Standardizer, detector_network, load_detector,  # noqa: E402
                                  save_detector)
 from voicetrace.errors import (AudioFormatError, AudioParseError, ConfigError,  # noqa: E402
                                FeatureFormatError, ManifestError, ThresholdsFormatError,
@@ -64,11 +64,11 @@ VALID_WAVS = (_written_bytes(lambda path: save_wav(_WAVE, path, PCM16)),
               _written_bytes(lambda path: save_wav(_WAVE, path, FLOAT32)))
 VALID_NSW1 = nsw1.pack_tensors({"conv1.weight": np.arange(8, dtype=np.float32).reshape(2, 2, 1, 2),
                                 "fc1.bias": np.array([0.5, -1.0, 2.0], dtype=np.float32)})
-_DETECTOR_SPEC = DetectorSpec(2, (3, 3, 2, 2))
+_DETECTOR_NETWORK = detector_network(2, (3, 3, 2, 2))
 VALID_DETECTOR = _written_bytes(lambda path: save_detector(DetectorModel(
-    _DETECTOR_SPEC,
+    _DETECTOR_NETWORK,
     WeightStore({k: np.full(v, 0.25, dtype=np.float32)
-                 for k, v in _DETECTOR_SPEC.network().parameter_shapes().items()}),
+                 for k, v in _DETECTOR_NETWORK.parameter_shapes().items()}),
     Standardizer(np.array([0.5, -0.5]), np.array([1.0, 2.0])), "tkan", 3), path))
 VALID_CONFIG = json.dumps(pipeline.DEFAULT_CONFIG).encode()
 VALID_MANIFEST = _written_bytes(lambda path: save_manifest(
@@ -187,8 +187,8 @@ def _check_detector(result):
     assert isinstance(result.k, int) and result.k >= 0
     assert isinstance(result.weights, WeightStore)
     _check_tensors(result.weights.tensors)
-    result.weights.validate(result.spec.network())
-    width = (result.spec.input_width,)
+    result.weights.validate(result.network)
+    width = result.network.input_shape
     assert result.standardizer.mean.shape == width and result.standardizer.std.shape == width
     assert all(np.all(np.isfinite(t)) for t in result.weights.tensors.values())
     assert np.all(np.isfinite(result.standardizer.mean)) and np.all(result.standardizer.std > 0)
