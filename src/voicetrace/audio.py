@@ -102,9 +102,11 @@ def load_wav(path) -> Waveform:
         frame_bytes = 4 * channels
         if len(payload) % frame_bytes:
             raise AudioParseError(f"{path}: data chunk is not whole 32-bit frames")
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        if not np.all(np.isfinite(samples)):
+        raw = np.frombuffer(payload, dtype="<f4")
+        # checked before the cast: casting a signalling NaN raises numpy's invalid flag
+        if not np.all(np.isfinite(raw)):
             raise AudioFormatError(f"{path}: float samples include NaN or infinity")
+        samples = raw.astype(np.float64)
     else:
         raise AudioFormatError(
             f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit); "

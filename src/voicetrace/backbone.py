@@ -166,9 +166,11 @@ class WeightStore:
             got = self.tensors[name].shape
             if tuple(got) != tuple(shape):
                 raise WeightFormatError(f"tensor {name!r} has shape {got}, spec wants {shape}")
-        for name in self.tensors:
+        for name, tensor in self.tensors.items():
             if name not in expected:
                 raise WeightFormatError(f"unexpected tensor {name!r} not in spec")
+            if not np.isfinite(tensor).all():
+                raise WeightFormatError(f"tensor {name!r} holds a value that is not finite")
 
     def as_float64(self) -> dict:
         """Fresh writable float64 copies, for the gradient check to nudge."""

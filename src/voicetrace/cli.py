@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, metavar="N", help="override the config seed")
         p.add_argument("--out", metavar="DIR", help="override the output directory")
         p.add_argument("--jobs", type=positive_int, default=1, metavar="N",
-                       help="workers: sweep and train-detector fork child processes, the "
-                            "other stages run threads (never changes output bytes)")
+                       help="workers: gen-data, train-backbone, calibrate, train-detector and sweep "
+                            "deal their work to forked child processes (never changes output bytes)")
         p.set_defaults(func=func)
     return parser
 

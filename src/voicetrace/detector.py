@@ -175,8 +175,8 @@ def load_detector(path) -> DetectorModel:
         store.validate(network)
         if mean.shape != network.input_shape or std.shape != mean.shape:
             raise ValueError(f"standardization tensors do not match input width {network.input_shape[0]}")
-        if not all(np.all(np.isfinite(t)) for t in (*tensors.values(), mean, std)) or np.any(std <= 0):
-            raise ValueError("weights and standardization must be finite, with every std above 0")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()) or np.any(std <= 0):
+            raise ValueError("standardization must be finite, with every std above 0")
     except ValueError as exc:  # WeightFormatError is one
         raise WeightFormatError(f"{path}: {exc}") from exc
     return DetectorModel(network, store, Standardizer(mean, std), criterion, k)

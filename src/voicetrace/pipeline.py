@@ -24,7 +24,7 @@ import shutil
 import signal
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - only perfbench's tracer reads it (ROADMAP item 5)
 from pathlib import Path
 
 import numpy as np
@@ -312,7 +312,7 @@ class _Stage:
 
     def audit(self, outputs, **extra) -> None:
         """Write the stage's audit: the config digest, the seed, and the SHA-256 of every input
-        it read and of every output it wrote."""
+        need read (no corpus clip is one) and of every output it wrote."""
         audit = {"stage": self.name, "config_sha256": config_digest(self.cfg), "seed": self.cfg["seed"],
                  "inputs": _sha256s(self.inputs), "outputs": _sha256s(outputs), **extra}
         self.paths.audit(self.name).write_text(json.dumps(audit, sort_keys=True, indent=2) + "\n",
@@ -343,27 +343,17 @@ def _network_input(waves, fcfg: dict) -> np.ndarray:
     return log_mel(waves, fcfg["frames"], mel_bins=fcfg["mel_bins"])[..., None]
 
 
-def _blocks(items, size=_TRACE_BLOCK):
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _ordered_map(work, items, jobs: int):
-    """Apply work to each item, pooled but order-preserving."""
-    if jobs <= 1 or len(items) <= 1:
-        return [work(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, items))
-
-
 def _map_in_children(stage: _Stage, work, items, jobs: int, held) -> list:
-    """work(item) for each item, in item order. At jobs >= 2 the items are dealt into
-    n = min(jobs, len(items)) shards, items[j::n]: shard 0 runs here, and each other shard in a
-    forked child that starts from the loaded interpreter and what the caller built, and pickles
-    (True, results) or (False, "ExcType: message") into a pipe; threads would serialize work's
-    small numpy calls on the interpreter lock. Every child is reaped, and all are killed first if
-    an exception leaves, work's own here included; on Linux a child is also killed when the stage
-    dies. A child that fails or dies raises a StageError naming held(the positions in items of
-    its shard)."""
+    """work(item) for each item, in item order: the one parallel path, run by gen-data's clips,
+    train-backbone's and calibrate's clip blocks, train-detector's fits and the sweep's cells.
+    At jobs >= 2 the items are dealt into n = min(jobs, len(items)) shards, items[j::n]: shard 0
+    runs here, and each other shard in a forked child that starts from the loaded interpreter and
+    what the caller built, and pickles (True, results) or (False, error) into a pipe; threads
+    would serialize work's small numpy calls on the interpreter lock. Every child is reaped, and
+    all are killed first if an exception leaves, work's own here included; on Linux a child is
+    also killed when the stage dies. A FormatError or OSError leaving a child's work is raised
+    here as itself; any other failure, or a dead child, raises a StageError naming held(the
+    positions in items of its shard)."""
     n = min(jobs, len(items))
     if n <= 1 or not hasattr(os, "fork"):
         return [work(item) for item in items]
@@ -383,6 +373,8 @@ def _map_in_children(stage: _Stage, work, items, jobs: int, held) -> list:
                         end.close()
                     try:
                         result = (True, [work(item) for item in items[j::n]])
+                    except (FormatError, OSError) as exc:  # pickles with its type, message and filename
+                        result = (False, exc)
                     except Exception as exc:  # noqa: BLE001 - the parent raises it as a StageError
                         result = (False, f"{type(exc).__name__}: {exc}")
                     pickle.dump(result, ends[-1], protocol=pickle.HIGHEST_PROTOCOL)
@@ -402,7 +394,7 @@ def _map_in_children(stage: _Stage, work, items, jobs: int, held) -> list:
                 raise stage.error(f"{who} {how} before sending its results")
             ok, part = pickle.loads(data)
             if not ok:
-                raise stage.error(f"{who} failed: {part}")
+                raise part if isinstance(part, Exception) else stage.error(f"{who} failed: {part}")
             parts.append(part)
         return [parts[i % n][i // n] for i in range(len(items))]
     finally:
@@ -413,21 +405,25 @@ def _map_in_children(stage: _Stage, work, items, jobs: int, held) -> list:
             end.close()
 
 
-def _feature_array(files, fcfg: dict, jobs: int) -> np.ndarray:
-    def work(block):
-        return _network_input([_load_clip(f) for f in block], fcfg)
+def _map_blocks(stage: _Stage, work, items, jobs: int) -> list:
+    """work(block) for each _TRACE_BLOCK-item block of items, in order, through _map_in_children."""
+    blocks = [items[i : i + _TRACE_BLOCK] for i in range(0, len(items), _TRACE_BLOCK)]
+    return _map_in_children(stage, work, blocks, jobs,
+                            lambda held: f"the worker for clip blocks {', '.join(map(str, held))}")
 
-    parts = _ordered_map(work, _blocks(list(files)), jobs)
-    return np.concatenate(parts, axis=0)
+
+def _feature_array(stage: _Stage, files, fcfg: dict, jobs: int) -> np.ndarray:
+    blocks = _map_blocks(stage, lambda block: _network_input([_load_clip(f) for f in block], fcfg), files, jobs)
+    return np.concatenate(blocks, axis=0)
 
 
-def _trace(netspec: NetworkSpec, weights: WeightStore, items, fcfg: dict, jobs: int, waves_of):
+def _trace(stage: _Stage, netspec: NetworkSpec, weights: WeightStore, items, fcfg: dict, jobs: int, waves_of):
     """One trace of items, each layer a (clips, width) array in item order; traced in blocks,
     and waves_of maps a block to its waveforms."""
     def work(block):
         return forward_batch(netspec, weights, _network_input(waves_of(block), fcfg))[1]
 
-    parts = _ordered_map(work, _blocks(list(items)), jobs)
+    parts = _map_blocks(stage, work, items, jobs)
     return ActivationTrace(tuple((pairs[0][0], np.concatenate([vals for _, vals in pairs]))
                                  for pairs in zip(*(part.entries for part in parts))))
 
@@ -445,7 +441,8 @@ def cmd_gen_data(cfg: dict, jobs: int = 1):
         raise stage.error(f"cannot create the output directory {paths.out}: {exc.strerror or exc}") from exc
     try:
         records = generate_corpus(CorpusSpec(**cfg["corpus"], seed=cfg["seed"]), paths.corpus_dir,
-                                  map_fn=lambda render, clips: _ordered_map(render, clips, jobs))
+                                  map_fn=lambda render, clips: _map_in_children(stage, render, clips, jobs,
+                                      lambda held: f"the worker for shard {held[0]} ({len(held)} clips)"))
         bank = generate_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"], seed=cfg["seed"] + 1)
     except OSError as exc:  # e.g. a regular file where the corpus or noise bank needs a directory
         raise stage.error(f"cannot write {exc.filename or paths.out}: {exc.strerror or exc}") from exc
@@ -465,7 +462,7 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
     netspec = _network_for(records, cfg)
     _check_k(cfg, netspec)
 
-    feats = _feature_array([root / r.path for r in train_real], cfg["frontend"], jobs)
+    feats = _feature_array(stage, [root / r.path for r in train_real], cfg["frontend"], jobs)
     labels = np.asarray([index[r.speaker_id] for r in train_real])
     store, losses = train_backbone(netspec, feats, labels, TrainConfig(**cfg["backbone"], seed=cfg["seed"]))
     save_weights(store, stage.paths.backbone)
@@ -473,7 +470,7 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
     held = [r for r in records if r.split == "test" and r.label == REAL]
     accuracy = None
     if held:
-        held_feats = _feature_array([root / r.path for r in held], cfg["frontend"], jobs)
+        held_feats = _feature_array(stage, [root / r.path for r in held], cfg["frontend"], jobs)
         predicted = classify(netspec, store, held_feats)
         truth = np.asarray([index[r.speaker_id] for r in held])
         accuracy = float(np.mean(predicted == truth))
@@ -493,7 +490,7 @@ def cmd_calibrate(cfg: dict, jobs: int = 1):
     cal = [i for i, r in enumerate(records) if r.split == "train"]
     if not cal:
         raise stage.error("no train-split clips to calibrate on")
-    trace = _trace(netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs,
+    trace = _trace(stage, netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs,
                    lambda block: [_load_clip(f) for f in block])
     write_feature_csv(paths.traces, _trace_columns(zip(trace.layer_ids(), trace.widths())),
                       [r.label for r in records], [r.split for r in records],
@@ -628,12 +625,12 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     formula = cfg["snr_formula"]
     cells = sweep_cells(cfg, bank.ids())
 
-    baseline = _trace(netspec, weights, waves, cfg["frontend"], 1, list)
+    baseline = _trace(stage, netspec, weights, waves, cfg["frontend"], 1, list)
 
     def evaluate(manipulation):
         trace = baseline  # an identity cell returns its clips bit for bit, so it reuses this trace
         if manipulation is not None and not manipulation.is_identity():
-            trace = _trace(netspec, weights, waves, cfg["frontend"], 1,
+            trace = _trace(stage, netspec, weights, waves, cfg["frontend"], 1,
                            lambda block: apply_manipulation(block, manipulation, bank, formula))
         rows = []
         for criterion in criteria:

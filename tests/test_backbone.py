@@ -355,6 +355,17 @@ def test_load_rejects_wrong_shape(tmp_path):
     assert str(exc.value).startswith(f"{p}: ") and "conv1" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_rejects_a_tensor_that_is_not_finite(tmp_path, bad):
+    weights = init_weights(TINY_SPEC, 2).as_float64()
+    weights["conv2.bias"][0] = bad
+    p = tmp_path / "w.nsw1"
+    save_weights(WeightStore(weights), p)
+    with pytest.raises(WeightFormatError) as exc:
+        load_weights(p, TINY_SPEC)
+    assert str(exc.value) == f"{p}: tensor 'conv2.bias' holds a value that is not finite"
+
+
 def test_batch_forward_matches_single():
     rng = np.random.default_rng(29)
     weights = init_weights(TINY_SPEC, 29)

@@ -4,7 +4,8 @@ central_difference_check only inside backbone._check_gradients, _mix only inside
 manipulate.apply_manipulation, and _stretch only there and in manipulate._pitch, so every fit,
 every gradient check and every stretch or noise mix runs through them. _run_layers runs every
 forward pass, and detector_network builds a detector's network only where one is trained or
-loaded."""
+loaded. One parallel path: os.fork is called only in pipeline._map_in_children, and no module
+builds a ThreadPoolExecutor, so every stage that uses the cores deals its work to forked shards."""
 
 import ast
 from pathlib import Path
@@ -98,3 +99,8 @@ def test_the_stretch_and_the_noise_mix_are_called_only_on_the_one_manipulation_p
 @pytest.mark.parametrize("name, callers", NETWORK_CALLERS.items(), ids=NETWORK_CALLERS)
 def test_one_engine_runs_every_network_and_a_detector_network_is_built_once_per_model(name, callers):
     assert _sites(name) == callers
+
+
+def test_every_stage_uses_the_cores_through_one_fork_helper_and_no_thread_pool():
+    assert _sites("fork") == ["pipeline._map_in_children"]
+    assert _sites("ThreadPoolExecutor") == []

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voicetrace import pipeline
+from voicetrace import nsw1, pipeline
 from voicetrace.audio import Waveform, load_wav, save_wav
 from voicetrace.backbone import load_weights, reference_spec
 from voicetrace.cli import main
@@ -360,7 +360,7 @@ def test_calibrated_thresholds_equal_those_of_the_train_clips_traced_alone(chain
     weights = load_weights(out / "backbone.nsw1", netspec)
     train = [out / "corpus" / r.path for r in records if r.split == "train"]
     assert len(train) < len(records)
-    trace = pipeline._trace(netspec, weights, train, cfg["frontend"], 1,
+    trace = pipeline._trace(pipeline._Stage(cfg, "calibrate"), netspec, weights, train, cfg["frontend"], 1,
                             lambda block: [load_wav(f) for f in block])
     save_thresholds(calibrate_thresholds(trace), tmp_path / "thresholds.json")
     assert (tmp_path / "thresholds.json").read_bytes() == (out / "thresholds.json").read_bytes()
@@ -945,6 +945,68 @@ def test_a_worker_whose_stage_was_killed_exits_instead_of_blocking_on_its_send(t
 def test_a_worker_dies_with_its_killed_stage_while_its_own_item_still_runs(tmp_path):
     worker = _kill_the_stage_once_its_worker_runs(_STAGE_AND_WORKER_THAT_STALL, tmp_path)
     assert _gone_within(worker, 5)
+
+
+@pytest.mark.parametrize("stage, outputs", [("calibrate", ("traces.csv", "thresholds.json", "audit_calibrate.json")),
+                                             ("sweep", (*SWEEP_FILES, "audit_sweep.json"))])
+def test_a_backbone_that_is_not_finite_exits_2_naming_train_backbone(chain, tmp_path, capsys, stage, outputs):
+    out, config_path = chain
+    part = tmp_path / "nan_backbone"
+    shutil.copytree(out, part)
+    for name in outputs:
+        (part / name).unlink(missing_ok=True)
+    tensors = {name: tensor.copy() for name, tensor in nsw1.read_tensors(part / "backbone.nsw1").items()}
+    tensors["fc1.weight"][0, 0] = np.nan
+    nsw1.write_tensors(part / "backbone.nsw1", tensors)
+    rc = main([stage, "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"voicetrace: {stage}: {part / 'backbone.nsw1'}: tensor 'fc1.weight' ")
+    assert err.rstrip().endswith("; rerun the train-backbone stage")
+    assert not any((part / name).exists() for name in outputs)
+
+
+@pytest.mark.parametrize("stage, outputs, traced", [
+    ("calibrate", ("traces.csv", "thresholds.json", "audit_calibrate.json"), lambda r: True),
+    ("train-backbone", ("backbone.nsw1", "audit_train_backbone.json"),
+     lambda r: r.split == "train" and r.label == REAL),
+], ids=["calibrate", "train-backbone"])
+def test_a_clip_that_fails_to_decode_in_a_worker_exits_2_as_at_one_job(chain, tmp_path, capsys, stage, outputs,
+                                                                        traced):
+    out, config_path = chain
+    part = tmp_path / "damaged_clip"
+    shutil.copytree(out, part)
+    for name in outputs:
+        (part / name).unlink()
+    # the first clip of the stage's second block of clips, which a forked worker decodes at two jobs
+    record = [r for r in load_manifest(part / "corpus/manifest.tsv") if traced(r)][pipeline._TRACE_BLOCK]
+    clip = part / "corpus" / record.path
+    clip.write_bytes(b"RIFF")
+    ran = []
+    for jobs in ("1", "2"):
+        rc = main([stage, "--config", str(config_path), "--out", str(part), "--seed", "7", "--jobs", jobs])
+        ran.append((rc, capsys.readouterr().err))
+    assert ran[0] == ran[1]
+    rc, err = ran[1]
+    assert rc == 2 and err.startswith(f"voicetrace: {stage}: {clip}: ") and err.count("\n") == 1
+    assert not any((part / name).exists() for name in outputs)
+    _assert_no_child_left()
+
+
+def test_a_clip_path_that_cannot_be_written_in_a_gen_data_worker_exits_2_as_at_one_job(tmp_path, capsys):
+    out = tmp_path / "run"
+    # gen-data renders spk00's clips first, real then fake; at two jobs a worker renders the odd ones
+    blocker = out / "corpus" / "spk00" / f"{REAL}_001.wav"
+    blocker.mkdir(parents=True)
+    ran = []
+    for jobs in ("1", "2"):
+        rc = main(["gen-data", "--config", str(_write_config(tmp_path)), "--out", str(out), "--jobs", jobs])
+        ran.append((rc, capsys.readouterr().err))
+    assert ran[0] == ran[1]
+    rc, err = ran[1]
+    assert rc == 2 and err.startswith(f"voicetrace: gen-data: cannot write {blocker}: ") and err.count("\n") == 1
+    assert not (out / "corpus" / "manifest.tsv").exists() and not (out / "audit_gen_data.json").exists()
+    _assert_no_child_left()
 
 
 def test_sweep_identity_cells_reuse_the_baseline_rows_without_manipulating(chain, tmp_path, monkeypatch):

@@ -226,6 +226,7 @@ def _parse_with(kind, path, content):
 @given(_damaged(*VALID_WAVS))
 @example(_wav(_fmt_chunk(1, 1, 0, 16), b"\0\0"))  # sample rate 0
 @example(_wav(_fmt_chunk(3, 1, 16000, 32), struct.pack("<f", math.nan)))
+@example(_wav(_fmt_chunk(3, 1, 16000, 32), struct.pack("<I", 0x7F800001)))  # signalling NaN
 @example(_wav(_fmt_chunk(3, 2, 16000, 32), struct.pack("<ff", 0.5, math.inf)))
 def test_load_wav_returns_a_waveform_or_an_audio_error(scratch_file, content):
     _parse_with("wav", scratch_file, content)
