@@ -52,17 +52,28 @@ class FullyConnected:
 
 
 @dataclass(frozen=True)
-class ActivationTrace:
-    """Ordered (layer_id, neuron values) pairs, one per monitored layer; the values are
-    (clips, width), one row per clip."""
+class LayerTable:
+    """Per-layer values of a block of clips: one (clips, columns) matrix whose columns run layer
+    by layer, cut by ((layer_id, columns), ...). A trace holds each monitored layer's neuron
+    outputs, an ACN or TKAN feature table each layer's feature slots."""
 
-    entries: tuple
+    values: np.ndarray
+    layout: tuple
+
+    def layers(self):
+        """(layer_id, (clips, columns) view of values) for each layer, in order."""
+        start = 0
+        for layer_id, columns in self.layout:
+            yield layer_id, self.values[:, start : start + columns]
+            start += columns
 
     def layer_ids(self):
-        return [name for name, _ in self.entries]
+        return [layer_id for layer_id, _ in self.layout]
 
-    def widths(self):
-        return [values.shape[-1] for _, values in self.entries]
+    def column_names(self, tag: str):
+        """{layer}.{tag} for a one-column layer, else {layer}.{tag}1 .. {layer}.{tag}n."""
+        return [f"{layer_id}.{tag}" if columns == 1 else f"{layer_id}.{tag}{i + 1}"
+                for layer_id, columns in self.layout for i in range(columns)]
 
 
 class NetworkSpec:
@@ -261,25 +272,22 @@ def _run_layers(spec: NetworkSpec, params: dict, x: np.ndarray, keep: dict | Non
     return outputs
 
 
-def _batch_trace(spec: NetworkSpec, outputs) -> ActivationTrace:
-    """The monitored layers' (N, width) post-activation values.
-
-    A layer's entry is its own output, after the ReLU _run_layers applied in place; the final
-    logit layer has none and is recorded raw. A conv map is summarized by its spatial mean
-    per channel.
-    """
-    return ActivationTrace(tuple(
-        (name, outputs[idx].mean(axis=(1, 2)) if outputs[idx].ndim == 4 else outputs[idx])
-        for idx, name, _ in spec.monitored_layers()))
-
-
 def forward_batch(spec: NetworkSpec, weights: WeightStore, batch: np.ndarray):
-    """Batched inference: (logits (N, K), ActivationTrace of (N, width) entries)."""
+    """Batched inference: (logits (N, K), the trace, a LayerTable of the monitored layers).
+
+    A layer's N rows of trace columns are its own output, after the ReLU _run_layers applied in
+    place; the final logit layer has none and is recorded raw. A conv map is summarized by its
+    spatial mean per channel.
+    """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.shape[1:] != spec.input_shape:
         raise ValueError(f"batch shape {batch.shape[1:]} does not match spec {spec.input_shape}")
     outputs = _run_layers(spec, weights.params64(), batch)
-    return outputs[-1], _batch_trace(spec, outputs)
+    monitored = spec.monitored_layers()
+    values = [outputs[idx].mean(axis=(1, 2)) if outputs[idx].ndim == 4 else outputs[idx]
+              for idx, _, _ in monitored]
+    return outputs[-1], LayerTable(np.concatenate(values, axis=1),
+                                   tuple((name, width) for _, name, width in monitored))
 
 
 def _softmax_xent(logits: np.ndarray, labels: np.ndarray):

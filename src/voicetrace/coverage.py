@@ -1,4 +1,4 @@
-"""Activation-coverage features over block traces, one (clips, width) array per layer.
+"""Activation-coverage features over block traces, each a LayerTable of neuron outputs.
 
 Three pieces: per-layer threshold calibration (the grand mean of a
 layer's neuron outputs over a calibration block), activated-neuron counts
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import ActivationTrace
+from .backbone import LayerTable
 from .corpus import LABELS, SPLITS
 from .errors import FeatureFormatError, ThresholdsFormatError
 
@@ -35,61 +35,43 @@ class LayerThresholds:
         return [name for name, _ in self.deltas]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Feature values (one row per clip for a block trace) plus which layer contributed which slots."""
-
-    values: np.ndarray
-    layout: tuple  # ((layer_id, slot_count), ...)
-
-    def column_names(self, criterion: str):
-        names = []
-        for layer_id, slots in self.layout:
-            if slots == 1:
-                names.append(f"{layer_id}.{criterion}")
-            else:
-                names.extend(f"{layer_id}.{criterion}{i + 1}" for i in range(slots))
-        return names
-
-
-def calibrate_thresholds(trace: ActivationTrace) -> LayerThresholds:
+def calibrate_thresholds(trace: LayerTable) -> LayerThresholds:
     """Per layer: mean of every neuron output over every calibration clip of the block trace.
 
     Each clip's layer sum is added in clip order (np.cumsum adds left to right), as a loop
     over the clips one at a time would add it, so a clip's row gives the same threshold
     bits in any block.
     """
-    n = len(trace.entries[0][1]) if trace.entries else 0
+    n = len(trace.values)
     if n == 0:
         raise ValueError("calibration needs at least one clip")
     deltas = tuple((name, float(np.cumsum(np.sum(values, axis=-1))[-1] / values.size))
-                   for name, values in trace.entries)
+                   for name, values in trace.layers())
     return LayerThresholds(deltas, n)
 
 
-def acn_features(trace: ActivationTrace, thresholds: LayerThresholds) -> FeatureVector:
+def acn_features(trace: LayerTable, thresholds: LayerThresholds) -> LayerTable:
     """Count of neurons strictly above the layer threshold, one slot per layer (per clip)."""
     if trace.layer_ids() != thresholds.layer_ids():
         raise ValueError(
             f"trace layers {trace.layer_ids()} do not match thresholds {thresholds.layer_ids()}"
         )
     counts = [np.count_nonzero(values > delta, axis=-1)
-              for (_, values), (_, delta) in zip(trace.entries, thresholds.deltas)]
-    layout = tuple((name, 1) for name, _ in trace.entries)
-    return FeatureVector(np.stack(counts, axis=-1).astype(np.float64), layout)
+              for (_, values), (_, delta) in zip(trace.layers(), thresholds.deltas)]
+    layout = tuple((name, 1) for name in trace.layer_ids())
+    return LayerTable(np.stack(counts, axis=-1).astype(np.float64), layout)
 
 
-def tkan_features(trace: ActivationTrace, k: int) -> FeatureVector:
+def tkan_features(trace: LayerTable, k: int) -> LayerTable:
     """The k largest neuron outputs per layer (per clip), sorted descending, values only."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     parts = []
-    for name, values in trace.entries:
+    for name, values in trace.layers():
         if values.shape[-1] < k:
             raise ValueError(f"layer {name!r} has {values.shape[-1]} neurons, fewer than k={k}")
         parts.append(np.sort(values, axis=-1)[..., ::-1][..., :k])
-    layout = tuple((name, k) for name, _ in trace.entries)
-    return FeatureVector(np.concatenate(parts, axis=-1), layout)
+    return LayerTable(np.concatenate(parts, axis=-1), tuple((name, k) for name in trace.layer_ids()))
 
 
 def save_thresholds(thresholds: LayerThresholds, path) -> None:

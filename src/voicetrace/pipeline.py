@@ -30,13 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from .audio import WAV_MAX_DATA, WINDOW, Waveform, load_wav, log_mel
-from .backbone import (ActivationTrace, NetworkSpec, WeightStore, classify, forward_batch,
+from .backbone import (LayerTable, NetworkSpec, WeightStore, classify, forward_batch,
                        load_weights, reference_spec, save_weights, train_backbone)
 from .corpus import ARTIFACTS, FAKE, REAL, CorpusSpec, generate_corpus, load_manifest
 from .coverage import (ACN, TKAN, _is_number, acn_features, calibrate_thresholds, load_thresholds,
                        read_feature_csv, save_thresholds, tkan_features, write_feature_csv)
 from .detector import load_detector, save_detector, score_batch, train_detector
-from .errors import AudioFormatError, ConfigError, FeatureFormatError, FormatError, StageError
+from .errors import AudioFormatError, ConfigError, FeatureFormatError, FormatError, StageError, WeightFormatError
 from .manipulate import NOISE_SECONDS, Manipulation, apply_manipulation, generate_noise_bank, load_noise_bank
 from .metrics import REPORT_COLUMNS, MetricRow, compute_all, write_report
 from .nn import TrainConfig
@@ -281,17 +281,16 @@ class _Stage:
                                      f"clips of {self.paths.manifest}")
         return columns, matrix
 
-    def trace(self, netspec: NetworkSpec, records) -> ActivationTrace:
+    def trace(self, netspec: NetworkSpec, records) -> LayerTable:
         """Every manifest clip's activations from traces.csv, refused unless its columns are the
         backbone's monitored neurons and its rows the manifest's clips, in manifest order."""
         path = self.paths.traces
         columns, matrix = self.need(path, "calibrate", self.manifest_rows, records)
-        layers = [(name, width) for _, name, width in netspec.monitored_layers()]
-        if columns != _trace_columns(layers):
+        trace = LayerTable(matrix, tuple((name, width) for _, name, width in netspec.monitored_layers()))
+        if columns != trace.column_names("n"):
             raise self.error(f"the columns of {path} are not the neurons of the monitored layers "
-                             f"{layers}; rerun the calibrate stage")
-        edges = np.cumsum([width for _, width in layers])[:-1]
-        return ActivationTrace(tuple(zip([name for name, _ in layers], np.split(matrix, edges, axis=1))))
+                             f"{list(trace.layout)}; rerun the calibrate stage")
+        return trace
 
     def split(self, criterion: str, split: str):
         """One split's rows of the criterion's feature CSV and their labels, fake as 1."""
@@ -310,6 +309,13 @@ class _Stage:
                              f"{criterion!r} k={k} on {width}; rerun the train-detector stage")
         return model
 
+    def trained(self, store: WeightStore, network: NetworkSpec, what: str) -> None:
+        """Refuse trained weights that validate refuses, a diverged fit's NaN among them, before any is saved."""
+        try:
+            store.validate(network)
+        except WeightFormatError as exc:
+            raise self.error(f"the trained {what}'s {exc}; nothing was saved") from exc
+
     def audit(self, outputs, **extra) -> None:
         """Write the stage's audit: the config digest, the seed, and the SHA-256 of every input
         need read (no corpus clip is one) and of every output it wrote."""
@@ -317,11 +323,6 @@ class _Stage:
                  "inputs": _sha256s(self.inputs), "outputs": _sha256s(outputs), **extra}
         self.paths.audit(self.name).write_text(json.dumps(audit, sort_keys=True, indent=2) + "\n",
                                                encoding="utf-8")
-
-
-def _trace_columns(layers):
-    """traces.csv's column names, {layer}.n{i} for each neuron of each (layer, width)."""
-    return [f"{name}.n{i + 1}" for name, width in layers for i in range(width)]
 
 
 def _network_for(records, cfg: dict) -> NetworkSpec:
@@ -348,15 +349,26 @@ def _map_in_children(stage: _Stage, work, items, jobs: int, held) -> list:
     train-backbone's and calibrate's clip blocks, train-detector's fits and the sweep's cells.
     At jobs >= 2 the items are dealt into n = min(jobs, len(items)) shards, items[j::n]: shard 0
     runs here, and each other shard in a forked child that starts from the loaded interpreter and
-    what the caller built, and pickles (True, results) or (False, error) into a pipe; threads
-    would serialize work's small numpy calls on the interpreter lock. Every child is reaped, and
-    all are killed first if an exception leaves, work's own here included; on Linux a child is
-    also killed when the stage dies. A FormatError or OSError leaving a child's work is raised
-    here as itself; any other failure, or a dead child, raises a StageError naming held(the
-    positions in items of its shard)."""
+    what the caller built; threads would serialize work's small numpy calls on the interpreter
+    lock. A shard stops at its first failing item; the failure at the lowest index is raised, as
+    at jobs 1, and no child whose first item lies past a known failure is waited for. Every child
+    is reaped, and all are killed first if an exception leaves; on Linux a child also dies with its
+    stage. A FormatError or OSError from a child is raised here as itself; any other failure, or a
+    dead child, raises a StageError naming held(the positions in items of its shard)."""
     n = min(jobs, len(items))
     if n <= 1 or not hasattr(os, "fork"):
         return [work(item) for item in items]
+
+    def run_shard(j):
+        results = []
+        for index in range(j, len(items), n):
+            try:
+                results.append(work(items[index]))
+            except Exception as exc:  # noqa: BLE001 - raised once no earlier item can fail
+                child_text = j > 0 and not isinstance(exc, (FormatError, OSError))  # sent as text, not pickled
+                return None, (index, f"{type(exc).__name__}: {exc}" if child_text else exc)
+        return results, None
+
     ends, live = [], []  # each child's pipe adds its read end, then its write end
     stage_pid = os.getpid()
     try:
@@ -371,32 +383,29 @@ def _map_in_children(stage: _Stage, work, items, jobs: int, held) -> list:
                             os._exit(1)
                     for end in ends[:-1]:  # so a send fails, not blocks, once the stage is gone
                         end.close()
-                    try:
-                        result = (True, [work(item) for item in items[j::n]])
-                    except (FormatError, OSError) as exc:  # pickles with its type, message and filename
-                        result = (False, exc)
-                    except Exception as exc:  # noqa: BLE001 - the parent raises it as a StageError
-                        result = (False, f"{type(exc).__name__}: {exc}")
-                    pickle.dump(result, ends[-1], protocol=pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(run_shard(j), ends[-1], protocol=pickle.HIGHEST_PROTOCOL)
                     ends[-1].close()
                     os._exit(0)
                 finally:
                     os._exit(1)
             live.append(pid)
             ends[-1].close()
-        parts = [[work(item) for item in items[::n]]]
+        reports = [run_shard(0)]  # (results, None) or (None, (index, error)) per shard, in shard order
         for j, (pid, pipe) in enumerate(zip(list(live), ends[::2]), 1):
+            if any(failed and failed[0] < j for _, failed in reports):  # no later shard holds an earlier item
+                break
             data, code = pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             live.remove(pid)
-            who = held(range(j, len(items), n))
             if code != 0:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise stage.error(f"{who} {how} before sending its results")
-            ok, part = pickle.loads(data)
-            if not ok:
-                raise part if isinstance(part, Exception) else stage.error(f"{who} failed: {part}")
-            parts.append(part)
-        return [parts[i % n][i // n] for i in range(len(items))]
+                raise stage.error(f"{held(range(j, len(items), n))} {how} before sending its results")
+            reports.append(pickle.loads(data))
+        failures = [failed for _, failed in reports if failed]
+        if failures:
+            index, error = min(failures, key=lambda failed: failed[0])
+            held_by = held(range(index % n, len(items), n))
+            raise error if isinstance(error, BaseException) else stage.error(f"{held_by} failed: {error}")
+        return [reports[i % n][0][i // n] for i in range(len(items))]
     finally:
         for pid in live:
             os.kill(pid, signal.SIGKILL)
@@ -418,23 +427,22 @@ def _feature_array(stage: _Stage, files, fcfg: dict, jobs: int) -> np.ndarray:
 
 
 def _trace(stage: _Stage, netspec: NetworkSpec, weights: WeightStore, items, fcfg: dict, jobs: int, waves_of):
-    """One trace of items, each layer a (clips, width) array in item order; traced in blocks,
-    and waves_of maps a block to its waveforms."""
+    """One trace of items, one row per item in item order; traced in blocks, and waves_of maps a
+    block to its waveforms."""
     def work(block):
         return forward_batch(netspec, weights, _network_input(waves_of(block), fcfg))[1]
 
     parts = _map_blocks(stage, work, items, jobs)
-    return ActivationTrace(tuple((pairs[0][0], np.concatenate([vals for _, vals in pairs]))
-                                 for pairs in zip(*(part.entries for part in parts))))
+    return LayerTable(np.concatenate([part.values for part in parts]), parts[0].layout)
 
 
 # --- stages -----------------------------------------------------------
 
 
 def cmd_gen_data(cfg: dict, jobs: int = 1):
-    """Write the synthetic corpus plus the 12-texture noise bank."""
+    """Write the corpus and the 12-texture noise bank under out_dir, never to a configured manifest or bank."""
     stage = _Stage(cfg, "gen-data")
-    paths = stage.paths
+    paths = RunPaths({**cfg, "manifest": "", "noise_bank": ""})  # the run's own, where gen-data writes
     try:
         paths.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # --out names a file, or a path beneath one
@@ -446,7 +454,7 @@ def cmd_gen_data(cfg: dict, jobs: int = 1):
         bank = generate_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"], seed=cfg["seed"] + 1)
     except OSError as exc:  # e.g. a regular file where the corpus or noise bank needs a directory
         raise stage.error(f"cannot write {exc.filename or paths.out}: {exc.strerror or exc}") from exc
-    stage.audit([paths.manifest, *sorted(paths.noise_dir.glob("*.wav"))],
+    stage.audit([paths.manifest, *(paths.noise_dir / f"{i}.wav" for i in bank.ids())],
                 clips=len(records), noise_classes=bank.ids())
     return records
 
@@ -465,6 +473,7 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
     feats = _feature_array(stage, [root / r.path for r in train_real], cfg["frontend"], jobs)
     labels = np.asarray([index[r.speaker_id] for r in train_real])
     store, losses = train_backbone(netspec, feats, labels, TrainConfig(**cfg["backbone"], seed=cfg["seed"]))
+    stage.trained(store, netspec, "backbone")
     save_weights(store, stage.paths.backbone)
 
     held = [r for r in records if r.split == "test" and r.label == REAL]
@@ -492,12 +501,10 @@ def cmd_calibrate(cfg: dict, jobs: int = 1):
         raise stage.error("no train-split clips to calibrate on")
     trace = _trace(stage, netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs,
                    lambda block: [_load_clip(f) for f in block])
-    write_feature_csv(paths.traces, _trace_columns(zip(trace.layer_ids(), trace.widths())),
-                      [r.label for r in records], [r.split for r in records],
-                      np.concatenate([vals for _, vals in trace.entries], axis=1))
+    write_feature_csv(paths.traces, trace.column_names("n"), [r.label for r in records],
+                      [r.split for r in records], trace.values)
     # a clip's row holds the same bits in any block, so these are the train clips' own thresholds
-    train = ActivationTrace(tuple((name, vals[cal]) for name, vals in trace.entries))
-    thresholds = calibrate_thresholds(train)
+    thresholds = calibrate_thresholds(LayerTable(trace.values[cal], trace.layout))
     save_thresholds(thresholds, paths.thresholds)
     stage.audit([paths.thresholds, paths.traces], calibration_clips=len(cal))
     return thresholds
@@ -539,6 +546,8 @@ def cmd_train_detector(cfg: dict, jobs: int = 1):
 
     models = dict(zip(criteria, _map_in_children(
         stage, fit, criteria, jobs, lambda held: f"the {' and '.join(criteria[i] for i in held)} fit")))
+    for criterion, model in models.items():
+        stage.trained(model.weights, model.network, f"{criterion} detector")
     for criterion, model in models.items():
         save_detector(model, stage.paths.detector(criterion))
     stage.audit([stage.paths.detector(c) for c in criteria],

@@ -17,9 +17,9 @@ import pytest
 
 from voicetrace.audio import Waveform, load_wav, save_wav
 from voicetrace.backbone import (
-    ActivationTrace,
     Conv2d,
     FullyConnected,
+    LayerTable,
     NetworkSpec,
     gradient_check as backbone_gradient_check,
     init_weights,
@@ -100,14 +100,15 @@ def test_criterion_1_coverage_oracles(verdict):
     started = time.perf_counter()
     rng = np.random.default_rng(401)
     layout = (("conv1", 16), ("conv2", 32), ("fc1", 24), ("fc2", 8))
-    block = ActivationTrace(tuple((name, rng.random((50, width))) for name, width in layout))
+    layers = [rng.random((50, width)) for _, width in layout]  # the oracles read these, not the table
+    block = LayerTable(np.concatenate(layers, axis=1), layout)
 
     ok = True
     thresholds = calibrate_thresholds(block)
     ok &= thresholds.calibration_size == 50
-    for index, (_, width) in enumerate(layout):
+    for index, values in enumerate(layers):
         total, count = 0.0, 0
-        for row in block.entries[index][1]:
+        for row in values:
             for value in row:
                 total += float(value)
                 count += 1
@@ -118,7 +119,7 @@ def test_criterion_1_coverage_oracles(verdict):
     expected = np.asarray(
         [
             [float(sum(1 for v in values[clip] if float(v) > delta))
-             for (_, values), (_, delta) in zip(block.entries, thresholds.deltas)]
+             for values, (_, delta) in zip(layers, thresholds.deltas)]
             for clip in range(50)
         ]
     )
@@ -127,7 +128,7 @@ def test_criterion_1_coverage_oracles(verdict):
     got = tkan_features(block, k=5).values
     expected = np.asarray(
         [
-            np.concatenate([sorted(values[clip], reverse=True)[:5] for _, values in block.entries])
+            np.concatenate([sorted(values[clip], reverse=True)[:5] for values in layers])
             for clip in range(50)
         ]
     )

@@ -115,7 +115,7 @@ def test_forward_zero_weights():
     rng = np.random.default_rng(0)
     logits, trace = forward_batch(TINY_SPEC, WeightStore(tensors), rng.standard_normal((1, 8, 6, 1)))
     assert np.all(logits == 0)
-    for _, values in trace.entries:
+    for _, values in trace.layers():
         assert np.all(values == 0)
 
 
@@ -128,7 +128,7 @@ def test_forward_identity_conv_constant_input():
     tensors["conv1.weight"][0, 0, 0, 0] = 1.0
     c = 0.73
     _, trace = forward_batch(spec, WeightStore(tensors), np.full((1, 2, 2, 1), c))
-    assert dict(trace.entries)["conv1"][0, 0] == pytest.approx(c)
+    assert dict(trace.layers())["conv1"][0, 0] == pytest.approx(c)
 
 
 def test_forward_matches_naive_loop_oracle():
@@ -140,7 +140,7 @@ def test_forward_matches_naive_loop_oracle():
         ref_logits, ref_trace = _naive_forward(TINY_SPEC, weights.tensors, x)
         np.testing.assert_allclose(logits[0], ref_logits, rtol=1e-5, atol=1e-8)
         assert trace.layer_ids() == [name for name, _ in ref_trace]
-        for (_, got), (_, want) in zip(trace.entries, ref_trace):
+        for (_, got), (_, want) in zip(trace.layers(), ref_trace, strict=True):
             np.testing.assert_allclose(got[0], want, rtol=1e-5, atol=1e-8)
 
 
@@ -155,7 +155,7 @@ def test_forward_with_maxpool_matches_oracle():
     logits, trace = forward_batch(spec, weights, x[None])
     ref_logits, ref_trace = _naive_forward(spec, weights.tensors, x)
     np.testing.assert_allclose(logits[0], ref_logits, rtol=1e-5, atol=1e-8)
-    for (_, got), (_, want) in zip(trace.entries, ref_trace):
+    for (_, got), (_, want) in zip(trace.layers(), ref_trace, strict=True):
         np.testing.assert_allclose(got[0], want, rtol=1e-5, atol=1e-8)
 
 
@@ -165,10 +165,10 @@ def test_trace_layout_independent_of_content():
     seen = set()
     for _ in range(10):
         _, trace = forward_batch(TINY_SPEC, weights, rng.standard_normal((1, 8, 6, 1)))
-        seen.add((tuple(trace.layer_ids()), tuple(trace.widths())))
-        for _, values in trace.entries[:-1]:  # all but the raw logit layer
+        seen.add(trace.layout)
+        for _, values in list(trace.layers())[:-1]:  # all but the raw logit layer
             assert np.all(values >= 0)
-    assert seen == {(("conv1", "conv2", "fc1", "fc2"), (3, 4, 6, 3))}
+    assert seen == {(("conv1", 3), ("conv2", 4), ("fc1", 6), ("fc2", 3))}
 
 
 def test_reference_spec_trace_widths():
@@ -184,7 +184,7 @@ def test_forward_deterministic():
     la, ta = forward_batch(TINY_SPEC, weights, x[None])
     lb, tb = forward_batch(TINY_SPEC, weights, x.copy()[None])
     assert np.array_equal(la, lb)
-    for (_, va), (_, vb) in zip(ta.entries, tb.entries):
+    for (_, va), (_, vb) in zip(ta.layers(), tb.layers(), strict=True):
         assert np.array_equal(va, vb)
 
 
@@ -375,7 +375,7 @@ def test_batch_forward_matches_single():
         single_logits, single_trace = forward_batch(TINY_SPEC, weights, batch[i][None])
         # batched matmuls may sum in a different order; allow rounding noise
         np.testing.assert_allclose(logits[i], single_logits[0], atol=1e-12)
-        for (name, block), (s_name, s_vals) in zip(trace.entries, single_trace.entries):
+        for (name, block), (s_name, s_vals) in zip(trace.layers(), single_trace.layers(), strict=True):
             assert name == s_name
             np.testing.assert_allclose(block[i], s_vals[0], atol=1e-12)
 
@@ -665,7 +665,8 @@ def test_an_fc_over_a_3d_input_gives_the_bits_of_the_fc_over_the_reshaped_input(
     logits, trace = forward_batch(over_3d, weights, x)
     flat_logits, flat_trace = forward_batch(over_flat, weights, x.reshape(6, -1))
     assert logits.tobytes() == flat_logits.tobytes()
-    assert [v.tobytes() for _, v in trace.entries] == [v.tobytes() for _, v in flat_trace.entries]
+    assert trace.layout == flat_trace.layout
+    assert [v.tobytes() for _, v in trace.layers()] == [v.tobytes() for _, v in flat_trace.layers()]
     loss, grads = _loss_and_grads(over_3d, weights.as_float64(), x, labels)
     flat_loss, flat_grads = _loss_and_grads(over_flat, weights.as_float64(), x.reshape(6, -1), labels)
     assert loss == flat_loss

@@ -5,7 +5,9 @@ manipulate.apply_manipulation, and _stretch only there and in manipulate._pitch,
 every gradient check and every stretch or noise mix runs through them. _run_layers runs every
 forward pass, and detector_network builds a detector's network only where one is trained or
 loaded. One parallel path: os.fork is called only in pipeline._map_in_children, and no module
-builds a ThreadPoolExecutor, so every stage that uses the cores deals its work to forked shards."""
+builds a ThreadPoolExecutor, so every stage that uses the cores deals its work to forked shards.
+One layer table: a LayerTable is built only where a trace or a feature table starts or is cut by
+rows, and the pipeline never splits one back into per-layer arrays."""
 
 import ast
 from pathlib import Path
@@ -27,6 +29,9 @@ NETWORK_CALLERS = {
     "_run_layers": ["backbone.forward_batch", "backbone._loss_and_grads", "backbone._check_gradients",
                     "detector.score_batch"],
 }
+
+TABLE_BUILDERS = ["backbone.forward_batch", "coverage.acn_features", "coverage.tkan_features",
+                  "pipeline._Stage", "pipeline._trace", "pipeline.cmd_calibrate"]
 
 
 def _call_sites(source: str, module: str, name: str):
@@ -104,3 +109,19 @@ def test_one_engine_runs_every_network_and_a_detector_network_is_built_once_per_
 def test_every_stage_uses_the_cores_through_one_fork_helper_and_no_thread_pool():
     assert _sites("fork") == ["pipeline._map_in_children"]
     assert _sites("ThreadPoolExecutor") == []
+
+
+def test_a_layer_table_is_built_only_by_the_forward_pass_the_features_and_the_pipeline_s_trace_steps():
+    # forward_batch per block, _trace joining the blocks' rows, cmd_calibrate taking the train rows,
+    # _Stage.trace wrapping traces.csv, and the ACN and TKAN features
+    assert _sites("LayerTable") == TABLE_BUILDERS
+
+
+def test_the_pipeline_never_splits_a_matrix_into_per_layer_arrays():
+    tree = ast.parse((SOURCES[0].parent / "pipeline.py").read_text(encoding="utf-8"))
+    splits = {"split", "array_split", "hsplit"}
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in splits
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert not [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "numpy" for alias in node.names if alias.name in splits]

@@ -16,12 +16,12 @@ import pytest
 
 from voicetrace import nsw1, pipeline
 from voicetrace.audio import Waveform, load_wav, save_wav
-from voicetrace.backbone import load_weights, reference_spec
+from voicetrace.backbone import WeightStore, load_weights, reference_spec
 from voicetrace.cli import main
 from voicetrace.corpus import FAKE, REAL, CorpusSpec, ManifestRecord, load_manifest
 from voicetrace.coverage import calibrate_thresholds, save_thresholds
 from voicetrace.detector import save_detector, train_detector
-from voicetrace.errors import ConfigError
+from voicetrace.errors import ConfigError, StageError
 from voicetrace.nn import TrainConfig
 from voicetrace.pipeline import config_digest, load_config
 
@@ -288,6 +288,53 @@ def test_a_fit_killed_by_a_signal_exits_2_naming_train_detector(chain, tmp_path,
     assert err.startswith("voicetrace: train-detector: the tkan fit was killed by signal 9 ")
     assert "Traceback" not in err
     for rel in DETECTOR_FILES:
+        assert (part / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+
+def _with_a_nan(store):
+    """A copy of store whose fc1.weight holds a NaN."""
+    tensors = store.as_float64()
+    tensors["fc1.weight"][0, 0] = np.nan
+    return WeightStore(tensors)
+
+
+def test_a_backbone_that_trains_to_a_weight_that_is_not_finite_is_not_saved(chain, tmp_path, capsys,
+                                                                           monkeypatch):
+    out, config_path = chain
+    part = tmp_path / "diverged"
+    shutil.copytree(out, part)
+    outputs = ("backbone.nsw1", "audit_train_backbone.json")
+    for name in outputs:
+        (part / name).unlink()
+    real = pipeline.train_backbone
+
+    def diverges(*args, **kwargs):
+        store, losses = real(*args, **kwargs)
+        return _with_a_nan(store), losses
+
+    monkeypatch.setattr(pipeline, "train_backbone", diverges)
+    rc = main(["train-backbone", "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("voicetrace: train-backbone: the trained backbone's tensor 'fc1.weight' "
+                                       "holds a value that is not finite; nothing was saved\n")
+    assert not any((part / name).exists() for name in outputs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_detector_that_trains_to_a_weight_that_is_not_finite_saves_no_detector(chain, tmp_path, capsys,
+                                                                                monkeypatch, jobs):
+    out, _ = chain
+    real = pipeline.train_detector
+
+    def tkan_diverges(*args, criterion="", **kwargs):
+        model = real(*args, criterion=criterion, **kwargs)
+        return dataclasses.replace(model, weights=_with_a_nan(model.weights)) if criterion == "tkan" else model
+
+    rc, part = _train_detector_in_a_changed_run(chain, tmp_path, monkeypatch, tkan_diverges, jobs)
+    assert rc == 2
+    assert capsys.readouterr().err == ("voicetrace: train-detector: the trained tkan detector's tensor "
+                                       "'fc1.weight' holds a value that is not finite; nothing was saved\n")
+    for rel in DETECTOR_FILES:  # neither the acn detector, which trained, nor the audit was written
         assert (part / rel).read_bytes() == (out / rel).read_bytes(), rel
 
 
@@ -991,6 +1038,86 @@ def test_a_clip_that_fails_to_decode_in_a_worker_exits_2_as_at_one_job(chain, tm
     assert rc == 2 and err.startswith(f"voicetrace: {stage}: {clip}: ") and err.count("\n") == 1
     assert not any((part / name).exists() for name in outputs)
     _assert_no_child_left()
+
+
+def test_of_two_clips_that_fail_to_decode_the_first_in_manifest_order_is_named_at_any_jobs(chain, tmp_path,
+                                                                                           capsys):
+    out, config_path = chain
+    part = tmp_path / "damaged_clips"
+    shutil.copytree(out, part)
+    outputs = ("traces.csv", "thresholds.json", "audit_calibrate.json")
+    for name in outputs:
+        (part / name).unlink()
+    # the first clips of the second and third of the three clip blocks: at two jobs a forked worker
+    # decodes the second, and the stage the first and the third
+    records = load_manifest(part / "corpus/manifest.tsv")
+    first, second = (part / "corpus" / records[block * pipeline._TRACE_BLOCK].path for block in (1, 2))
+    for clip in (first, second):
+        clip.write_bytes(b"RIFF")
+    ran = []
+    for jobs in ("1", "2", "3"):
+        rc = main(["calibrate", "--config", str(config_path), "--out", str(part), "--seed", "7", "--jobs", jobs])
+        ran.append((rc, capsys.readouterr().err))
+        _assert_no_child_left()
+    assert ran[0] == ran[1] == ran[2]
+    rc, err = ran[0]
+    assert rc == 2 and err.startswith(f"voicetrace: calibrate: {first}: ") and err.count("\n") == 1
+    assert not any((part / name).exists() for name in outputs)
+
+
+def _shards(held):
+    return "the shard of items " + ", ".join(map(str, held))
+
+
+@pytest.mark.parametrize("failing, raised, match", [
+    ({1, 2}, StageError, "the shard of items 1, 3 failed: ValueError: item 1$"),  # a worker's item first
+    ({2, 3}, ValueError, "^item 2$"),  # the stage's second item before the worker's second
+], ids=["worker-first", "stage-first"])
+def test_the_failure_of_the_lowest_item_is_raised_whichever_shard_meets_it(tmp_path, failing, raised, match):
+    stage = pipeline._Stage(load_config(out_dir=tmp_path), "calibrate")
+
+    def work(item):
+        if item in failing:
+            raise ValueError(f"item {item}")
+        return item
+
+    with pytest.raises(ValueError, match=f"^item {min(failing)}$"):  # one job meets the lowest first
+        pipeline._map_in_children(stage, work, [0, 1, 2, 3], 1, _shards)
+    with _within(60), pytest.raises(raised, match=match):
+        pipeline._map_in_children(stage, work, [0, 1, 2, 3], 2, _shards)
+    _assert_no_child_left()
+
+
+def test_a_failure_at_the_first_item_is_raised_without_waiting_for_the_workers():
+    me = os.getpid()
+
+    def work(item):
+        if os.getpid() != me:
+            time.sleep(600)
+        raise ValueError(f"item {item}")
+
+    with _within(60), pytest.raises(ValueError, match="^item 0$"):
+        pipeline._map_in_children(None, work, [0, 1, 2], 3, _shards)
+    _assert_no_child_left()  # both stalled workers were killed, then reaped
+
+
+def test_gen_data_writes_under_its_output_directory_and_leaves_a_configured_bank_and_manifest_alone(tmp_path):
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    user_wav = bank / "indoor_breathing.wav"  # a name gen-data's own bank also writes
+    save_wav(Waveform(np.linspace(-0.5, 0.5, 4000), 16000), user_wav)
+    before = user_wav.read_bytes()
+    manifest = tmp_path / "mine.tsv"
+    manifest.write_text("the user's manifest\n", encoding="utf-8")
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {"noise_bank": str(bank), "manifest": str(manifest)})
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(bank.iterdir()) == [user_wav] and user_wav.read_bytes() == before
+    assert manifest.read_text(encoding="utf-8") == "the user's manifest\n"
+    written = sorted(Path(path) for path in json.loads((out / "audit_gen_data.json").read_text())["outputs"])
+    assert written == sorted([out / "corpus" / "manifest.tsv", *(out / "noise").glob("*.wav")])
+    assert len(written) == 13
+    assert not any(path == manifest or bank in path.parents for path in written)
 
 
 def test_a_clip_path_that_cannot_be_written_in_a_gen_data_worker_exits_2_as_at_one_job(tmp_path, capsys):

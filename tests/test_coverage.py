@@ -3,12 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from voicetrace.backbone import ActivationTrace
+from voicetrace.backbone import LayerTable
 from voicetrace.errors import FeatureFormatError
 from voicetrace.coverage import (
     ACN,
     TKAN,
-    FeatureVector,
     LayerThresholds,
     acn_features,
     calibrate_thresholds,
@@ -22,14 +21,15 @@ from voicetrace.pipeline import _TRACE_BLOCK
 
 
 def _trace(layer_values):
-    """A block trace; a layer given as one flat list is a block of one clip."""
-    return ActivationTrace(tuple((name, np.atleast_2d(np.asarray(v, dtype=np.float64)))
-                                 for name, v in layer_values))
+    """A block trace of (name, values) layers; a layer given as one flat list is a block of one clip."""
+    layers = [(name, np.atleast_2d(np.asarray(v, dtype=np.float64))) for name, v in layer_values]
+    return LayerTable(np.concatenate([v for _, v in layers], axis=1),
+                      tuple((name, v.shape[1]) for name, v in layers))
 
 
-def _random_block(rng, n, widths):
-    """An n-clip block trace of non-negative values, one layer per width."""
-    return _trace([(f"l{j}", np.abs(rng.standard_normal((n, w)))) for j, w in enumerate(widths)])
+def _random_layers(rng, n, widths):
+    """n clips of non-negative values per layer, one (name, (n, width) array) pair per width."""
+    return [(f"l{j}", np.abs(rng.standard_normal((n, w)))) for j, w in enumerate(widths)]
 
 
 def test_calibrate_two_trace_hand_case():
@@ -48,13 +48,13 @@ def test_calibrate_single_trace_is_layer_mean():
 
 def test_calibrate_matches_brute_force():
     rng = np.random.default_rng(41)
-    block = _random_block(rng, 50, (7, 3, 12, 5))
-    th = calibrate_thresholds(block)
+    layers = _random_layers(rng, 50, (7, 3, 12, 5))
+    th = calibrate_thresholds(_trace(layers))
     assert th.calibration_size == 50
-    for j, name in enumerate(["l0", "l1", "l2", "l3"]):
+    for name, values in layers:
         total = 0.0
         count = 0
-        for row in block.entries[j][1]:
+        for row in values:
             for v in row:
                 total += float(v)
                 count += 1
@@ -65,7 +65,7 @@ def test_calibrate_rejects_empty():
     with pytest.raises(ValueError):
         calibrate_thresholds(_trace([("fc1", np.zeros((0, 2))), ("fc2", np.zeros((0, 3)))]))
     with pytest.raises(ValueError):
-        calibrate_thresholds(ActivationTrace(()))
+        calibrate_thresholds(LayerTable(np.zeros((0, 0)), ()))
 
 
 def test_calibrate_order_free():
@@ -79,19 +79,18 @@ def test_calibrate_order_free():
 
 def _clips(block):
     """The one-row slices of a block trace, in clip order."""
-    return [ActivationTrace(tuple((name, values[i : i + 1]) for name, values in block.entries))
-            for i in range(len(block.entries[0][1]))]
+    return [LayerTable(block.values[i : i + 1], block.layout) for i in range(len(block.values))]
 
 
-def _reference_calibrate(block):
-    """The per-clip loop calibrate ran before traces held a clip axis, over the block's rows."""
-    n = len(block.entries[0][1])
-    sums = np.zeros(len(block.entries))
+def _reference_calibrate(layers):
+    """The per-clip loop calibrate ran before traces held a clip axis, over the layers' rows."""
+    n = len(layers[0][1])
+    sums = np.zeros(len(layers))
     for i in range(n):
-        for j, (_, values) in enumerate(block.entries):
+        for j, (_, values) in enumerate(layers):
             sums[j] += float(np.sum(values[i]))
     return LayerThresholds(tuple((name, float(sums[j] / (n * values.shape[1])))
-                                 for j, (name, values) in enumerate(block.entries)), n)
+                                 for j, (name, values) in enumerate(layers)), n)
 
 
 def _bits(thresholds):
@@ -99,23 +98,24 @@ def _bits(thresholds):
 
 
 @pytest.fixture
-def block():
-    """A 17-clip trace, one clip more than the pipeline's trace block, on the stock layer widths."""
+def layers():
+    """17 clips, one more than the pipeline's trace block, per layer of the stock layer widths."""
     rng = np.random.default_rng(71)
     widths = (16, 32, 64, 128, 64, 8)
-    return _trace([(f"l{j}", np.maximum(rng.standard_normal((_TRACE_BLOCK + 1, w)), 0.0))
-                   for j, w in enumerate(widths)])
+    return [(f"l{j}", np.maximum(rng.standard_normal((_TRACE_BLOCK + 1, w)), 0.0)) for j, w in enumerate(widths)]
 
 
-def test_batched_calibrate_equals_the_per_clip_loop_bitwise(block):
+def test_batched_calibrate_equals_the_per_clip_loop_bitwise(layers):
+    block = _trace(layers)
     batched = calibrate_thresholds(block)
     assert batched.calibration_size == _TRACE_BLOCK + 1
-    assert block.widths() == [16, 32, 64, 128, 64, 8]
-    assert _bits(batched) == _bits(_reference_calibrate(block))
+    assert block.layout == (("l0", 16), ("l1", 32), ("l2", 64), ("l3", 128), ("l4", 64), ("l5", 8))
+    assert _bits(batched) == _bits(_reference_calibrate(layers))
 
 
-def test_batched_features_equal_the_per_clip_features_bitwise(block):
+def test_batched_features_equal_the_per_clip_features_bitwise(layers):
     """Each row of a block gives the features of its one-row slice, bit for bit."""
+    block = _trace(layers)
     clips = _clips(block)
     th = calibrate_thresholds(block)
     for batched, single in ((acn_features(block, th), lambda c: acn_features(c, th)),
@@ -143,11 +143,11 @@ def test_acn_boundary_is_strict():
 def test_acn_matches_elementwise_count():
     rng = np.random.default_rng(47)
     widths = (16, 32, 64, 128, 64, 8)
-    block = _random_block(rng, 10, widths)
-    th = calibrate_thresholds(block)
-    fv = acn_features(block, th)
+    layers = _random_layers(rng, 10, widths)
+    th = calibrate_thresholds(_trace(layers))
+    fv = acn_features(_trace(layers), th)
     assert fv.values.shape == (10, len(widths))
-    for j, (name, values) in enumerate(block.entries):
+    for j, (name, values) in enumerate(layers):
         for i, row in enumerate(values):
             expected = sum(1 for v in row if v > dict(th.deltas)[name])
             assert fv.values[i, j] == expected
@@ -155,7 +155,7 @@ def test_acn_matches_elementwise_count():
 
 def test_acn_monotone_in_threshold():
     rng = np.random.default_rng(53)
-    trace = _random_block(rng, 1, (30,))
+    trace = _trace(_random_layers(rng, 1, (30,)))
     base = calibrate_thresholds(trace)
     prev = acn_features(trace, base).values[0, 0]
     for bump in (0.1, 0.3, 1.0, 3.0):
@@ -281,6 +281,11 @@ def test_read_feature_csv_header_only_is_an_empty_table(tmp_path):
     assert matrix.shape == (0, 2)
 
 
-def test_feature_vector_is_plain_data():
-    fv = FeatureVector(np.array([1.0]), (("l0", 1),))
-    assert fv.values.shape == (1,)
+def test_layer_table_is_plain_data():
+    table = LayerTable(np.arange(12.0).reshape(2, 6), (("l0", 1), ("l1", 2), ("l2", 3)))
+    assert table.layer_ids() == ["l0", "l1", "l2"]
+    layers = list(table.layers())
+    assert [(name, values.tolist()) for name, values in layers] == [
+        ("l0", [[0.0], [6.0]]), ("l1", [[1.0, 2.0], [7.0, 8.0]]), ("l2", [[3.0, 4.0, 5.0], [9.0, 10.0, 11.0]])]
+    assert all(np.shares_memory(values, table.values) for _, values in layers)  # views, not copies
+    assert table.column_names("n") == ["l0.n", "l1.n1", "l1.n2", "l2.n1", "l2.n2", "l2.n3"]
