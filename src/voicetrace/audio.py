@@ -152,9 +152,8 @@ def save_wav(w: Waveform, path, bit_depth: str = PCM16) -> None:
     Path(path).write_bytes(header + body)
 
 
-def rms(w) -> float:
-    """Root mean square of a Waveform's or an array's samples: sqrt(mean(samples^2))."""
-    samples = _as_samples(w)
+def rms(samples: np.ndarray) -> float:
+    """Root mean square of samples: sqrt(mean(samples^2))."""
     if samples.size == 0:
         raise ValueError("rms of an empty waveform is undefined")
     return float(np.sqrt(np.mean(np.square(samples))))
@@ -174,19 +173,12 @@ def hann_window(size: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(size) / size)
 
 
-def _as_samples(w) -> np.ndarray:
-    if isinstance(w, Waveform):
-        return w.samples
-    return np.asarray(w, dtype=np.float64)
-
-
-def stft(w, window_size: int, hop: int) -> np.ndarray:
+def stft(samples: np.ndarray, window_size: int, hop: int) -> np.ndarray:
     """Hann-windowed one-sided STFT, shape (frames, window_size//2 + 1).
 
     Frames start at sample 0 with no centering; the trailing partial
     window is dropped.
     """
-    samples = _as_samples(w)
     if not 1 <= hop <= window_size:
         raise ValueError(f"hop must be in [1, window_size], got {hop}")
     if samples.size < window_size:

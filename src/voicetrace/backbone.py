@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -153,21 +154,18 @@ def reference_spec(num_speakers: int, input_shape=(200, 64, 1)) -> NetworkSpec:
 
 
 class WeightStore:
-    """Named float32 tensors matching a NetworkSpec's parameter shapes, plus float64 copies made
-    once for inference. Both are read-only copies, so neither goes stale and the caller's
-    arrays keep their flags; unpickling rebuilds the store from its float32 tensors."""
+    """Named float32 tensors matching a NetworkSpec's parameter shapes, plus their float64 copies,
+    params64, made once for inference. Both are read-only copies, so neither goes stale and the
+    caller's arrays keep their flags; unpickling rebuilds the store from its float32 tensors."""
 
     def __init__(self, tensors: dict):
         self.tensors = {k: np.array(v, dtype=np.float32) for k, v in tensors.items()}
-        self._params64 = {k: v.astype(np.float64) for k, v in self.tensors.items()}
-        for tensor in (*self.tensors.values(), *self._params64.values()):
+        self.params64 = {k: v.astype(np.float64) for k, v in self.tensors.items()}
+        for tensor in (*self.tensors.values(), *self.params64.values()):
             tensor.flags.writeable = False
 
     def __reduce__(self):
         return WeightStore, (self.tensors,)
-
-    def params64(self) -> dict:
-        return self._params64
 
     def validate(self, spec: NetworkSpec) -> None:
         expected = spec.parameter_shapes()
@@ -203,11 +201,11 @@ def init_weights(spec: NetworkSpec, seed: int | np.random.Generator) -> WeightSt
 
 
 def save_weights(weights: WeightStore, path) -> None:
-    nsw1.write_tensors(path, weights.tensors)
+    Path(path).write_bytes(nsw1.pack_tensors(weights.tensors))
 
 
 def load_weights(path, spec: NetworkSpec | None = None) -> WeightStore:
-    store = WeightStore(nsw1.read_tensors(path))
+    store = WeightStore(nsw1.read_tensor_stream(Path(path).read_bytes(), label=str(path)))
     if spec is not None:
         try:
             store.validate(spec)
@@ -282,7 +280,7 @@ def forward_batch(spec: NetworkSpec, weights: WeightStore, batch: np.ndarray):
     batch = np.asarray(batch, dtype=np.float64)
     if batch.shape[1:] != spec.input_shape:
         raise ValueError(f"batch shape {batch.shape[1:]} does not match spec {spec.input_shape}")
-    outputs = _run_layers(spec, weights.params64(), batch)
+    outputs = _run_layers(spec, weights.params64, batch)
     monitored = spec.monitored_layers()
     values = [outputs[idx].mean(axis=(1, 2)) if outputs[idx].ndim == 4 else outputs[idx]
               for idx, _, _ in monitored]

@@ -148,8 +148,8 @@ def _render_clip(voice: _SpeakerVoice, rng: np.random.Generator, n: int, sr: int
     return 0.35 * clip
 
 
-def _quantize_phase(samples: np.ndarray, sr: int) -> np.ndarray:
-    spec = stft(Waveform(samples, sr), _ART_WINDOW, _ART_HOP)
+def _quantize_phase(samples: np.ndarray) -> np.ndarray:
+    spec = stft(samples, _ART_WINDOW, _ART_HOP)
     step = 2.0 * np.pi / _PHASE_LEVELS
     phase = np.round(np.angle(spec) / step) * step
     doctored = np.abs(spec) * np.exp(1j * phase)
@@ -170,7 +170,7 @@ def _synth_clip(spec: CorpusSpec, speaker: int, label: str, clip: int) -> np.nda
 
     if label == FAKE and spec.fake_artifact != "harmonic_jitter":
         if spec.fake_artifact == "phase_quantization":
-            doctored = _quantize_phase(samples, spec.sample_rate)
+            doctored = _quantize_phase(samples)
         else:
             doctored = band_pass(samples, spec.sample_rate, high_hz=3400.0)
         # compare loudness on the kept region only: the overlap-add edges

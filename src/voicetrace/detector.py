@@ -115,7 +115,7 @@ def score_batch(model: DetectorModel, features: np.ndarray) -> np.ndarray:
     if features.shape[1] != width:
         raise ValueError(f"feature width {features.shape[1]} does not match model input {width}")
     x = model.standardizer.transform(features)
-    logits = _run_layers(model.network, model.weights.params64(), x)[-1]
+    logits = _run_layers(model.network, model.weights.params64, x)[-1]
     return sigmoid(logits.ravel())
 
 

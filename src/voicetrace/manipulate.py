@@ -168,7 +168,7 @@ def _mix(samples: np.ndarray, fitted: np.ndarray, rms_n: float, target_snr_db: f
 def measure_snr(signal: Waveform, scaled_noise: Waveform, formula: str = PAPER) -> float:
     """SNR of already-mixed components under the chosen formula, in dB."""
     divisor = 40.0 if formula == PAPER else 20.0
-    return divisor * math.log10(rms(signal) / rms(scaled_noise))
+    return divisor * math.log10(rms(signal.samples) / rms(scaled_noise.samples))
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def apply_manipulation(waves, m: Manipulation, bank=None, formula: str = PAPER) 
             raise ValueError("add_noise manipulation needs a noise bank")
         if formula not in (PAPER, STANDARD):
             raise ValueError(f"unknown SNR formula {formula!r}")
-        noise = bank.get(m.noise_id)
+        noise = bank[m.noise_id]
     groups = {}
     for i, w in enumerate(waves):
         groups.setdefault((w.sample_rate, len(w)), []).append(i)
@@ -243,24 +243,10 @@ def apply_manipulation(waves, m: Manipulation, bank=None, formula: str = PAPER) 
     return out
 
 
-@dataclass(frozen=True)
-class NoiseBank:
-    entries: dict
-
-    def get(self, noise_id: str) -> Waveform:
-        try:
-            return self.entries[noise_id]
-        except KeyError:
-            raise KeyError(f"noise bank has no entry {noise_id!r}") from None
-
-    def ids(self) -> list:
-        return sorted(self.entries)
-
-
-def load_noise_bank(directory, working_rate: int = 16000) -> NoiseBank:
-    """Read every WAV in a directory, resampling to the working rate; an empty or all-zero WAV, or
-    one too short to keep a sample at the working rate, raises AudioFormatError, since no SNR can
-    be set with it."""
+def load_noise_bank(directory, working_rate: int = 16000) -> dict:
+    """{file stem: Waveform} of every WAV in a directory, resampled to the working rate; an empty or
+    all-zero WAV, or one too short to keep a sample at the working rate, raises AudioFormatError,
+    since no SNR can be set with it."""
     directory = Path(directory)
     entries = {}
     for path in sorted(directory.glob("*.wav")):
@@ -276,7 +262,7 @@ def load_noise_bank(directory, working_rate: int = 16000) -> NoiseBank:
         entries[path.stem] = w
     if not entries:
         raise ValueError(f"no WAV files found in {directory}")
-    return NoiseBank(entries)
+    return entries
 
 
 def _bursts(rng: np.random.Generator, n: int, sample_rate: int, rate_hz: float,
@@ -334,8 +320,8 @@ def _synth_noise(tag: str, rng: np.random.Generator, n: int, sr: int) -> np.ndar
 
 
 def generate_noise_bank(directory, sample_rate: int = 16000, seconds: float = NOISE_SECONDS,
-                        seed: int = 7) -> NoiseBank:
-    """Write 12 deterministic synthetic stand-in textures as <taxonomy>_<class>.wav."""
+                        seed: int = 7) -> dict:
+    """Write 12 deterministic synthetic stand-in textures as <taxonomy>_<class>.wav; returns {stem: Waveform}."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     n = int(round(seconds * sample_rate))
@@ -347,4 +333,4 @@ def generate_noise_bank(directory, sample_rate: int = 16000, seconds: float = NO
         w = Waveform(samples, sample_rate)
         save_wav(w, directory / f"{taxonomy}_{tag}.wav", bit_depth=FLOAT32)
         entries[f"{taxonomy}_{tag}"] = w
-    return NoiseBank(entries)
+    return entries

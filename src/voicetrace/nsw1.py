@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -33,10 +32,6 @@ def pack_tensors(tensors: dict[str, np.ndarray]) -> bytes:
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.tobytes())
     return b"".join(parts)
-
-
-def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    Path(path).write_bytes(pack_tensors(tensors))
 
 
 class Reader:
@@ -86,8 +81,3 @@ def read_tensor_stream(data: bytes, label: str = "NSW1 data") -> dict[str, np.nd
     if r.pos != len(data):
         raise WeightFormatError(f"{label}: {len(data) - r.pos} trailing bytes after last tensor")
     return tensors
-
-
-def read_tensors(path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    return read_tensor_stream(path.read_bytes(), label=str(path))

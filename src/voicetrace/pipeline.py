@@ -331,11 +331,14 @@ def _network_for(records, cfg: dict) -> NetworkSpec:
 
 
 def _load_clip(path) -> Waveform:
-    """A corpus clip, refused when it is shorter than one analysis window."""
-    w = load_wav(path)
-    if len(w) < WINDOW:
-        raise AudioFormatError(f"{path}: {len(w)} samples, shorter than one {WINDOW}-sample "
-                               f"analysis window; rerun the gen-data stage or fix the manifest")
+    """A corpus clip, refused when it does not decode or is shorter than one analysis window; the
+    error keeps its FormatError type, so it crosses _map_in_children as itself."""
+    try:
+        w = load_wav(path)
+        if len(w) < WINDOW:
+            raise AudioFormatError(f"{path}: {len(w)} samples, shorter than one {WINDOW}-sample analysis window")
+    except FormatError as exc:
+        raise type(exc)(f"{exc}; rerun the gen-data stage or fix the manifest") from exc
     return w
 
 
@@ -454,8 +457,8 @@ def cmd_gen_data(cfg: dict, jobs: int = 1):
         bank = generate_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"], seed=cfg["seed"] + 1)
     except OSError as exc:  # e.g. a regular file where the corpus or noise bank needs a directory
         raise stage.error(f"cannot write {exc.filename or paths.out}: {exc.strerror or exc}") from exc
-    stage.audit([paths.manifest, *(paths.noise_dir / f"{i}.wav" for i in bank.ids())],
-                clips=len(records), noise_classes=bank.ids())
+    stage.audit([paths.manifest, *(paths.noise_dir / f"{i}.wav" for i in sorted(bank))],
+                clips=len(records), noise_classes=sorted(bank))
     return records
 
 
@@ -474,15 +477,15 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
     labels = np.asarray([index[r.speaker_id] for r in train_real])
     store, losses = train_backbone(netspec, feats, labels, TrainConfig(**cfg["backbone"], seed=cfg["seed"]))
     stage.trained(store, netspec, "backbone")
-    save_weights(store, stage.paths.backbone)
 
     held = [r for r in records if r.split == "test" and r.label == REAL]
     accuracy = None
-    if held:
+    if held:  # scored before the save, so a held-out clip that fails leaves the backbone its audit lists
         held_feats = _feature_array(stage, [root / r.path for r in held], cfg["frontend"], jobs)
         predicted = classify(netspec, store, held_feats)
         truth = np.asarray([index[r.speaker_id] for r in held])
         accuracy = float(np.mean(predicted == truth))
+    save_weights(store, stage.paths.backbone)
     stage.audit([stage.paths.backbone], epoch_losses=losses, holdout_speaker_accuracy=accuracy)
     return store
 
@@ -632,7 +635,7 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
         w.samples.flags.writeable = False  # every cell manipulates these same clips
     y_true = np.asarray([1 if r.label == FAKE else 0 for r in sample])
     formula = cfg["snr_formula"]
-    cells = sweep_cells(cfg, bank.ids())
+    cells = sweep_cells(cfg, sorted(bank))
 
     baseline = _trace(stage, netspec, weights, waves, cfg["frontend"], 1, list)
 
@@ -666,6 +669,8 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
             merged.extend(rows)
         else:
             failures.append((index, cell.describe(), cell.magnitude, error))
+    if _sha256s(frozen) != hashes_before:  # before any report is written, so none reflects the changed models
+        raise stage.error("frozen model artifacts changed during the sweep")
     write_report(paths.sweep_report, merged)
 
     with open(paths.sweep_long, "w", newline="", encoding="utf-8") as fh:
@@ -678,9 +683,6 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
         writer.writerow(["cell", "manipulation", "magnitude", "error"])
         for index, name, magnitude, error in failures:
             writer.writerow([index, name, repr(magnitude), error.replace("\n", " ")])
-
-    if _sha256s(frozen) != hashes_before:
-        raise stage.error("frozen model artifacts changed during the sweep")
     stage.audit([paths.sweep_report, paths.sweep_long, paths.sweep_failures], cells=len(cells),
                 failed_cells=len(failures), sampled_clips=len(sample), frozen_hashes=hashes_before)
     return merged, failures

@@ -35,7 +35,6 @@ from voicetrace.detector import (
 )
 from voicetrace.manipulate import (
     Manipulation,
-    NoiseBank,
     apply_manipulation,
     measure_snr,
 )
@@ -164,7 +163,7 @@ def test_criterion_2_gradient_checks(verdict):
 
 
 def _mix_noise(signal, noise, target_snr_db, formula):
-    bank = NoiseBank({"noise": noise})
+    bank = {"noise": noise}
     return apply_manipulation([signal], Manipulation("add_noise", target_snr_db, "noise"), bank, formula)[0]
 
 

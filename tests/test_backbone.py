@@ -611,7 +611,7 @@ def test_forward_batch_converts_the_weights_once_across_calls(monkeypatch):
     batch = np.random.default_rng(5).standard_normal((2, *TINY_SPEC.input_shape))
     first = forward_batch(TINY_SPEC, weights, batch)
     second = forward_batch(TINY_SPEC, weights, batch)
-    assert len(seen) == 2 and seen[0] is seen[1] is weights.params64()
+    assert len(seen) == 2 and seen[0] is seen[1] is weights.params64
     assert first[0].tobytes() == second[0].tobytes()
     for name, tensor in weights.tensors.items():
         assert seen[0][name].dtype == np.float64
@@ -621,15 +621,15 @@ def test_forward_batch_converts_the_weights_once_across_calls(monkeypatch):
 def test_a_store_tensors_are_read_only_copies_of_the_callers_arrays():
     given = {k: np.ones(s, dtype=np.float32) for k, s in TINY_SPEC.parameter_shapes().items()}
     weights = WeightStore(given)
-    for store in (weights.tensors, weights.params64()):
+    for store in (weights.tensors, weights.params64):
         with pytest.raises(ValueError, match="read-only"):
             store["conv1.weight"][0, 0, 0, 0] = 2.0
     assert all(a.flags.writeable for a in given.values())
     given["conv1.weight"][0, 0, 0, 0] = 2.0  # the store copied, so it does not see this
-    assert weights.tensors["conv1.weight"][0, 0, 0, 0] == weights.params64()["conv1.weight"][0, 0, 0, 0] == 1.0
+    assert weights.tensors["conv1.weight"][0, 0, 0, 0] == weights.params64["conv1.weight"][0, 0, 0, 0] == 1.0
     fresh = weights.as_float64()
     fresh["conv1.weight"] += 1.0  # training and the gradient check update their own copies
-    assert weights.params64()["conv1.weight"][0, 0, 0, 0] == 1.0
+    assert weights.params64["conv1.weight"][0, 0, 0, 0] == 1.0
 
 
 @pytest.mark.parametrize("spec", FIRST_LAYER_SPECS.values(), ids=FIRST_LAYER_SPECS)

@@ -7,7 +7,9 @@ forward pass, and detector_network builds a detector's network only where one is
 loaded. One parallel path: os.fork is called only in pipeline._map_in_children, and no module
 builds a ThreadPoolExecutor, so every stage that uses the cores deals its work to forked shards.
 One layer table: a LayerTable is built only where a trace or a feature table starts or is cut by
-rows, and the pipeline never splits one back into per-layer arrays."""
+rows, and the pipeline never splits one back into per-layer arrays. One NSW1 API each way:
+pack_tensors and read_tensor_stream are called only where a backbone or a detector is saved or
+loaded, with no path-level wrapper between."""
 
 import ast
 from pathlib import Path
@@ -28,6 +30,11 @@ NETWORK_CALLERS = {
     "detector_network": ["detector.train_detector", "detector.load_detector"],
     "_run_layers": ["backbone.forward_batch", "backbone._loss_and_grads", "backbone._check_gradients",
                     "detector.score_batch"],
+}
+
+NSW1_CALLERS = {
+    "pack_tensors": ["backbone.save_weights", "detector.save_detector"],
+    "read_tensor_stream": ["backbone.load_weights", "detector.load_detector"],
 }
 
 TABLE_BUILDERS = ["backbone.forward_batch", "coverage.acn_features", "coverage.tkan_features",
@@ -103,6 +110,11 @@ def test_the_stretch_and_the_noise_mix_are_called_only_on_the_one_manipulation_p
 
 @pytest.mark.parametrize("name, callers", NETWORK_CALLERS.items(), ids=NETWORK_CALLERS)
 def test_one_engine_runs_every_network_and_a_detector_network_is_built_once_per_model(name, callers):
+    assert _sites(name) == callers
+
+
+@pytest.mark.parametrize("name, callers", NSW1_CALLERS.items(), ids=NSW1_CALLERS)
+def test_the_backbone_and_detector_files_use_the_one_bytes_level_nsw1_api(name, callers):
     assert _sites(name) == callers
 
 

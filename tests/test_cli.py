@@ -320,6 +320,22 @@ def test_a_backbone_that_trains_to_a_weight_that_is_not_finite_is_not_saved(chai
     assert not any((part / name).exists() for name in outputs)
 
 
+def test_a_held_out_clip_that_fails_to_decode_leaves_the_old_backbone(chain, tmp_path, capsys):
+    out, _ = chain
+    part = tmp_path / "held_out"
+    shutil.copytree(out, part)
+    held = [r for r in load_manifest(part / "corpus/manifest.tsv") if r.split == "test" and r.label == REAL]
+    clip = part / "corpus" / held[-1].path
+    clip.write_bytes(b"RIFF")
+    # a config that trains a backbone of other bytes than the chain's
+    config_path = _write_config(tmp_path, {"backbone.epochs": 3})
+    rc = main(["train-backbone", "--config", str(config_path), "--out", str(part), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith(f"voicetrace: train-backbone: {clip}: not a RIFF/WAVE file")
+    for name in ("backbone.nsw1", "audit_train_backbone.json"):
+        assert (part / name).read_bytes() == (out / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_detector_that_trains_to_a_weight_that_is_not_finite_saves_no_detector(chain, tmp_path, capsys,
                                                                                 monkeypatch, jobs):
@@ -843,6 +859,28 @@ def test_a_sweep_in_forked_workers_writes_the_bytes_of_one_job(chain, tmp_path, 
     assert len(written[1]["sweep_report.csv"].decode().splitlines()) == 1 + 2 * (1 + 17)
 
 
+def test_a_frozen_model_that_changes_during_the_sweep_leaves_no_report(chain, tmp_path, capsys, monkeypatch):
+    out, config_path = chain
+    part = tmp_path / "changed"
+    shutil.copytree(out, part)
+    for name in (*SWEEP_FILES, "audit_sweep.json"):
+        (part / name).unlink()
+    calls, real = [], pipeline.score_batch
+
+    def changes_the_acn_detector(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:  # the first cell's, after the baseline's two
+            with open(part / "detector_acn.nsd1", "ab") as fh:
+                fh.write(b"\0")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "score_batch", changes_the_acn_detector)
+    rc = main(["sweep", "--config", str(config_path), "--out", str(part), "--seed", "7", "--jobs", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "voicetrace: sweep: frozen model artifacts changed during the sweep\n"
+    assert not any((part / name).exists() for name in (*SWEEP_FILES, "audit_sweep.json"))
+
+
 def test_a_cell_that_raises_in_a_sweep_worker_is_a_failure_row(chain, tmp_path, monkeypatch):
     out, _ = chain
     part = tmp_path / "failing"
@@ -1002,9 +1040,10 @@ def test_a_backbone_that_is_not_finite_exits_2_naming_train_backbone(chain, tmp_
     shutil.copytree(out, part)
     for name in outputs:
         (part / name).unlink(missing_ok=True)
-    tensors = {name: tensor.copy() for name, tensor in nsw1.read_tensors(part / "backbone.nsw1").items()}
+    tensors = nsw1.read_tensor_stream((part / "backbone.nsw1").read_bytes())
+    tensors = {name: tensor.copy() for name, tensor in tensors.items()}
     tensors["fc1.weight"][0, 0] = np.nan
-    nsw1.write_tensors(part / "backbone.nsw1", tensors)
+    (part / "backbone.nsw1").write_bytes(nsw1.pack_tensors(tensors))
     rc = main([stage, "--config", str(config_path), "--out", str(part), "--seed", "7"])
     err = capsys.readouterr().err
     assert rc == 2
@@ -1036,6 +1075,7 @@ def test_a_clip_that_fails_to_decode_in_a_worker_exits_2_as_at_one_job(chain, tm
     assert ran[0] == ran[1]
     rc, err = ran[1]
     assert rc == 2 and err.startswith(f"voicetrace: {stage}: {clip}: ") and err.count("\n") == 1
+    assert err.endswith("; rerun the gen-data stage or fix the manifest\n")
     assert not any((part / name).exists() for name in outputs)
     _assert_no_child_left()
 

@@ -222,7 +222,7 @@ def test_fakes_differ_but_match_loudness(tmp_path):
         fake = load_wav(tmp_path / rec.path)
         assert not np.array_equal(clean, fake.samples)
         # PCM16 quantization is the only slack left after the exact rescale
-        assert rms(fake) == pytest.approx(float(np.sqrt(np.mean(clean**2))), rel=1e-3)
+        assert rms(fake.samples) == pytest.approx(float(np.sqrt(np.mean(clean**2))), rel=1e-3)
         checked += 1
     assert checked == 24
 
@@ -231,7 +231,7 @@ def test_loudness_does_not_separate_classes(tmp_path):
     records = generate_corpus(SMALL, tmp_path)
     levels = {"real": [], "fake": []}
     for rec in records:
-        levels[rec.label].append(rms(load_wav(tmp_path / rec.path)))
+        levels[rec.label].append(rms(load_wav(tmp_path / rec.path).samples))
     ratio = np.mean(levels["fake"]) / np.mean(levels["real"])
     assert 0.8 < ratio < 1.25
 

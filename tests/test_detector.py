@@ -237,7 +237,7 @@ def test_scoring_converts_the_weights_once_and_no_copy_can_go_stale(monkeypatch)
     feats, labels = _blobs(n_per_class=6)
     model = train_detector(feats, labels, TrainConfig(lr=0.05, epochs=2, seed=3), hidden=TINY)
     first, second = score_batch(model, feats), score_batch(model, feats)
-    assert len(seen) == 2 and seen[0] is seen[1] is model.weights.params64()
+    assert len(seen) == 2 and seen[0] is seen[1] is model.weights.params64
     assert first.tobytes() == second.tobytes()
     for name, tensor in model.weights.tensors.items():
         assert seen[0][name].tobytes() == tensor.astype(np.float64).tobytes()
@@ -247,16 +247,16 @@ def test_scoring_converts_the_weights_once_and_no_copy_can_go_stale(monkeypatch)
     backbone_weights = init_weights(reference_spec(4), 3)
     for protocol in (2, pickle.HIGHEST_PROTOCOL):
         back = pickle.loads(pickle.dumps(model, protocol=protocol))
-        assert back.loss_log == model.loss_log and back.weights.params64() is not model.weights.params64()
+        assert back.loss_log == model.loss_log and back.weights.params64 is not model.weights.params64
         back_weights = pickle.loads(pickle.dumps(backbone_weights, protocol=protocol))
         assert list(back_weights.tensors) == list(backbone_weights.tensors)
         for name, tensor in backbone_weights.tensors.items():
             assert back_weights.tensors[name].dtype == np.float32
             assert back_weights.tensors[name].tobytes() == tensor.tobytes()
-            assert back_weights.params64()[name].tobytes() == backbone_weights.params64()[name].tobytes()
+            assert back_weights.params64[name].tobytes() == backbone_weights.params64[name].tobytes()
         for weights, name in ((model.weights, "fc1.weight"), (rebuilt.weights, "fc1.weight"),
                               (back.weights, "fc1.weight"), (back_weights, "conv1.weight")):
-            for store in (weights.tensors, weights.params64()):
+            for store in (weights.tensors, weights.params64):
                 with pytest.raises(ValueError, match="read-only"):
                     store[name].flat[0] = 1.0
         assert score_batch(back, feats).tobytes() == first.tobytes()
@@ -316,7 +316,7 @@ def test_forward_matches_matrix_oracle():
                            hidden=TINY)
     x = std.transform(feats[:7])
     cur = x
-    params = model.weights.params64()
+    params = model.weights.params64
     for i in range(1, 6):
         cur = cur @ params[f"fc{i}.weight"] + params[f"fc{i}.bias"]
         if i < 5:

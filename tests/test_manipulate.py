@@ -18,7 +18,6 @@ from voicetrace.manipulate import (
     STFT_HOP,
     STFT_WINDOW,
     Manipulation,
-    NoiseBank,
     _resample_by_ratio,
     apply_manipulation,
     generate_noise_bank,
@@ -47,12 +46,12 @@ def _time_stretch(w: Waveform, rate: float) -> Waveform:
 
 
 def _mix_noise(signal: Waveform, noise: Waveform, target_snr_db: float, formula: str = PAPER) -> Waveform:
-    bank = NoiseBank({"noise": noise})
+    bank = {"noise": noise}
     return apply_manipulation([signal], Manipulation("add_noise", target_snr_db, "noise"), bank, formula)[0]
 
 
 def _dominant_hz(w: Waveform) -> float:
-    spec = stft(w, 4096, 1024)
+    spec = stft(w.samples, 4096, 1024)
     mags = np.abs(spec).mean(axis=0)
     return float(np.argmax(mags) * w.sample_rate / 4096)
 
@@ -228,7 +227,7 @@ def _reference_time_stretch(w: Waveform, rate: float) -> Waveform:
         return Waveform(w.samples.copy(), w.sample_rate)
     if len(w) < STFT_WINDOW:
         raise ValueError(f"signal shorter than one {STFT_WINDOW}-sample analysis window")
-    spec = stft(w, STFT_WINDOW, STFT_HOP)
+    spec = stft(w.samples, STFT_WINDOW, STFT_HOP)
     stretched = _reference_phase_vocoder(spec, rate)
     target = int(round(len(w) / rate))
     samples = istft(stretched, STFT_WINDOW, STFT_HOP, length=target)
@@ -268,7 +267,7 @@ def _reference_mix_noise(signal: Waveform, noise: Waveform, target_snr_db: float
     if formula not in (PAPER, STANDARD):
         raise ValueError(f"unknown SNR formula {formula!r}")
     fitted = _reference_fit_to_length(noise.samples, len(signal))
-    rms_s = rms(signal)
+    rms_s = rms(signal.samples)
     rms_n = float(np.sqrt(np.mean(fitted**2)))
     if rms_s == 0.0:
         raise ValueError("silent signal: SNR undefined")
@@ -321,7 +320,7 @@ def test_apply_manipulation_matches_the_single_clip_oracles_bitwise(m, formula):
     waves = _interleaved_clips((SR,) if m.kind == "add_noise" else (SR, 22050))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the -20 dB mix clips; the warning is counted below
-        outs = apply_manipulation(waves, m, NoiseBank({"noise": _NOISE}), formula)
+        outs = apply_manipulation(waves, m, {"noise": _NOISE}, formula)
         want = [_reference(w, m, formula) for w in waves]
     assert len(outs) == len(waves)
     for w, out, ref in zip(waves, outs, want):
@@ -347,7 +346,7 @@ def test_one_clipping_warning_per_clipped_clip():
     m = Manipulation("add_noise", -20.0, "noise")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        outs = apply_manipulation([loud, quiet, loud, loud], m, NoiseBank({"noise": noise}), STANDARD)
+        outs = apply_manipulation([loud, quiet, loud, loud], m, {"noise": noise}, STANDARD)
     assert [str(w.message) for w in caught] == ["mixed amplitude exceeds [-1, 1]; output left unclipped"] * 3
     assert all(w.category is UserWarning for w in caught)
     assert [np.max(np.abs(out.samples)) > 1.0 for out in outs] == [True, False, True, True]
@@ -366,7 +365,7 @@ def test_one_clipping_warning_per_clipped_clip():
 def test_every_check_keeps_its_message(m, bank, formula, message):
     w = Waveform(np.full(3000, 0.3), SR)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        apply_manipulation([w], m, None if bank is None else NoiseBank(bank), formula)
+        apply_manipulation([w], m, bank, formula)
 
 
 @pytest.mark.parametrize("kind, magnitude", [("speed", 0.8), ("pitch", 2)])
@@ -380,9 +379,9 @@ def test_a_silent_signal_is_named_before_silent_noise():
     silent = Waveform(np.zeros(100), SR)
     m = Manipulation("add_noise", 30.0, "noise")
     with pytest.raises(ValueError, match="^silent signal: SNR undefined$"):
-        apply_manipulation([silent], m, NoiseBank({"noise": silent}))
+        apply_manipulation([silent], m, {"noise": silent})
     with pytest.raises(ValueError, match="^silent noise: SNR undefined$"):
-        apply_manipulation([Waveform(np.full(100, 0.3), SR)], m, NoiseBank({"noise": silent}))
+        apply_manipulation([Waveform(np.full(100, 0.3), SR)], m, {"noise": silent})
 
 
 def test_time_stretch_identity_bit_exact():
@@ -578,9 +577,9 @@ def test_noise_bank_loader_resamples(tmp_path):
     bank_dir = tmp_path / "noise8k"
     generate_noise_bank(bank_dir, sample_rate=8000, seconds=0.5, seed=5)
     bank = load_noise_bank(bank_dir, working_rate=SR)
-    assert len(bank.ids()) == 12
-    for nid in bank.ids():
-        w = bank.get(nid)
+    assert len(sorted(bank)) == 12
+    for nid in sorted(bank):
+        w = bank[nid]
         assert w.sample_rate == SR
         assert abs(len(w) - 8000) <= 1  # 0.5 s at the working rate
 
@@ -590,7 +589,7 @@ def test_noise_bank_missing_id(tmp_path):
     generate_noise_bank(bank_dir, sample_rate=SR, seconds=0.25, seed=1)
     bank = load_noise_bank(bank_dir, working_rate=SR)
     with pytest.raises(KeyError):
-        bank.get("indoor_vacuum")
+        bank["indoor_vacuum"]
 
 
 @pytest.mark.parametrize("samples", [np.zeros(0), np.zeros(800)], ids=["empty", "silent"])
