@@ -198,11 +198,9 @@ def _windowed_rfft(samples: np.ndarray, window: np.ndarray, hop: int, scratch: n
     return np.fft.rfft(padded, axis=1)
 
 
-def istft(spec: np.ndarray, window_size: int, hop: int, length: int | None = None) -> np.ndarray:
-    """Overlap-add inverse of stft() with Hann synthesis windowing.
-
-    Output is trimmed or zero-padded to `length` when given.
-    """
+def istft(spec: np.ndarray, window_size: int, hop: int, length: int) -> np.ndarray:
+    """Overlap-add inverse of stft() with Hann synthesis windowing, trimmed or zero-padded to
+    length samples."""
     spec = np.asarray(spec)
     if spec.ndim != 2:
         raise ValueError("spectrogram must be 2-D (frames x bins)")
@@ -223,12 +221,9 @@ def istft(spec: np.ndarray, window_size: int, hop: int, length: int | None = Non
         norm[start : start + window_size] += win_sq
     out /= np.maximum(norm, 1e-12)
 
-    if length is not None:
-        if length <= span:
-            out = out[:length]
-        else:
-            out = np.concatenate([out, np.zeros(length - span)])
-    return out
+    if length <= span:
+        return out[:length]
+    return np.concatenate([out, np.zeros(length - span)])
 
 
 def hz_to_mel(hz):

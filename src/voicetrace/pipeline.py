@@ -185,6 +185,7 @@ class RunPaths:
         self.corpus_dir = self.out / "corpus"
         self.manifest = Path(cfg["manifest"]) if cfg["manifest"] else self.corpus_dir / "manifest.tsv"
         self.noise_dir = Path(cfg["noise_bank"]) if cfg["noise_bank"] else self.out / "noise"
+        self.configured = {Path(cfg[field]): field for field in ("manifest", "noise_bank") if cfg[field]}
         self.backbone = self.out / "backbone.nsw1"
         self.thresholds = self.out / "thresholds.json"
         self.traces = self.out / "traces.csv"
@@ -233,19 +234,28 @@ class _Stage:
     def error(self, msg: str) -> StageError:
         return StageError(self.name, msg)
 
+    def remedy(self, path: Path, producer: str):
+        """(what to do about a missing input at path, about a bad one): fix the config field that
+        sets path or its directory, since no stage writes there, else run producer."""
+        field = self.paths.configured.get(path, self.paths.configured.get(path.parent))
+        if field:
+            return (f"fix the config's {field} field or what it names",) * 2
+        return f"run the {producer} stage first", f"rerun the {producer} stage"
+
     def need(self, path, producer: str, load=Path, *args):
         """load(path, *args); a missing file, a directory, or a file whose format load refuses
-        names producer."""
+        names its remedy."""
         path = Path(path)
+        first, again = self.remedy(path, producer)
         if not path.exists():
-            raise self.error(f"missing {path}; run the {producer} stage first")
+            raise self.error(f"missing {path}; {first}")
         if not path.is_file():
-            raise self.error(f"{path} is not a file; rerun the {producer} stage")
+            raise self.error(f"{path} is not a file; {again}")
         self.inputs.append(path)
         try:
             return load(path, *args)
         except FormatError as exc:
-            raise self.error(f"{exc}; rerun the {producer} stage") from exc
+            raise self.error(f"{exc}; {again}") from exc
 
     def require_two(self, what: str, found) -> None:
         """Refuse clips that hold fewer than two distinct labels or speakers, naming the manifest."""
@@ -473,15 +483,16 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
     netspec = _network_for(records, cfg)
     _check_k(cfg, netspec)
 
-    feats = _feature_array(stage, [root / r.path for r in train_real], cfg["frontend"], jobs)
+    held = [r for r in records if r.split == "test" and r.label == REAL]
+    # the held-out clips decode with the train clips, so one that fails costs no training and saves nothing
+    both = _feature_array(stage, [root / r.path for r in train_real + held], cfg["frontend"], jobs)
+    feats, held_feats = both[: len(train_real)], both[len(train_real) :]
     labels = np.asarray([index[r.speaker_id] for r in train_real])
     store, losses = train_backbone(netspec, feats, labels, TrainConfig(**cfg["backbone"], seed=cfg["seed"]))
     stage.trained(store, netspec, "backbone")
 
-    held = [r for r in records if r.split == "test" and r.label == REAL]
     accuracy = None
-    if held:  # scored before the save, so a held-out clip that fails leaves the backbone its audit lists
-        held_feats = _feature_array(stage, [root / r.path for r in held], cfg["frontend"], jobs)
+    if held:
         predicted = classify(netspec, store, held_feats)
         truth = np.asarray([index[r.speaker_id] for r in held])
         accuracy = float(np.mean(predicted == truth))
@@ -615,7 +626,7 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     noise_files = sorted(paths.noise_dir.glob("*.wav"))  # a path that is no directory globs to nothing
     if not noise_files:
         raise stage.error(f"missing noise bank {paths.noise_dir} (no *.wav files); "
-                          f"run the gen-data stage first")
+                          f"{stage.remedy(paths.noise_dir, 'gen-data')[0]}")
     for path in noise_files:
         stage.need(path, "gen-data")
 

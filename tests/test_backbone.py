@@ -23,7 +23,8 @@ from voicetrace.backbone import (
     save_weights,
     train_backbone,
 )
-from voicetrace.detector import detector_network
+from voicetrace.detector import detector_network, train_detector
+from voicetrace.detector import gradient_check as detector_gradient_check
 from voicetrace.errors import WeightFormatError
 from voicetrace.nn import TrainConfig, glorot_uniform
 
@@ -251,6 +252,28 @@ def test_gradient_check_flat_fc_net_without_convs():
     rng = np.random.default_rng(41)
     err = gradient_check(spec, init_weights(spec, 41), rng.standard_normal(6), label=2)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("factor", [2.0, np.nan], ids=["doubled", "nan"])
+def test_both_gradient_checks_report_a_wrong_gradient(monkeypatch, factor):
+    from voicetrace import backbone
+
+    def spoiled(spec, params, batch, targets, head):
+        loss, grads = real(spec, params, batch, targets, head)
+        grads[f"{spec.layer_names[-1]}.bias"] *= factor  # the logit layer's bias
+        return loss, grads
+
+    real = backbone._loss_and_grads
+    rng = np.random.default_rng(17)
+    feats = rng.standard_normal((8, 2))
+    model = train_detector(feats, np.array([0, 1] * 4), TrainConfig(epochs=0, seed=3), hidden=(4, 3, 3, 2))
+    monkeypatch.setattr(backbone, "_loss_and_grads", spoiled)
+    errors = [gradient_check(TINY_SPEC, init_weights(TINY_SPEC, 17), rng.standard_normal((8, 6, 1)), 1),
+              detector_gradient_check(model, feats[0], label=0)]
+    if np.isnan(factor):  # whichever tensor holds it, a NaN gradient fails every tolerance
+        assert np.isnan(errors).all()
+    else:  # a doubled component above the 1e-2 floor reads |2a - a| / |2a| = 0.5
+        assert min(errors) >= 0.3
 
 
 def test_gradient_check_rejects_shape_mismatch():

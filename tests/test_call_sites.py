@@ -1,15 +1,15 @@
 """One momentum-SGD loop, one gradient check, one manipulation path, one network engine and one
-detector definition: the package calls momentum_sgd and init_weights only inside backbone.fit,
-central_difference_check only inside backbone._check_gradients, _mix only inside
-manipulate.apply_manipulation, and _stretch only there and in manipulate._pitch, so every fit,
-every gradient check and every stretch or noise mix runs through them. _run_layers runs every
-forward pass, and detector_network builds a detector's network only where one is trained or
-loaded. One parallel path: os.fork is called only in pipeline._map_in_children, and no module
-builds a ThreadPoolExecutor, so every stage that uses the cores deals its work to forked shards.
-One layer table: a LayerTable is built only where a trace or a feature table starts or is cut by
-rows, and the pipeline never splits one back into per-layer arrays. One NSW1 API each way:
-pack_tensors and read_tensor_stream are called only where a backbone or a detector is saved or
-loaded, with no path-level wrapper between."""
+detector definition: the package calls init_weights only inside backbone.fit, _loss_and_grads only
+inside backbone.fit and backbone._check_gradients, _check_gradients only inside the backbone's and
+the detector's gradient_check, _mix only inside manipulate.apply_manipulation, and _stretch only
+there and in manipulate._pitch, so every fit, every gradient check and every stretch or noise mix
+runs through them. _run_layers runs every forward pass, and detector_network builds a detector's
+network only where one is trained or loaded. One parallel path: os.fork is called only in
+pipeline._map_in_children, and no module builds a ThreadPoolExecutor, so every stage that uses the
+cores deals its work to forked shards. One layer table: a LayerTable is built only where a trace or
+a feature table starts or is cut by rows, and the pipeline never splits one back into per-layer
+arrays. One NSW1 API each way: pack_tensors and read_tensor_stream are called only where a backbone
+or a detector is saved or loaded, with no path-level wrapper between."""
 
 import ast
 from pathlib import Path
@@ -18,9 +18,9 @@ import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "voicetrace").glob("*.py"))
 SINGLE_CALLERS = {
-    "momentum_sgd": ["backbone.fit"],
     "init_weights": ["backbone.fit"],
-    "central_difference_check": ["backbone._check_gradients"],
+    "_loss_and_grads": ["backbone._check_gradients", "backbone.fit"],
+    "_check_gradients": ["backbone.gradient_check", "detector.gradient_check"],
 }
 MANIPULATION_CALLERS = {
     "_mix": ["manipulate.apply_manipulation"],

@@ -320,14 +320,19 @@ def test_a_backbone_that_trains_to_a_weight_that_is_not_finite_is_not_saved(chai
     assert not any((part / name).exists() for name in outputs)
 
 
-def test_a_held_out_clip_that_fails_to_decode_leaves_the_old_backbone(chain, tmp_path, capsys):
+def test_a_held_out_clip_that_fails_to_decode_leaves_the_old_backbone(chain, tmp_path, capsys, monkeypatch):
     out, _ = chain
     part = tmp_path / "held_out"
     shutil.copytree(out, part)
     held = [r for r in load_manifest(part / "corpus/manifest.tsv") if r.split == "test" and r.label == REAL]
     clip = part / "corpus" / held[-1].path
     clip.write_bytes(b"RIFF")
-    # a config that trains a backbone of other bytes than the chain's
+
+    def never(*args, **kwargs):
+        raise AssertionError("the backbone was trained before the held-out clips were decoded")
+
+    monkeypatch.setattr(pipeline, "train_backbone", never)  # they decode before the fit
+    # a config that would train a backbone of other bytes than the chain's
     config_path = _write_config(tmp_path, {"backbone.epochs": 3})
     rc = main(["train-backbone", "--config", str(config_path), "--out", str(part), "--seed", "7"])
     err = capsys.readouterr().err
@@ -1240,6 +1245,25 @@ def test_noise_bank_without_wav_files_exits_2(chain, tmp_path, capsys, files):
     assert rc == 2
     assert err.startswith(f"voicetrace: sweep: missing noise bank {bank} ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, stage, make, refusal", [
+    ("manifest", "calibrate", lambda path: None, "missing {path}"),
+    ("noise_bank", "sweep", lambda path: path.mkdir(parents=True), "missing noise bank {path} (no *.wav files)"),
+    ("noise_bank", "sweep", lambda path: (path / "rain.wav").mkdir(parents=True), "{path}/rain.wav is not a file"),
+], ids=["missing-manifest", "empty-bank", "directory-in-bank"])
+def test_a_configured_input_that_is_missing_names_its_config_field_not_gen_data(chain, tmp_path, capsys,
+                                                                                field, stage, make, refusal):
+    out, _ = chain
+    part = tmp_path / "run"
+    shutil.copytree(out, part)
+    path = tmp_path / "nowhere" / field
+    make(path)
+    cfg = _write_config(tmp_path, {field: str(path)})
+    rc = main([stage, "--config", str(cfg), "--out", str(part), "--seed", "7"])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"voicetrace: {stage}: {refusal.format(path=path)}; "
+                                       f"fix the config's {field} field or what it names\n")
 
 
 def test_single_criterion_run_reports_only_that_criterion(chain, tmp_path):

@@ -192,7 +192,7 @@ def test_fit_runs_in_float32_and_the_gradient_check_in_float64(monkeypatch, tmp_
 
     def spy(net, params, batch, targets, head):
         loss, grads = real(net, params, batch, targets, head)
-        velocity = sys._getframe(2).f_locals["velocity"]  # momentum_sgd's, via fit's lambda
+        velocity = sys._getframe(1).f_locals["velocity"]  # fit's own
         seen.append({batch.dtype, *(t.dtype for t in (*params.values(), *grads.values(),
                                                      *velocity.values()))})
         return loss, grads
