@@ -194,7 +194,7 @@ def _split_of(clip: int, clips_per_speaker: int) -> str:
 
 
 def generate_corpus(spec: CorpusSpec, out_dir, map_fn=map) -> list:
-    """Write the train and test WAVs plus manifest.tsv under out_dir; returns the records.
+    """Write the train and test WAVs under out_dir; returns their records, which save_manifest writes.
 
     The indexes _split_of puts in val, which no stage reads, are skipped; every other clip keeps
     its index, file name and seed. Each clip is rendered and saved as one task of
@@ -214,9 +214,7 @@ def generate_corpus(spec: CorpusSpec, out_dir, map_fn=map) -> list:
         save_wav(Waveform(_synth_clip(spec, speaker, label, clip), spec.sample_rate), out_dir / rel)
         return ManifestRecord(rel, label, speaker_id, _split_of(clip, spec.clips_per_speaker))
 
-    records = list(map_fn(render, clips))
-    save_manifest(records, out_dir / "manifest.tsv")
-    return records
+    return list(map_fn(render, clips))
 
 
 def save_manifest(records, path) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import FLOAT32, Waveform, band_pass, istft, load_wav, rms, save_wav, stft
+from .audio import Waveform, band_pass, istft, load_wav, rms, stft
 from .errors import AudioFormatError
 
 STFT_WINDOW = 2048
@@ -319,18 +319,13 @@ def _synth_noise(tag: str, rng: np.random.Generator, n: int, sr: int) -> np.ndar
     raise ValueError(f"unknown noise class {tag!r}")
 
 
-def generate_noise_bank(directory, sample_rate: int = 16000, seconds: float = NOISE_SECONDS,
-                        seed: int = 7) -> dict:
-    """Write 12 deterministic synthetic stand-in textures as <taxonomy>_<class>.wav; returns {stem: Waveform}."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+def generate_noise_bank(sample_rate: int = 16000, seconds: float = NOISE_SECONDS, seed: int = 7) -> dict:
+    """12 deterministic synthetic stand-in textures as {<taxonomy>_<class>: Waveform}; it writes nothing."""
     n = int(round(seconds * sample_rate))
     entries = {}
     for index, (taxonomy, tag) in enumerate(NOISE_CLASSES):
         rng = np.random.default_rng((seed, index))
         samples = _synth_noise(tag, rng, n, sample_rate)
         samples = 0.5 * samples / np.max(np.abs(samples))
-        w = Waveform(samples, sample_rate)
-        save_wav(w, directory / f"{taxonomy}_{tag}.wav", bit_depth=FLOAT32)
-        entries[f"{taxonomy}_{tag}"] = w
+        entries[f"{taxonomy}_{tag}"] = Waveform(samples, sample_rate)
     return entries

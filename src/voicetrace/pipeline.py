@@ -3,9 +3,9 @@
 Each stage reads artifacts written by earlier stages, writes its own
 under the output directory, and drops an audit JSON holding the config
 digest, the seed, and input/output content hashes. Nothing records wall
-time, so reruns with the same config and seed are byte-identical. A stage
-reads each input through `_Stage.need`, which refuses a missing or damaged
-file by naming the stage that writes it and lists the file in the audit.
+time, so reruns with the same config and seed are byte-identical. Inputs
+pass through `_Stage.need`, which names the stage that writes a missing or
+damaged file, and outputs but corpus clips through `_Stage.output`; the audit lists both.
 The corpus is traced once per chain: calibrate writes every clip's layer
 activations to traces.csv; extract reads them there, and export-features copies them.
 """
@@ -24,15 +24,15 @@ import shutil
 import signal
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - only perfbench's tracer reads it (ROADMAP item 5)
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - perfbench's tracer reads it (ROADMAP item 1, step 2)
 from pathlib import Path
 
 import numpy as np
 
-from .audio import WAV_MAX_DATA, WINDOW, Waveform, load_wav, log_mel
+from .audio import FLOAT32, WAV_MAX_DATA, WINDOW, Waveform, load_wav, log_mel, save_wav
 from .backbone import (LayerTable, NetworkSpec, WeightStore, classify, forward_batch,
                        load_weights, reference_spec, save_weights, train_backbone)
-from .corpus import ARTIFACTS, FAKE, REAL, CorpusSpec, generate_corpus, load_manifest
+from .corpus import ARTIFACTS, FAKE, REAL, CorpusSpec, generate_corpus, load_manifest, save_manifest
 from .coverage import (ACN, TKAN, _is_number, acn_features, calibrate_thresholds, load_thresholds,
                        read_feature_csv, save_thresholds, tkan_features, write_feature_csv)
 from .detector import load_detector, save_detector, score_batch, train_detector
@@ -223,13 +223,13 @@ def _sha256s(files) -> dict:
 
 
 class _Stage:
-    """One run of a named stage. Every input it reads passes through need(), which refuses a
-    missing or damaged file by naming the stage that writes it and records the file for the audit."""
+    """One run of a named stage. Each input passes through need(), which refuses a missing or damaged
+    file by naming the stage that writes it, and each output through output(); both record it for the audit."""
 
     def __init__(self, cfg: dict, name: str):
         self.cfg, self.name = cfg, name
         self.paths = RunPaths(cfg)
-        self.inputs = []
+        self.inputs, self.outputs = [], []
 
     def error(self, msg: str) -> StageError:
         return StageError(self.name, msg)
@@ -326,11 +326,16 @@ class _Stage:
         except WeightFormatError as exc:
             raise self.error(f"the trained {what}'s {exc}; nothing was saved") from exc
 
-    def audit(self, outputs, **extra) -> None:
+    def output(self, path, write, *args) -> None:
+        """write(path, *args), then record path for the audit."""
+        write(path, *args)
+        self.outputs.append(path)
+
+    def audit(self, **extra) -> None:
         """Write the stage's audit: the config digest, the seed, and the SHA-256 of every input
-        need read (no corpus clip is one) and of every output it wrote."""
+        need read (no corpus clip is one) and of every file output wrote."""
         audit = {"stage": self.name, "config_sha256": config_digest(self.cfg), "seed": self.cfg["seed"],
-                 "inputs": _sha256s(self.inputs), "outputs": _sha256s(outputs), **extra}
+                 "inputs": _sha256s(self.inputs), "outputs": _sha256s(self.outputs), **extra}
         self.paths.audit(self.name).write_text(json.dumps(audit, sort_keys=True, indent=2) + "\n",
                                                encoding="utf-8")
 
@@ -453,23 +458,28 @@ def _trace(stage: _Stage, netspec: NetworkSpec, weights: WeightStore, items, fcf
 
 
 def cmd_gen_data(cfg: dict, jobs: int = 1):
-    """Write the corpus and the 12-texture noise bank under out_dir, never to a configured manifest or bank."""
+    """Write the corpus and manifest, and the noise bank, under out_dir; each unless the config names one."""
     stage = _Stage(cfg, "gen-data")
-    paths = RunPaths({**cfg, "manifest": "", "noise_bank": ""})  # the run's own, where gen-data writes
+    paths = stage.paths
     try:
         paths.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # --out names a file, or a path beneath one
         raise stage.error(f"cannot create the output directory {paths.out}: {exc.strerror or exc}") from exc
+    records, bank = [], {}
     try:
-        records = generate_corpus(CorpusSpec(**cfg["corpus"], seed=cfg["seed"]), paths.corpus_dir,
-                                  map_fn=lambda render, clips: _map_in_children(stage, render, clips, jobs,
-                                      lambda held: f"the worker for shard {held[0]} ({len(held)} clips)"))
-        bank = generate_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"], seed=cfg["seed"] + 1)
+        if not cfg["manifest"]:
+            records = generate_corpus(CorpusSpec(**cfg["corpus"], seed=cfg["seed"]), paths.corpus_dir,
+                                      map_fn=lambda render, clips: _map_in_children(stage, render, clips, jobs,
+                                          lambda held: f"the worker for shard {held[0]} ({len(held)} clips)"))
+            stage.output(paths.manifest, lambda path: save_manifest(records, path))
+        if not cfg["noise_bank"]:
+            bank = generate_noise_bank(cfg["corpus"]["sample_rate"], seed=cfg["seed"] + 1)
+            paths.noise_dir.mkdir(parents=True, exist_ok=True)
+            for i, wave in bank.items():
+                stage.output(paths.noise_dir / f"{i}.wav", lambda path: save_wav(wave, path, bit_depth=FLOAT32))
     except OSError as exc:  # e.g. a regular file where the corpus or noise bank needs a directory
         raise stage.error(f"cannot write {exc.filename or paths.out}: {exc.strerror or exc}") from exc
-    stage.audit([paths.manifest, *(paths.noise_dir / f"{i}.wav" for i in sorted(bank))],
-                clips=len(records), noise_classes=sorted(bank))
-    return records
+    stage.audit(clips=len(records), noise_classes=sorted(bank))
 
 
 def cmd_train_backbone(cfg: dict, jobs: int = 1):
@@ -496,8 +506,8 @@ def cmd_train_backbone(cfg: dict, jobs: int = 1):
         predicted = classify(netspec, store, held_feats)
         truth = np.asarray([index[r.speaker_id] for r in held])
         accuracy = float(np.mean(predicted == truth))
-    save_weights(store, stage.paths.backbone)
-    stage.audit([stage.paths.backbone], epoch_losses=losses, holdout_speaker_accuracy=accuracy)
+    stage.output(stage.paths.backbone, lambda path: save_weights(store, path))
+    stage.audit(epoch_losses=losses, holdout_speaker_accuracy=accuracy)
     return store
 
 
@@ -515,12 +525,12 @@ def cmd_calibrate(cfg: dict, jobs: int = 1):
         raise stage.error("no train-split clips to calibrate on")
     trace = _trace(stage, netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs,
                    lambda block: [_load_clip(f) for f in block])
-    write_feature_csv(paths.traces, trace.column_names("n"), [r.label for r in records],
-                      [r.split for r in records], trace.values)
+    stage.output(paths.traces, write_feature_csv, trace.column_names("n"), [r.label for r in records],
+                 [r.split for r in records], trace.values)
     # a clip's row holds the same bits in any block, so these are the train clips' own thresholds
     thresholds = calibrate_thresholds(LayerTable(trace.values[cal], trace.layout))
-    save_thresholds(thresholds, paths.thresholds)
-    stage.audit([paths.thresholds, paths.traces], calibration_clips=len(cal))
+    stage.output(paths.thresholds, lambda path: save_thresholds(thresholds, path))
+    stage.audit(calibration_clips=len(cal))
     return thresholds
 
 
@@ -534,13 +544,11 @@ def cmd_extract(cfg: dict, jobs: int = 1):
     thresholds = stage.thresholds(netspec) if ACN in criteria else None
     trace = stage.trace(netspec, records)
 
-    outputs = [stage.paths.features(criterion) for criterion in criteria]
-    for criterion, out in zip(criteria, outputs):
+    for criterion in criteria:
         feats = acn_features(trace, thresholds) if criterion == ACN else tkan_features(trace, k)
-        write_feature_csv(out, feats.column_names(criterion), [r.label for r in records],
-                          [r.split for r in records], feats.values)
-    stage.audit(outputs, rows=len(records), criteria=criteria)
-    return outputs
+        stage.output(stage.paths.features(criterion), write_feature_csv, feats.column_names(criterion),
+                     [r.label for r in records], [r.split for r in records], feats.values)
+    stage.audit(rows=len(records), criteria=criteria)
 
 
 def cmd_train_detector(cfg: dict, jobs: int = 1):
@@ -563,9 +571,8 @@ def cmd_train_detector(cfg: dict, jobs: int = 1):
     for criterion, model in models.items():
         stage.trained(model.weights, model.network, f"{criterion} detector")
     for criterion, model in models.items():
-        save_detector(model, stage.paths.detector(criterion))
-    stage.audit([stage.paths.detector(c) for c in criteria],
-                epoch_losses={c: m.loss_log for c, m in models.items()})
+        stage.output(stage.paths.detector(criterion), lambda path: save_detector(model, path))
+    stage.audit(epoch_losses={c: m.loss_log for c, m in models.items()})
     return models
 
 
@@ -578,8 +585,8 @@ def cmd_eval(cfg: dict, jobs: int = 1):
         scores = score_batch(stage.detector(criterion, x_test.shape[1]), x_test)
         rows.append(MetricRow.from_metrics("test", criterion, "none", 0.0,
                                            compute_all(y_test, scores)))
-    write_report(stage.paths.eval_report, rows)
-    stage.audit([stage.paths.eval_report])
+    stage.output(stage.paths.eval_report, write_report, rows)
+    stage.audit()
     return rows
 
 
@@ -610,6 +617,13 @@ def _sample_records(records, per_class: int):
                 seen[r.speaker_id] += 1
         picked += [i for _, _, i in sorted(ranked)[:per_class]]
     return [test[i] for i in sorted(picked)]
+
+
+def _write_rows(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_sweep(cfg: dict, jobs: int = 1):
@@ -682,20 +696,13 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
             failures.append((index, cell.describe(), cell.magnitude, error))
     if _sha256s(frozen) != hashes_before:  # before any report is written, so none reflects the changed models
         raise stage.error("frozen model artifacts changed during the sweep")
-    write_report(paths.sweep_report, merged)
-
-    with open(paths.sweep_long, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset", "criterion", "manipulation", "magnitude", "metric", "value"])
-        writer.writerows([row.dataset, row.criterion, row.manipulation, repr(row.magnitude), metric,
-                          repr(getattr(row, metric))] for row in merged for metric in REPORT_COLUMNS[4:])
-    with open(paths.sweep_failures, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell", "manipulation", "magnitude", "error"])
-        for index, name, magnitude, error in failures:
-            writer.writerow([index, name, repr(magnitude), error.replace("\n", " ")])
-    stage.audit([paths.sweep_report, paths.sweep_long, paths.sweep_failures], cells=len(cells),
-                failed_cells=len(failures), sampled_clips=len(sample), frozen_hashes=hashes_before)
+    stage.output(paths.sweep_report, write_report, merged)
+    stage.output(paths.sweep_long, _write_rows, [*REPORT_COLUMNS[:4], "metric", "value"],
+                 ([row.dataset, row.criterion, row.manipulation, repr(row.magnitude), metric,
+                   repr(getattr(row, metric))] for row in merged for metric in REPORT_COLUMNS[4:]))
+    stage.output(paths.sweep_failures, _write_rows, ["cell", "manipulation", "magnitude", "error"],
+                 ([i, name, repr(m), error.replace("\n", " ")] for i, name, m, error in failures))
+    stage.audit(cells=len(cells), failed_cells=len(failures), sampled_clips=len(sample), frozen_hashes=hashes_before)
     return merged, failures
 
 
@@ -709,6 +716,6 @@ def cmd_export_features(cfg: dict, jobs: int = 1):
     for path in features:
         stage.need(path, "extract", stage.manifest_rows, records)
     paths.export_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [shutil.copyfile(path, paths.export_dir / path.name) for path in [paths.traces, *features]]
-    stage.audit(outputs, rows=len(records))
-    return outputs
+    for path in [paths.traces, *features]:
+        stage.output(paths.export_dir / path.name, lambda dest: shutil.copyfile(path, dest))
+    stage.audit(rows=len(records))

@@ -9,7 +9,9 @@ pipeline._map_in_children, and no module builds a ThreadPoolExecutor, so every s
 cores deals its work to forked shards. One layer table: a LayerTable is built only where a trace or
 a feature table starts or is cut by rows, and the pipeline never splits one back into per-layer
 arrays. One NSW1 API each way: pack_tensors and read_tensor_stream are called only where a backbone
-or a detector is saved or loaded, with no path-level wrapper between."""
+or a detector is saved or loaded, with no path-level wrapper between. One output path: in the
+pipeline every writer is the write argument of a _Stage.output call, or is called in a lambda that is,
+so every file a stage writes, but the corpus clips, is recorded for its audit."""
 
 import ast
 from pathlib import Path
@@ -36,6 +38,9 @@ NSW1_CALLERS = {
     "pack_tensors": ["backbone.save_weights", "detector.save_detector"],
     "read_tensor_stream": ["backbone.load_weights", "detector.load_detector"],
 }
+
+WRITERS = ("write_report", "write_feature_csv", "save_weights", "save_detector", "save_thresholds", "save_manifest",
+           "save_wav", "copyfile")
 
 TABLE_BUILDERS = ["backbone.forward_batch", "coverage.acn_features", "coverage.tkan_features",
                   "pipeline._Stage", "pipeline._trace", "pipeline.cmd_calibrate"]
@@ -137,3 +142,83 @@ def test_the_pipeline_never_splits_a_matrix_into_per_layer_arrays():
                 and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
     assert not [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module == "numpy" for alias in node.names if alias.name in splits]
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _opens_to_write(node) -> bool:
+    """An open() or .open() call whose mode is a literal that writes; a pipe end, opened with a mode held
+    in a variable, is no file a stage writes."""
+    if not (isinstance(node, ast.Call) and _name(node.func) == "open"):
+        return False
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+    modes += node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
+    return any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes)
+
+
+def _unrecorded_writes(source: str):
+    """(name, line) of each use of a writer that is not the write argument of the innermost output() call
+    around it, nor inside a lambda that is. The writers are WRITERS and each top-level function that opens
+    a file to write, which must be passed to output() at least once (else line 0); open() to write may
+    appear only inside such a function."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    opening = {f.name for f in tree.body if isinstance(f, ast.FunctionDef) and any(map(_opens_to_write, ast.walk(f)))}
+
+    def recorded(node):
+        child = node
+        while child in parent:
+            up = parent[child]
+            if isinstance(up, ast.Call) and _name(up.func) == "output":
+                return up.args[1:2] == [child] and (child is node or isinstance(child, ast.Lambda))
+            child = up
+        return False
+
+    uses = [node for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+            and _name(node) in {*WRITERS, *opening}]
+    bad = [(_name(node), node.lineno) for node in uses if not recorded(node)]
+    bad += [(name, 0) for name in opening if name not in map(_name, uses)]
+    bad += [("open", node.lineno) for f in tree.body if getattr(f, "name", None) not in opening
+            for node in ast.walk(f) if _opens_to_write(node)]
+    return sorted(bad)
+
+
+def test_the_write_check_sees_each_way_round_the_output_path():
+    source = (
+        "def ok(stage, model, rows):\n"
+        "    stage.output(p, write_report, rows)\n"                        # the write argument
+        "    stage.output(p, lambda path: save_detector(model, path))\n"   # called in a lambda
+        "    stage.output(p, _rows, rows)\n"                               # a writer of the module's own
+        "def _rows(path, rows):\n"
+        "    with open(path, 'w', encoding='utf-8') as fh:\n"
+        "        fh.write(rows)\n"
+        "def bad(stage, model, rows, end, mode):\n"
+        "    save_detector(model, p)\n"                                    # 9: called outside output
+        "    stage.output(p, write_report, save_weights(model, p))\n"      # 10: called for an argument
+        "    stage.output(p, wrap(shutil.copyfile))\n"                     # 11: not in a lambda
+        "    open(end, mode).close()\n"                                    # a mode in a variable: a pipe end
+        "    return [copyfile]\n"                                          # 13: a writer handed on
+        "def _unused(path):\n"
+        "    Path(path).open('w')\n"                                       # an opening writer never passed
+        "class K:\n"
+        "    def m(self, p):\n"
+        "        open(p, mode='a').close()\n"                              # 18: opened outside a writer
+    )
+    assert _unrecorded_writes(source) == [("_unused", 0), ("copyfile", 11), ("copyfile", 13), ("open", 18),
+                                          ("save_detector", 9), ("save_weights", 10)]
+
+
+def test_every_file_a_stage_writes_goes_through_its_one_output_path():
+    assert _unrecorded_writes((SOURCES[0].parent / "pipeline.py").read_text(encoding="utf-8")) == []
+    # the pipeline writes a file's text or bytes itself only for the audit
+    assert [site for name in ("write_text", "write_bytes") for site in _sites(name)
+            if site.startswith("pipeline.")] == ["pipeline._Stage"]
+    # the library writes only the corpus clips itself; each other writer is called only by the pipeline
+    assert _sites("save_wav") == ["corpus.generate_corpus", "pipeline.cmd_gen_data"]
+    assert _sites("save_manifest") == ["pipeline.cmd_gen_data"]
+    assert {site.split(".")[0] for name in WRITERS if name != "save_wav" for site in _sites(name)} == {"pipeline"}
+    manipulate = ast.parse((SOURCES[0].parent / "manipulate.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(manipulate) if isinstance(node, ast.Call) and (
+        _name(node.func) in {*WRITERS, "write_text", "write_bytes", "mkdir"} or _opens_to_write(node))]

@@ -493,6 +493,21 @@ def test_audit_files_record_config_digest_and_hashes(chain):
     assert recorded == _sha(out / "eval_report.csv")
 
 
+def test_each_audit_lists_exactly_the_files_its_stage_wrote(tmp_path):
+    # every file a stage adds or changes, but the corpus clips, which no audit lists, and its own audit
+    out = tmp_path / "run"
+    config_path = _write_config(tmp_path)
+    before = {}
+    for stage in STAGES:
+        assert main([stage, "--config", str(config_path), "--out", str(out), "--seed", "7", "--jobs", "2"]) == 0
+        after = {p: _sha(p) for p in out.rglob("*") if p.is_file()}
+        audit_path = out / f"audit_{stage.replace('-', '_')}.json"
+        wrote = {p for p, digest in after.items() if before.get(p) != digest and p != audit_path
+                 and not (p.suffix == ".wav" and out / "corpus" in p.parents)}
+        assert json.loads(audit_path.read_text())["outputs"] == {str(p): after[p] for p in wrote}, stage
+        before = after
+
+
 def test_each_audit_lists_every_input_its_stage_reads(chain):
     out, _ = chain
     manifest, backbone, thresholds = out / "corpus/manifest.tsv", out / "backbone.nsw1", out / "thresholds.json"
@@ -1159,10 +1174,29 @@ def test_gen_data_writes_under_its_output_directory_and_leaves_a_configured_bank
     assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
     assert sorted(bank.iterdir()) == [user_wav] and user_wav.read_bytes() == before
     assert manifest.read_text(encoding="utf-8") == "the user's manifest\n"
-    written = sorted(Path(path) for path in json.loads((out / "audit_gen_data.json").read_text())["outputs"])
-    assert written == sorted([out / "corpus" / "manifest.tsv", *(out / "noise").glob("*.wav")])
-    assert len(written) == 13
-    assert not any(path == manifest or bank in path.parents for path in written)
+    # no later stage would read a corpus or bank of its own, so none is written: no corpus/, no noise/
+    assert sorted(out.iterdir()) == [out / "audit_gen_data.json"]
+    audit = json.loads((out / "audit_gen_data.json").read_text())
+    assert (audit["outputs"], audit["clips"], audit["noise_classes"]) == ({}, 0, [])
+
+
+@pytest.mark.parametrize("configured, written", [("manifest", "noise"), ("noise_bank", "corpus")])
+def test_gen_data_writes_only_the_corpus_or_bank_that_the_config_does_not_name(tmp_path, configured, written):
+    user = tmp_path / "mine"
+    user.mkdir()  # gen-data reads neither, so it need not hold a valid manifest or bank
+    out, default = tmp_path / "run", tmp_path / "default"
+    for run, overrides in ((out, {configured: str(user)}), (default, {})):
+        assert main(["gen-data", "--config", str(_write_config(tmp_path, overrides)), "--out", str(run)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(["audit_gen_data.json", written])
+    assert not any(user.iterdir())
+    tree = {p.relative_to(out): p.read_bytes() for p in (out / written).rglob("*") if p.is_file()}
+    assert tree == {p.relative_to(default): p.read_bytes() for p in (default / written).rglob("*") if p.is_file()}
+    audit, full = (json.loads((run / "audit_gen_data.json").read_text()) for run in (out, default))
+    assert audit["outputs"] == {str(out / Path(p).relative_to(default)): digest
+                                for p, digest in full["outputs"].items() if default / written in Path(p).parents}
+    assert len(audit["outputs"]) == (12 if written == "noise" else 1)  # the bank, or the manifest but no clip
+    assert audit["clips"] == (full["clips"] if written == "corpus" else 0)
+    assert audit["noise_classes"] == (full["noise_classes"] if written == "noise" else [])
 
 
 def test_a_clip_path_that_cannot_be_written_in_a_gen_data_worker_exits_2_as_at_one_job(tmp_path, capsys):

@@ -185,7 +185,7 @@ def test_splits_stratified_per_speaker_and_class(tmp_path):
 
 
 def test_no_clip_of_the_val_block_is_written_or_listed(tmp_path):
-    generate_corpus(SMALL, tmp_path)
+    save_manifest(generate_corpus(SMALL, tmp_path), tmp_path / "manifest.tsv")  # as gen-data saves it
     listed = load_manifest(tmp_path / "manifest.tsv")
     # 10 clips per speaker: indexes 0-5 are train, 6-7 the val block, 8-9 test
     val_block = {f"{label}_{clip:03d}.wav" for label in ("real", "fake") for clip in (6, 7)}
@@ -267,7 +267,8 @@ def test_band_limit_removes_high_band(tmp_path):
 def test_manifest_round_trip(tmp_path):
     records = generate_corpus(SMALL, tmp_path)
     manifest = tmp_path / "manifest.tsv"
-    assert manifest.exists()
+    assert not manifest.exists()  # gen-data saves it, through its stage's one output path
+    save_manifest(records, manifest)
     back = load_manifest(manifest)
     assert back == records
 

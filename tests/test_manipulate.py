@@ -551,9 +551,16 @@ def test_apply_manipulation_noise_needs_bank():
         apply_manipulation([w], Manipulation("add_noise", 35.0, "indoor_rain"))
 
 
+def _save_bank(bank_dir, **kwargs):
+    """generate_noise_bank's textures, saved as gen-data saves them: <noise_id>.wav in 32-bit float."""
+    bank_dir.mkdir()
+    for noise_id, w in generate_noise_bank(**kwargs).items():
+        save_wav(w, bank_dir / f"{noise_id}.wav", bit_depth=FLOAT32)
+
+
 def test_noise_bank_generation(tmp_path):
     bank_dir = tmp_path / "noise"
-    generate_noise_bank(bank_dir, sample_rate=SR, seconds=1.0, seed=7)
+    _save_bank(bank_dir, sample_rate=SR, seconds=1.0, seed=7)
     files = sorted(p.name for p in bank_dir.glob("*.wav"))
     assert files == sorted(f"{tax}_{cls}.wav" for tax, cls in NOISE_CLASSES)
     assert len(files) == 12
@@ -566,8 +573,8 @@ def test_noise_bank_generation(tmp_path):
 
 def test_noise_bank_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    generate_noise_bank(a, sample_rate=SR, seconds=0.5, seed=3)
-    generate_noise_bank(b, sample_rate=SR, seconds=0.5, seed=3)
+    _save_bank(a, sample_rate=SR, seconds=0.5, seed=3)
+    _save_bank(b, sample_rate=SR, seconds=0.5, seed=3)
     for pa in sorted(a.glob("*.wav")):
         pb = b / pa.name
         assert pa.read_bytes() == pb.read_bytes()
@@ -575,7 +582,7 @@ def test_noise_bank_deterministic(tmp_path):
 
 def test_noise_bank_loader_resamples(tmp_path):
     bank_dir = tmp_path / "noise8k"
-    generate_noise_bank(bank_dir, sample_rate=8000, seconds=0.5, seed=5)
+    _save_bank(bank_dir, sample_rate=8000, seconds=0.5, seed=5)
     bank = load_noise_bank(bank_dir, working_rate=SR)
     assert len(sorted(bank)) == 12
     for nid in sorted(bank):
@@ -586,7 +593,7 @@ def test_noise_bank_loader_resamples(tmp_path):
 
 def test_noise_bank_missing_id(tmp_path):
     bank_dir = tmp_path / "noise"
-    generate_noise_bank(bank_dir, sample_rate=SR, seconds=0.25, seed=1)
+    _save_bank(bank_dir, sample_rate=SR, seconds=0.25, seed=1)
     bank = load_noise_bank(bank_dir, working_rate=SR)
     with pytest.raises(KeyError):
         bank["indoor_vacuum"]
@@ -595,7 +602,7 @@ def test_noise_bank_missing_id(tmp_path):
 @pytest.mark.parametrize("samples", [np.zeros(0), np.zeros(800)], ids=["empty", "silent"])
 def test_load_noise_bank_refuses_a_wav_with_no_nonzero_sample(tmp_path, samples):
     bank_dir = tmp_path / "noise"
-    generate_noise_bank(bank_dir, sample_rate=SR, seconds=0.25, seed=1)
+    _save_bank(bank_dir, sample_rate=SR, seconds=0.25, seed=1)
     bad = bank_dir / "outdoor_rain.wav"
     save_wav(Waveform(samples, 8000), bad, bit_depth=FLOAT32)  # refused before it is resampled
     message = f"{bad}: noise of {samples.size} samples, none of them nonzero, so no SNR can be set"
