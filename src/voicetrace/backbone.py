@@ -16,9 +16,9 @@ kinds; a conv "neuron" is one output channel summarized by the spatial
 mean of its post-ReLU feature map, an FC neuron is one post-ReLU unit,
 and the final logit layer is recorded pre-softmax.
 
-The engine computes in its inputs' dtype: float64 for the backbone, for
-inference and for both gradient checks, float32 for detector training.
-Stored weights are float32; a WeightStore converts them for inference once.
+The engine computes in its inputs' dtype: float32, the dtype weights are
+stored in, for training and inference of both networks, and float64 for
+both gradient checks. A trace is returned in float64.
 """
 
 from __future__ import annotations
@@ -154,14 +154,12 @@ def reference_spec(num_speakers: int, input_shape=(200, 64, 1)) -> NetworkSpec:
 
 
 class WeightStore:
-    """Named float32 tensors matching a NetworkSpec's parameter shapes, plus their float64 copies,
-    params64, made once for inference. Both are read-only copies, so neither goes stale and the
-    caller's arrays keep their flags; unpickling rebuilds the store from its float32 tensors."""
+    """Named read-only float32 copies of the caller's tensors, matching a NetworkSpec's parameter
+    shapes; inference runs on them as they are, and unpickling rebuilds the store from them."""
 
     def __init__(self, tensors: dict):
         self.tensors = {k: np.array(v, dtype=np.float32) for k, v in tensors.items()}
-        self.params64 = {k: v.astype(np.float64) for k, v in self.tensors.items()}
-        for tensor in (*self.tensors.values(), *self.params64.values()):
+        for tensor in self.tensors.values():
             tensor.flags.writeable = False
 
     def __reduce__(self):
@@ -275,16 +273,16 @@ def forward_batch(spec: NetworkSpec, weights: WeightStore, batch: np.ndarray):
 
     A layer's N rows of trace columns are its own output, after the ReLU _run_layers applied in
     place; the final logit layer has none and is recorded raw. A conv map is summarized by its
-    spatial mean per channel.
+    spatial mean per channel. The network runs in float32; the trace is returned in float64.
     """
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = np.asarray(batch, dtype=np.float32)
     if batch.shape[1:] != spec.input_shape:
         raise ValueError(f"batch shape {batch.shape[1:]} does not match spec {spec.input_shape}")
-    outputs = _run_layers(spec, weights.params64, batch)
+    outputs = _run_layers(spec, weights.tensors, batch)
     monitored = spec.monitored_layers()
     values = [outputs[idx].mean(axis=(1, 2)) if outputs[idx].ndim == 4 else outputs[idx]
               for idx, _, _ in monitored]
-    return outputs[-1], LayerTable(np.concatenate(values, axis=1),
+    return outputs[-1], LayerTable(np.concatenate(values, axis=1, dtype=np.float64),
                                    tuple((name, width) for _, name, width in monitored))
 
 
@@ -426,8 +424,8 @@ def fit(spec: NetworkSpec, x: np.ndarray, targets: np.ndarray, config: TrainConf
 
 
 def train_backbone(spec: NetworkSpec, features: np.ndarray, labels, config: TrainConfig):
-    """Softmax-head fit on (N, *spec.input_shape) inputs, in float64."""
-    features = np.asarray(features, dtype=np.float64)
+    """Softmax-head fit on (N, *spec.input_shape) inputs, in float32."""
+    features = np.asarray(features, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
     if features.shape[1:] != spec.input_shape:
         raise ValueError(f"feature shape {features.shape[1:]} does not match spec {spec.input_shape}")

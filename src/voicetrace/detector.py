@@ -5,8 +5,8 @@ layers, one logit) as a flat-input NetworkSpec, run by the backbone's
 engine and trained by backbone.fit. train_detector fits that network and
 the feature Standardizer on its own train rows. This module adds only the
 sigmoid / binary cross-entropy head, the Standardizer and the NSD1 file
-format. Fake is the positive class. Training runs in float32, the dtype
-NSD1 stores; scoring and the gradient check run in float64.
+format. Fake is the positive class. Training and scoring run in float32,
+the dtype NSD1 stores; the gradient check runs in float64.
 """
 
 from __future__ import annotations
@@ -114,9 +114,9 @@ def score_batch(model: DetectorModel, features: np.ndarray) -> np.ndarray:
     width = model.network.input_shape[0]
     if features.shape[1] != width:
         raise ValueError(f"feature width {features.shape[1]} does not match model input {width}")
-    x = model.standardizer.transform(features)
-    logits = _run_layers(model.network, model.weights.params64, x)[-1]
-    return sigmoid(logits.ravel())
+    x = model.standardizer.transform(features).astype(np.float32)
+    logits = _run_layers(model.network, model.weights.tensors, x)[-1]
+    return sigmoid(logits.ravel().astype(np.float64))
 
 
 def predict(model: DetectorModel, feature) -> Prediction:

@@ -173,7 +173,8 @@ def _validate(cfg: dict) -> None:
 
 
 def config_digest(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    """SHA-256 of the config without out_dir, so a run directory that moves keeps its digest."""
+    canon = json.dumps({k: v for k, v in cfg.items() if k != "out_dir"}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -527,7 +528,7 @@ def cmd_calibrate(cfg: dict, jobs: int = 1):
                    lambda block: [_load_clip(f) for f in block])
     stage.output(paths.traces, write_feature_csv, trace.column_names("n"), [r.label for r in records],
                  [r.split for r in records], trace.values)
-    # a clip's row holds the same bits in any block, so these are the train clips' own thresholds
+    # blocks are cut from manifest order at every --jobs, so these rows and thresholds do not depend on it
     thresholds = calibrate_thresholds(LayerTable(trace.values[cal], trace.layout))
     stage.output(paths.thresholds, lambda path: save_thresholds(thresholds, path))
     stage.audit(calibration_clips=len(cal))

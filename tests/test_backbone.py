@@ -401,6 +401,16 @@ def test_batch_forward_matches_single():
         for (name, block), (s_name, s_vals) in zip(trace.layers(), single_trace.layers(), strict=True):
             assert name == s_name
             np.testing.assert_allclose(block[i], s_vals[0], atol=1e-12)
+    # at the stock architecture a 16-clip block, pipeline._TRACE_BLOCK's size, gives the bits of
+    # its two 8-clip halves
+    spec = reference_spec(8)
+    weights = init_weights(spec, 31)
+    batch = np.random.default_rng(31).standard_normal((16, *spec.input_shape))
+    logits, trace = forward_batch(spec, weights, batch)
+    halves = [forward_batch(spec, weights, half) for half in (batch[:8], batch[8:])]
+    assert logits.tobytes() == np.concatenate([half[0] for half in halves]).tobytes()
+    assert trace.layout == halves[0][1].layout == halves[1][1].layout
+    assert trace.values.tobytes() == np.concatenate([half[1].values for half in halves]).tobytes()
 
 
 def _reference_run_layers(spec, params, x):
@@ -531,10 +541,12 @@ def test_forward_and_backward_match_the_references_bitwise(spec, ties):
         assert grads[name].tobytes() == want.tobytes(), name
 
 
-def _reference_train_backbone(spec, features, labels, config):
-    """train_backbone's loop on the reference layers, with the out-of-place momentum update."""
+def _reference_train_backbone(spec, features, labels, config, dtype):
+    """train_backbone's loop on the reference layers, with the out-of-place momentum update,
+    with inputs, parameters, velocity and gradients all in dtype."""
     rng = np.random.default_rng(config.seed)
-    params = init_weights(spec, rng).as_float64()
+    params = {k: v.astype(dtype) for k, v in init_weights(spec, rng).tensors.items()}
+    features = features.astype(dtype)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     losses = []
     for _ in range(config.epochs):
@@ -561,11 +573,14 @@ def test_train_backbone_matches_the_reference_loop_bitwise(spec):
     labels = np.arange(20) % spec.output_width
     cfg = TrainConfig(lr=0.05, momentum=0.9, epochs=3, batch_size=8, seed=59)
     store, losses = train_backbone(spec, feats, labels, cfg)
-    tensors, ref_losses = _reference_train_backbone(spec, feats, labels, cfg)
+    tensors, ref_losses = _reference_train_backbone(spec, feats, labels, cfg, np.float32)
     assert losses == ref_losses
     assert list(store.tensors) == list(tensors)
     for name, tensor in tensors.items():
         assert store.tensors[name].tobytes() == tensor.tobytes(), name
+    # the float64 loop is the oracle: float32 training must not move the loss curve visibly
+    _, losses64 = _reference_train_backbone(spec, feats, labels, cfg, np.float64)
+    np.testing.assert_allclose(losses, losses64, rtol=1e-5, atol=0)
 
 
 # specs whose first layer reads x itself: an FC over a flat input, an FC over a 3-D input,
@@ -619,7 +634,7 @@ def test_the_trace_path_keeps_no_patches(monkeypatch):
     assert calls == [None]
 
 
-def test_forward_batch_converts_the_weights_once_across_calls(monkeypatch):
+def test_forward_batch_runs_on_the_stored_tensors_with_no_conversion(monkeypatch):
     from voicetrace import backbone
 
     seen = []
@@ -634,25 +649,50 @@ def test_forward_batch_converts_the_weights_once_across_calls(monkeypatch):
     batch = np.random.default_rng(5).standard_normal((2, *TINY_SPEC.input_shape))
     first = forward_batch(TINY_SPEC, weights, batch)
     second = forward_batch(TINY_SPEC, weights, batch)
-    assert len(seen) == 2 and seen[0] is seen[1] is weights.params64
+    assert len(seen) == 2 and seen[0] is seen[1] is weights.tensors
     assert first[0].tobytes() == second[0].tobytes()
     for name, tensor in weights.tensors.items():
-        assert seen[0][name].dtype == np.float64
-        assert seen[0][name].tobytes() == tensor.astype(np.float64).tobytes()
+        assert seen[0][name] is tensor and tensor.dtype == np.float32
 
 
 def test_a_store_tensors_are_read_only_copies_of_the_callers_arrays():
     given = {k: np.ones(s, dtype=np.float32) for k, s in TINY_SPEC.parameter_shapes().items()}
     weights = WeightStore(given)
-    for store in (weights.tensors, weights.params64):
-        with pytest.raises(ValueError, match="read-only"):
-            store["conv1.weight"][0, 0, 0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        weights.tensors["conv1.weight"][0, 0, 0, 0] = 2.0
     assert all(a.flags.writeable for a in given.values())
     given["conv1.weight"][0, 0, 0, 0] = 2.0  # the store copied, so it does not see this
-    assert weights.tensors["conv1.weight"][0, 0, 0, 0] == weights.params64["conv1.weight"][0, 0, 0, 0] == 1.0
+    assert weights.tensors["conv1.weight"][0, 0, 0, 0] == 1.0
     fresh = weights.as_float64()
     fresh["conv1.weight"] += 1.0  # training and the gradient check update their own copies
-    assert weights.params64["conv1.weight"][0, 0, 0, 0] == 1.0
+    assert weights.tensors["conv1.weight"][0, 0, 0, 0] == 1.0
+
+
+def test_the_backbone_trains_and_traces_in_float32_and_the_gradient_check_in_float64(monkeypatch):
+    from voicetrace import backbone
+
+    seen = []
+
+    def spy(spec, params, x, keep=None):
+        seen.append({x.dtype, *(t.dtype for t in params.values())})
+        return real(spec, params, x, keep)
+
+    real = backbone._run_layers
+    monkeypatch.setattr(backbone, "_run_layers", spy)
+    feats, labels = _toy_dataset()  # float64 features, as audio.log_mel gives them
+    weights, _ = train_backbone(TINY_SPEC, feats, labels, TrainConfig(lr=0.01, epochs=2, batch_size=8, seed=3))
+    assert len(seen) == 6 and all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
+    assert not hasattr(weights, "params64")
+    seen.clear()
+    logits, trace = forward_batch(TINY_SPEC, weights, feats[:4])
+    predicted = backbone.classify(TINY_SPEC, weights, feats[:4])
+    assert seen == [{np.dtype(np.float32)}] * 2
+    assert trace.values.dtype == np.float64 and logits.dtype == np.float32
+    assert predicted.tobytes() == logits.argmax(axis=1).tobytes()
+    seen.clear()
+    x = np.random.default_rng(17).standard_normal((8, 6, 1))
+    assert gradient_check(TINY_SPEC, init_weights(TINY_SPEC, 17), x, label=1) < 1e-4
+    assert seen and all(dtypes == {np.dtype(np.float64)} for dtypes in seen)
 
 
 @pytest.mark.parametrize("spec", FIRST_LAYER_SPECS.values(), ids=FIRST_LAYER_SPECS)

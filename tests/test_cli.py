@@ -493,6 +493,16 @@ def test_audit_files_record_config_digest_and_hashes(chain):
     assert recorded == _sha(out / "eval_report.csv")
 
 
+def test_the_config_digest_leaves_out_the_output_directory_and_nothing_else(chain, tmp_path):
+    out, config_path = chain
+    recorded = json.loads((out / "audit_eval.json").read_text())["config_sha256"]
+    moved = load_config(config_path, seed=7, out_dir=str(tmp_path / "moved"))
+    assert config_digest(moved) == recorded  # a moved or copied run directory is not stale
+    assert config_digest(load_config(config_path, seed=8, out_dir=str(out))) != recorded
+    other = _write_config(tmp_path, {"detector.epochs": TINY["detector"]["epochs"] + 1})
+    assert config_digest(load_config(other, seed=7, out_dir=str(out))) != recorded
+
+
 def test_each_audit_lists_exactly_the_files_its_stage_wrote(tmp_path):
     # every file a stage adds or changes, but the corpus clips, which no audit lists, and its own audit
     out = tmp_path / "run"
