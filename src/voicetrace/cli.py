@@ -8,7 +8,7 @@ import sys
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads; --jobs fills the cores instead
 from . import pipeline  # noqa: E402
-from .errors import ConfigError, FormatError, StageError  # noqa: E402
+from .errors import ConfigError, StageError  # noqa: E402
 
 _STAGES = [
     ("gen-data", pipeline.cmd_gen_data, "write the synthetic corpus and noise bank"),
@@ -57,9 +57,6 @@ def main(argv=None) -> int:
         return 2
     except StageError as exc:
         print(f"voicetrace: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:  # a corpus clip or noise WAV, read in bulk outside _Stage.need
-        print(f"voicetrace: {args.command}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # e.g. a directory where an output file belongs
         named = f"{exc.filename}: " if exc.filename else ""

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, band_pass, istft, save_wav, stft
+from .audio import Waveform, band_pass, istft, rms, save_wav, stft
 from .errors import ManifestError
 
 REAL = "real"
@@ -177,8 +177,7 @@ def _synth_clip(spec: CorpusSpec, speaker: int, label: str, clip: int) -> np.nda
         # of a phase-doctored reconstruction are unreliable, which is why
         # they are rendered into the margin and discarded
         doctored = doctored[_EDGE_MARGIN : n - _EDGE_MARGIN]
-        reference_rms = float(np.sqrt(np.mean(clean**2)))
-        return doctored * (reference_rms / float(np.sqrt(np.mean(doctored**2))))
+        return doctored * (rms(clean) / rms(doctored))
 
     return clean
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -243,26 +242,19 @@ def apply_manipulation(waves, m: Manipulation, bank=None, formula: str = PAPER) 
     return out
 
 
-def load_noise_bank(directory, working_rate: int = 16000) -> dict:
-    """{file stem: Waveform} of every WAV in a directory, resampled to the working rate; an empty or
-    all-zero WAV, or one too short to keep a sample at the working rate, raises AudioFormatError,
-    since no SNR can be set with it."""
-    directory = Path(directory)
-    entries = {}
-    for path in sorted(directory.glob("*.wav")):
-        w = load_wav(path)
-        if not np.any(w.samples):
-            raise AudioFormatError(f"{path}: noise of {len(w)} samples, none of them nonzero, so no SNR can be set")
-        if w.sample_rate != working_rate:
-            try:
-                samples = _resample_by_ratio(w.samples, working_rate / w.sample_rate)
-            except ValueError as exc:  # too few samples to keep one at the working rate
-                raise AudioFormatError(f"{path}: noise of {len(w)} samples at {w.sample_rate} Hz: {exc}") from exc
-            w = Waveform(samples, working_rate)
-        entries[path.stem] = w
-    if not entries:
-        raise ValueError(f"no WAV files found in {directory}")
-    return entries
+def load_noise_bank(path, working_rate: int) -> Waveform:
+    """One noise-bank WAV, resampled to the working rate; an empty or all-zero WAV, or one too short
+    to keep a sample at the working rate, raises AudioFormatError, since no SNR can be set with it."""
+    w = load_wav(path)
+    if not np.any(w.samples):
+        raise AudioFormatError(f"{path}: noise of {len(w)} samples, none of them nonzero, so no SNR can be set")
+    if w.sample_rate != working_rate:
+        try:
+            samples = _resample_by_ratio(w.samples, working_rate / w.sample_rate)
+        except ValueError as exc:  # too few samples to keep one at the working rate
+            raise AudioFormatError(f"{path}: noise of {len(w)} samples at {w.sample_rate} Hz: {exc}") from exc
+        w = Waveform(samples, working_rate)
+    return w
 
 
 def _bursts(rng: np.random.Generator, n: int, sample_rate: int, rate_hz: float,

@@ -3,9 +3,11 @@
 Each stage reads artifacts written by earlier stages, writes its own
 under the output directory, and drops an audit JSON holding the config
 digest, the seed, and input/output content hashes. Nothing records wall
-time, so reruns with the same config and seed are byte-identical. Inputs
-pass through `_Stage.need`, which names the stage that writes a missing or
-damaged file, and outputs but corpus clips through `_Stage.output`; the audit lists both.
+time, so reruns with the same config and seed are byte-identical. Inputs but
+corpus clips pass through `_Stage.need`, and outputs but corpus clips through
+`_Stage.output`; the audit lists both. A missing or damaged input, a clip
+(decoded only under `_map_blocks`) included, stops its stage with a StageError
+whose remedy, from `_Stage.remedy`, names the stage or config field to fix.
 The corpus is traced once per chain: calibrate writes every clip's layer
 activations to traces.csv; extract reads them there, and export-features copies them.
 """
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import FLOAT32, WAV_MAX_DATA, WINDOW, Waveform, load_wav, log_mel, save_wav
+from .audio import FLOAT32, WAV_MAX_DATA, WINDOW, load_wav, log_mel, save_wav
 from .backbone import (LayerTable, NetworkSpec, WeightStore, classify, forward_batch,
                        load_weights, reference_spec, save_weights, train_backbone)
 from .corpus import ARTIFACTS, FAKE, REAL, CorpusSpec, generate_corpus, load_manifest, save_manifest
@@ -243,9 +245,9 @@ class _Stage:
             return (f"fix the config's {field} field or what it names",) * 2
         return f"run the {producer} stage first", f"rerun the {producer} stage"
 
-    def need(self, path, producer: str, load=Path, *args):
+    def need(self, path, producer: str, load, *args):
         """load(path, *args); a missing file, a directory, or a file whose format load refuses
-        names its remedy."""
+        names its remedy. Every input but the corpus clips is read here."""
         path = Path(path)
         first, again = self.remedy(path, producer)
         if not path.exists():
@@ -270,8 +272,8 @@ class _Stage:
         are relative to."""
         records = self.need(self.paths.manifest, "gen-data", load_manifest)
         if not records:
-            raise self.error(f"{self.paths.manifest} lists no clips; rerun the gen-data stage "
-                             f"or fix the manifest")
+            raise self.error(f"{self.paths.manifest} lists no clips; "
+                             f"{self.remedy(self.paths.manifest, 'gen-data')[1]}")
         return records, self.paths.manifest.parent
 
     def thresholds(self, netspec: NetworkSpec):
@@ -346,16 +348,16 @@ def _network_for(records, cfg: dict) -> NetworkSpec:
     return reference_spec(len({r.speaker_id for r in records}), (fcfg["frames"], fcfg["mel_bins"], 1))
 
 
-def _load_clip(path) -> Waveform:
-    """A corpus clip, refused when it does not decode or is shorter than one analysis window; the
-    error keeps its FormatError type, so it crosses _map_in_children as itself."""
-    try:
+def _load_clips(paths) -> list:
+    """A block's corpus clips, in order, refused at the first that does not decode or is shorter
+    than one analysis window; called only in _map_blocks' work, which names the remedy."""
+    waves = []
+    for path in paths:
         w = load_wav(path)
         if len(w) < WINDOW:
             raise AudioFormatError(f"{path}: {len(w)} samples, shorter than one {WINDOW}-sample analysis window")
-    except FormatError as exc:
-        raise type(exc)(f"{exc}; rerun the gen-data stage or fix the manifest") from exc
-    return w
+        waves.append(w)
+    return waves
 
 
 def _network_input(waves, fcfg: dict) -> np.ndarray:
@@ -434,14 +436,19 @@ def _map_in_children(stage: _Stage, work, items, jobs: int, held) -> list:
 
 
 def _map_blocks(stage: _Stage, work, items, jobs: int) -> list:
-    """work(block) for each _TRACE_BLOCK-item block of items, in order, through _map_in_children."""
+    """work(block) for each _TRACE_BLOCK-item block of items, in order, through _map_in_children.
+    Every corpus clip is decoded in such a work, so a FormatError, which crosses from a child as
+    itself, is a clip that fails and leaves as a StageError naming the manifest's remedy."""
     blocks = [items[i : i + _TRACE_BLOCK] for i in range(0, len(items), _TRACE_BLOCK)]
-    return _map_in_children(stage, work, blocks, jobs,
-                            lambda held: f"the worker for clip blocks {', '.join(map(str, held))}")
+    try:
+        return _map_in_children(stage, work, blocks, jobs,
+                                lambda held: f"the worker for clip blocks {', '.join(map(str, held))}")
+    except FormatError as exc:
+        raise stage.error(f"{exc}; {stage.remedy(stage.paths.manifest, 'gen-data')[1]}") from exc
 
 
 def _feature_array(stage: _Stage, files, fcfg: dict, jobs: int) -> np.ndarray:
-    blocks = _map_blocks(stage, lambda block: _network_input([_load_clip(f) for f in block], fcfg), files, jobs)
+    blocks = _map_blocks(stage, lambda block: _network_input(_load_clips(block), fcfg), files, jobs)
     return np.concatenate(blocks, axis=0)
 
 
@@ -525,7 +532,7 @@ def cmd_calibrate(cfg: dict, jobs: int = 1):
     if not cal:
         raise stage.error("no train-split clips to calibrate on")
     trace = _trace(stage, netspec, weights, [root / r.path for r in records], cfg["frontend"], jobs,
-                   lambda block: [_load_clip(f) for f in block])
+                   _load_clips)
     stage.output(paths.traces, write_feature_csv, trace.column_names("n"), [r.label for r in records],
                  [r.split for r in records], trace.values)
     # blocks are cut from manifest order at every --jobs, so these rows and thresholds do not depend on it
@@ -642,21 +649,16 @@ def cmd_sweep(cfg: dict, jobs: int = 1):
     if not noise_files:
         raise stage.error(f"missing noise bank {paths.noise_dir} (no *.wav files); "
                           f"{stage.remedy(paths.noise_dir, 'gen-data')[0]}")
-    for path in noise_files:
-        stage.need(path, "gen-data")
+    bank = {p.stem: stage.need(p, "gen-data", load_noise_bank, cfg["corpus"]["sample_rate"]) for p in noise_files}
 
     frozen = [paths.backbone] + [paths.detector(c) for c in criteria]
     if thresholds is not None:
         frozen.append(paths.thresholds)
     hashes_before = _sha256s(frozen)
 
-    try:
-        bank = load_noise_bank(paths.noise_dir, cfg["corpus"]["sample_rate"])
-    except FormatError as exc:  # a WAV that does not decode, or that holds no nonzero sample
-        raise stage.error(f"{exc}; rerun the gen-data stage or fix the noise bank") from exc
     sample = _sample_records(records, cfg["sweep"]["sample_per_class"])
     stage.require_two("the labels of the sampled test-split clips", [r.label for r in sample])
-    waves = [_load_clip(root / r.path) for r in sample]
+    waves = [w for block in _map_blocks(stage, _load_clips, [root / r.path for r in sample], 1) for w in block]
     for w in waves:
         w.samples.flags.writeable = False  # every cell manipulates these same clips
     y_true = np.asarray([1 if r.label == FAKE else 0 for r in sample])

@@ -11,7 +11,9 @@ a feature table starts or is cut by rows, and the pipeline never splits one back
 arrays. One NSW1 API each way: pack_tensors and read_tensor_stream are called only where a backbone
 or a detector is saved or loaded, with no path-level wrapper between. One output path: in the
 pipeline every writer is the write argument of a _Stage.output call, or is called in a lambda that is,
-so every file a stage writes, but the corpus clips, is recorded for its audit."""
+so every file a stage writes, but the corpus clips, is recorded for its audit. One failure path for a bad
+input: the pipeline decodes clips only in its block decoder, noise WAVs load only as _Stage.need's loader,
+and the CLI names no FormatError, so each one leaves its stage as a StageError with a _Stage.remedy."""
 
 import ast
 from pathlib import Path
@@ -222,3 +224,10 @@ def test_every_file_a_stage_writes_goes_through_its_one_output_path():
     manipulate = ast.parse((SOURCES[0].parent / "manipulate.py").read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(manipulate) if isinstance(node, ast.Call) and (
         _name(node.func) in {*WRITERS, "write_text", "write_bytes", "mkdir"} or _opens_to_write(node))]
+
+
+def test_a_bad_clip_or_noise_wav_can_leave_a_stage_only_through_its_remedy():
+    # _map_blocks gives the decoder's FormatError the manifest's remedy, and need the noise WAV's
+    assert [site for site in _sites("load_wav") if site.startswith("pipeline.")] == ["pipeline._load_clips"]
+    assert _sites("load_noise_bank") == []
+    assert "FormatError" not in (SOURCES[0].parent / "cli.py").read_text(encoding="utf-8")

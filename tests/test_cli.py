@@ -813,7 +813,7 @@ def test_an_empty_silent_or_undecodable_noise_wav_exits_2_writing_no_report(chai
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"voicetrace: sweep: {bad}: {refusal}")
-    assert err.rstrip().endswith("; rerun the gen-data stage or fix the noise bank")
+    assert err.endswith("; rerun the gen-data stage\n")
     assert "Traceback" not in err
     assert not any((part / name).exists() for name in (*SWEEP_FILES, "audit_sweep.json"))
 
@@ -1105,7 +1105,7 @@ def test_a_clip_that_fails_to_decode_in_a_worker_exits_2_as_at_one_job(chain, tm
     assert ran[0] == ran[1]
     rc, err = ran[1]
     assert rc == 2 and err.startswith(f"voicetrace: {stage}: {clip}: ") and err.count("\n") == 1
-    assert err.endswith("; rerun the gen-data stage or fix the manifest\n")
+    assert err.endswith("; rerun the gen-data stage\n")
     assert not any((part / name).exists() for name in outputs)
     _assert_no_child_left()
 
@@ -1291,23 +1291,47 @@ def test_noise_bank_without_wav_files_exits_2(chain, tmp_path, capsys, files):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("field, stage, make, refusal", [
-    ("manifest", "calibrate", lambda path: None, "missing {path}"),
-    ("noise_bank", "sweep", lambda path: path.mkdir(parents=True), "missing noise bank {path} (no *.wav files)"),
-    ("noise_bank", "sweep", lambda path: (path / "rain.wav").mkdir(parents=True), "{path}/rain.wav is not a file"),
-], ids=["missing-manifest", "empty-bank", "directory-in-bank"])
-def test_a_configured_input_that_is_missing_names_its_config_field_not_gen_data(chain, tmp_path, capsys,
-                                                                                field, stage, make, refusal):
+def _undecodable_bank_wav(path, part):
+    path.mkdir(parents=True)
+    (path / "rain.wav").write_bytes(b"RIFF")
+
+
+def _undecodable_clip_under_manifest(path, part):
+    """part's corpus, listed by a manifest at path, with the first clip of its second block, which a
+    forked worker decodes at two jobs, cut to 4 bytes; returns that clip."""
+    shutil.copytree(part / "corpus", path.parent)
+    (path.parent / "manifest.tsv").rename(path)
+    clip = path.parent / load_manifest(path)[pipeline._TRACE_BLOCK].path
+    clip.write_bytes(b"RIFF")
+    return clip
+
+
+# a configured input, missing or bad, is named with its config field, since gen-data never writes there;
+# make(path, run directory) returns the file {bad} names
+@pytest.mark.parametrize("field, stage, jobs, make, refusal", [
+    ("manifest", "calibrate", "1", lambda path, part: None, "missing {path}"),
+    ("noise_bank", "sweep", "1", lambda path, part: path.mkdir(parents=True),
+     "missing noise bank {path} (no *.wav files)"),
+    ("noise_bank", "sweep", "1", lambda path, part: (path / "rain.wav").mkdir(parents=True),
+     "{path}/rain.wav is not a file"),
+    ("noise_bank", "sweep", "1", _undecodable_bank_wav, "{path}/rain.wav: not a RIFF/WAVE file"),
+    ("manifest", "calibrate", "1", _undecodable_clip_under_manifest, "{bad}: not a RIFF/WAVE file"),
+    ("manifest", "calibrate", "2", _undecodable_clip_under_manifest, "{bad}: not a RIFF/WAVE file"),
+], ids=["missing-manifest", "empty-bank", "directory-in-bank", "undecodable-bank-wav",
+        "undecodable-clip-1-job", "undecodable-clip-2-jobs"])
+def test_a_configured_input_that_is_missing_names_its_config_field_not_gen_data(chain, tmp_path, capsys, field,
+                                                                                stage, jobs, make, refusal):
     out, _ = chain
     part = tmp_path / "run"
     shutil.copytree(out, part)
     path = tmp_path / "nowhere" / field
-    make(path)
+    bad = make(path, part)
     cfg = _write_config(tmp_path, {field: str(path)})
-    rc = main([stage, "--config", str(cfg), "--out", str(part), "--seed", "7"])
+    rc = main([stage, "--config", str(cfg), "--out", str(part), "--seed", "7", "--jobs", jobs])
     assert rc == 2
-    assert capsys.readouterr().err == (f"voicetrace: {stage}: {refusal.format(path=path)}; "
+    assert capsys.readouterr().err == (f"voicetrace: {stage}: {refusal.format(path=path, bad=bad)}; "
                                        f"fix the config's {field} field or what it names\n")
+    _assert_no_child_left()
 
 
 def test_single_criterion_run_reports_only_that_criterion(chain, tmp_path):
